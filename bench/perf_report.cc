@@ -7,6 +7,7 @@
 // Usage: perf_report [output.json]   (default: BENCH_perf.json in cwd)
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -454,8 +455,9 @@ int main(int argc, char** argv) {
   }
   std::printf("async record_force rda-vs-plain gap: %.1f%% %s\n",
               async_rda_gap * 100.0,
-              async_rda_gap <= 0.05 ? "(within the 5% bar)"
-                                    : "(WARN: outside the 5% bar)");
+              std::abs(async_rda_gap) <= 0.05
+                  ? "(within the 5% bar)"
+                  : "(WARN: outside the 5% bar)");
 
   FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {

@@ -1,8 +1,8 @@
 #include "recovery/crash_recovery.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -15,10 +15,60 @@
 namespace rda {
 
 namespace {
-bool RecoveryTraceEnabled() {
-  static const bool enabled = std::getenv("RDA_RECOVERY_TRACE") != nullptr;
-  return enabled;
+
+// The pure fold step of REDO: applies one committed after-image to `image`,
+// the page's payload as REDO has rebuilt it so far (the on-disk payload
+// before the first fold), unless the pageLSN rules show it already there.
+// Returns whether the image applied. Performs no I/O.
+Result<bool> FoldAfterImage(const LogRecord& record, size_t record_size,
+                            std::vector<uint8_t>* image) {
+  const DataPageMeta on_page = LoadDataMeta(*image);
+  DataPageMeta meta;
+  if (!record.record_granular) {
+    // Whole-page image: the captured payload embeds the pageLSN it
+    // represents, so the skip test compares captured vs on-page pageLSN —
+    // a FORCEd page whose latest image already reached the disk is left
+    // alone. Equal stamps do NOT imply equal content: the stamp is
+    // next_lsn() at write time, and a buffered rewrite that follows an
+    // unlogged steal (which appends nothing) carries the same stamp as the
+    // stolen version already on disk. Break the tie on the data bytes.
+    const DataPageMeta captured = LoadDataMeta(record.after);
+    if (captured.page_lsn < on_page.page_lsn ||
+        (captured.page_lsn == on_page.page_lsn &&
+         std::equal(record.after.begin() + kDataRegionOffset,
+                    record.after.end(),
+                    image->begin() + kDataRegionOffset))) {
+      return false;
+    }
+    *image = record.after;
+    meta = captured;
+  } else {
+    // Record-granular image: page-level LSN gating, replay in log order.
+    // Equality does not prove the image landed: a page stamp is next_lsn()
+    // at write time, and when the stamped write stays buffered past an
+    // unlogged steal, the commit's after-image append consumes exactly that
+    // LSN — same number, older bytes on disk. Skip on equality only when
+    // the slot already holds the image (the idempotent re-recovery case).
+    RecordPageView view(image, record_size);
+    bool already_applied = false;
+    if (record.lsn == on_page.page_lsn) {
+      std::vector<uint8_t> slot;
+      RDA_RETURN_IF_ERROR(view.Read(record.slot, &slot));
+      already_applied = slot == record.after;
+    }
+    if (record.lsn < on_page.page_lsn || already_applied) {
+      return false;
+    }
+    RDA_RETURN_IF_ERROR(view.Write(record.slot, record.after));
+    meta = LoadDataMeta(*image);
+    meta.page_lsn = record.lsn;
+  }
+  meta.txn_id = kInvalidTxnId;
+  meta.chain_prev = kInvalidPageId;
+  StoreDataMeta(meta, image);
+  return true;
 }
+
 }  // namespace
 
 Status CrashRecovery::ConsumeFaultBudget() {
@@ -41,88 +91,32 @@ Status CrashRecovery::ConsumeFaultBudget() {
   return Status::Aborted("injected crash during recovery");
 }
 
-Status CrashRecovery::RedoAfterImage(const LogRecord& record,
-                                     uint64_t* applied, uint64_t* skipped) {
+Status CrashRecovery::RedoPage(PageId page,
+                               const std::vector<LogRecord>& records,
+                               std::span<const uint32_t> images,
+                               uint64_t* applied, uint64_t* skipped) {
   PageImage current;
-  RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(record.page, &current));
-  const DataPageMeta disk_meta = LoadDataMeta(current.payload);
-
-  PageImage restored(0);
-  DataPageMeta meta;
-  if (!record.record_granular) {
-    // Whole-page image: the captured payload embeds the pageLSN it
-    // represents, so the skip test compares captured vs on-disk pageLSN —
-    // a FORCEd page whose latest image already reached the disk is left
-    // alone. Equal stamps do NOT imply equal content: the stamp is
-    // next_lsn() at write time, and a buffered rewrite that follows an
-    // unlogged steal (which appends nothing) carries the same stamp as the
-    // stolen version already on disk. Break the tie on the data bytes.
-    const DataPageMeta captured = LoadDataMeta(record.after);
-    if (captured.page_lsn < disk_meta.page_lsn ||
-        (captured.page_lsn == disk_meta.page_lsn &&
-         std::equal(record.after.begin() + kDataRegionOffset,
-                    record.after.end(),
-                    current.payload.begin() + kDataRegionOffset))) {
-      if (RecoveryTraceEnabled()) {
-        std::fprintf(stderr,
-                     "redo SKIP page=%llu lsn=%llu cap_lsn=%llu disk_lsn=%llu\n",
-                     (unsigned long long)record.page,
-                     (unsigned long long)record.lsn,
-                     (unsigned long long)captured.page_lsn,
-                     (unsigned long long)disk_meta.page_lsn);
-      }
-      ++*skipped;
-      return Status::Ok();
-    }
-    restored.payload = record.after;
-    meta = captured;
-  } else {
-    // Record-granular image: page-level LSN gating, replay in log order.
-    // Equality does not prove the image landed: a page stamp is next_lsn()
-    // at write time, and when the stamped write stays buffered past an
-    // unlogged steal, the commit's after-image append consumes exactly that
-    // LSN — same number, older bytes on disk. Skip on equality only when
-    // the slot already holds the image (the idempotent re-recovery case).
-    bool already_applied = false;
-    if (record.lsn == disk_meta.page_lsn) {
-      RecordPageView disk_view(&current.payload,
-                               txn_manager_->config().record_size);
-      std::vector<uint8_t> disk_slot;
-      RDA_RETURN_IF_ERROR(disk_view.Read(record.slot, &disk_slot));
-      already_applied = disk_slot == record.after;
-    }
-    if (record.lsn < disk_meta.page_lsn || already_applied) {
-      if (RecoveryTraceEnabled()) {
-        std::fprintf(stderr,
-                     "redo SKIP page=%llu slot=%u lsn=%llu disk_lsn=%llu\n",
-                     (unsigned long long)record.page, (unsigned)record.slot,
-                     (unsigned long long)record.lsn,
-                     (unsigned long long)disk_meta.page_lsn);
-      }
-      ++*skipped;
-      return Status::Ok();
-    }
-    restored.payload = current.payload;
-    RecordPageView view(&restored.payload,
-                        txn_manager_->config().record_size);
-    RDA_RETURN_IF_ERROR(view.Write(record.slot, record.after));
-    meta = LoadDataMeta(restored.payload);
-    meta.page_lsn = record.lsn;
+  RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(page, &current));
+  PageImage redone(0);
+  redone.payload = current.payload;
+  bool changed = false;
+  for (const uint32_t index : images) {
+    RDA_ASSIGN_OR_RETURN(
+        const bool folded,
+        FoldAfterImage(records[index], txn_manager_->config().record_size,
+                       &redone.payload));
+    ++*(folded ? applied : skipped);
+    changed = changed || folded;
   }
-  meta.txn_id = kInvalidTxnId;
-  meta.chain_prev = kInvalidPageId;
-  StoreDataMeta(meta, &restored.payload);
-
-  RDA_RETURN_IF_ERROR(parity_->Propagate(record.page, kInvalidTxnId,
-                                         PropagationKind::kPlain,
-                                         &current.payload, restored));
-  if (RecoveryTraceEnabled()) {
-    std::fprintf(stderr, "redo APPLY page=%llu slot=%u lsn=%llu granular=%d\n",
-                 (unsigned long long)record.page, (unsigned)record.slot,
-                 (unsigned long long)record.lsn, (int)record.record_granular);
+  if (!changed) {
+    return Status::Ok();
   }
-  ++*applied;
-  return Status::Ok();
+  // kPlain (or kLoggedDirtyGroup, if the group is dirty) XORs the delta
+  // into parity without stamping a timestamp, so one propagation from the
+  // disk image to the folded one leaves data and parity byte-identical to
+  // one propagation per applied image.
+  return parity_->Propagate(page, kInvalidTxnId, PropagationKind::kPlain,
+                            &current.payload, redone);
 }
 
 uint64_t CrashRecovery::TransfersNow() const {
@@ -141,14 +135,14 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   }
 
   // Phase 2: analysis — one forward scan that classifies transactions AND
-  // pre-buckets the after-images for the sharded REDO of phase 5. Shard =
-  // page id mod shard count, so every image of one page lands on one shard
-  // and (the scan being forward) stays in LSN order within it. One shard
-  // reproduces the serial replay exactly.
-  const uint32_t redo_shard_count =
-      pool_ != nullptr ? std::max<uint32_t>(pool_->width(), 1) : 1;
+  // links each page's after-images, in LSN order, for the page-ordered REDO
+  // of phase 5: redo_head[page] is the log index of the page's first image,
+  // redo_next[index] that of the next one.
+  constexpr uint32_t kNoImage = UINT32_MAX;
+  const PageId num_pages = parity_->array()->num_data_pages();
   std::vector<LogRecord> records;
-  std::vector<std::vector<uint32_t>> redo_shards(redo_shard_count);
+  std::vector<uint32_t> redo_head(num_pages, kNoImage);
+  std::vector<uint32_t> redo_next;
   std::unordered_set<TxnId> winners;
   std::unordered_set<TxnId> losers;
   // Per transaction, the LSN at which each page's unlogged window opened
@@ -177,9 +171,8 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     finished.reserve(txn_hint);
     winners.reserve(txn_hint);
     losers.reserve(txn_hint);
-    for (auto& shard : redo_shards) {
-      shard.reserve(records.size() / redo_shard_count + 1);
-    }
+    redo_next.assign(records.size(), kNoImage);
+    std::vector<uint32_t> redo_tail(num_pages, kNoImage);
     for (uint32_t index = 0; index < records.size(); ++index) {
       const LogRecord& record = records[index];
       if (record.txn != kInvalidTxnId) {
@@ -195,7 +188,17 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
           finished.insert(record.txn);
           break;
         case LogRecordType::kAfterImage:
-          redo_shards[record.page % redo_shard_count].push_back(index);
+          if (record.page >= num_pages) {
+            return Status::Corruption("after-image of page " +
+                                      std::to_string(record.page) +
+                                      " lies outside the array");
+          }
+          if (redo_tail[record.page] == kNoImage) {
+            redo_head[record.page] = index;
+          } else {
+            redo_next[redo_tail[record.page]] = index;
+          }
+          redo_tail[record.page] = index;
           break;
         case LogRecordType::kChainHead:
           // Unlogged-window open marker: one per group dirtying. Its LSN
@@ -328,12 +331,6 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         }
       }
       RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-      if (RecoveryTraceEnabled()) {
-        std::fprintf(stderr, "undo 4b page=%llu slot=%u lsn=%llu txn=%llu\n",
-                     (unsigned long long)record.page, (unsigned)record.slot,
-                     (unsigned long long)record.lsn,
-                     (unsigned long long)record.txn);
-      }
       RDA_RETURN_IF_ERROR(apply_before_image(record));
       ++report.logged_undos;
     }
@@ -355,11 +352,6 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     RDA_RETURN_IF_ERROR(exec::RunSharded(
         pool_, undo_groups.size(), [&](uint64_t i) -> Status {
           RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-          if (RecoveryTraceEnabled()) {
-            std::fprintf(stderr, "undo 4c group=%llu txn=%llu\n",
-                         (unsigned long long)undo_groups[i].first,
-                         (unsigned long long)undo_groups[i].second);
-          }
           return parity_
               ->UndoUnloggedUpdate(undo_groups[i].first, undo_groups[i].second)
               .status();
@@ -376,29 +368,42 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     }
   }
 
-  // Phase 5: REDO committed after-images. Analysis pre-bucketed them so
-  // each shard replays a disjoint page set in LSN order; the pageLSN check
-  // skips work already on disk. Shards tally separately and the totals are
+  // Phase 5: REDO committed after-images, page-ordered and read-once. Shard
+  // = page id mod shard count; each shard walks its pages in ascending
+  // order (ascending positions on every disk) and, per page with winners'
+  // images, reads it once, folds the images in LSN order under the pageLSN
+  // rules, and propagates at most once. Any shard count yields the same
+  // reads and propagations. Shards tally separately and the totals are
   // summed in shard order, so the report is deterministic.
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kRedo, transfers_now,
                            &report.phases);
-    std::vector<uint64_t> applied(redo_shards.size(), 0);
-    std::vector<uint64_t> skipped(redo_shards.size(), 0);
+    const uint32_t shards =
+        pool_ != nullptr ? std::max<uint32_t>(pool_->width(), 1) : 1;
+    std::vector<uint64_t> applied(shards, 0);
+    std::vector<uint64_t> skipped(shards, 0);
     RDA_RETURN_IF_ERROR(exec::RunSharded(
-        pool_, redo_shards.size(), [&](uint64_t shard) -> Status {
-          for (const uint32_t index : redo_shards[shard]) {
-            const LogRecord& record = records[index];
-            if (!winners.contains(record.txn)) {
+        pool_, shards, [&](uint64_t shard) -> Status {
+          std::vector<uint32_t> images;
+          for (PageId page = static_cast<PageId>(shard); page < num_pages;
+               page += shards) {
+            images.clear();
+            for (uint32_t index = redo_head[page]; index != kNoImage;
+                 index = redo_next[index]) {
+              if (winners.contains(records[index].txn)) {
+                images.push_back(index);
+              }
+            }
+            if (images.empty()) {
               continue;
             }
             RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-            RDA_RETURN_IF_ERROR(
-                RedoAfterImage(record, &applied[shard], &skipped[shard]));
+            RDA_RETURN_IF_ERROR(RedoPage(page, records, images,
+                                         &applied[shard], &skipped[shard]));
           }
           return Status::Ok();
         }));
-    for (size_t shard = 0; shard < redo_shards.size(); ++shard) {
+    for (uint32_t shard = 0; shard < shards; ++shard) {
       report.redo_applied += applied[shard];
       report.redo_skipped += skipped[shard];
     }

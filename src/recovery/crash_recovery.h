@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -25,7 +26,7 @@ struct CrashRecoveryReport {
   uint64_t parity_undos = 0;       // Loser pages undone from twin parity.
   uint64_t logged_undos = 0;       // Loser images undone from the log.
   uint64_t redo_applied = 0;       // Committed after-images re-applied.
-  uint64_t redo_skipped = 0;       // Skipped by the pageLSN check.
+  uint64_t redo_skipped = 0;       // Images skipped by the pageLSN check.
   uint64_t chain_pages_walked = 0; // TWIST chain links traversed (audit).
   // Per-phase cost breakdown (page transfers + wall clock), in execution
   // order. Always filled, whether or not observability is attached.
@@ -43,8 +44,10 @@ struct CrashRecoveryReport {
 //  4. UNDO losers: parity-undo each dirty group owned by a loser (walking
 //     the TWIST chain for audit), then re-apply logged before-images in
 //     reverse LSN order.
-//  5. REDO winners: re-apply committed after-images in LSN order wherever
-//     the on-disk pageLSN shows them missing.
+//  5. REDO winners, page-ordered and read-once: each page with committed
+//     after-images is read once, its images are folded over that image in
+//     LSN order wherever the pageLSN shows them missing, and the page is
+//     propagated at most once.
 //  6. Log AbortComplete for every loser and flush.
 //
 // Idempotent: crashing during recovery and re-running it converges to the
@@ -65,14 +68,14 @@ class CrashRecovery {
   void AttachObs(obs::ObsHub* hub) { hub_ = hub; }
 
   // Fans the REDO and parity-UNDO phases out over `pool` (DESIGN.md §13:
-  // REDO is sharded by page id so each page's after-images replay in LSN
-  // order on one shard; parity undo runs per dirty group under the group
-  // latches). Null (the default) keeps every phase on the serial path.
+  // REDO is sharded by page id so each page is read, folded in LSN order
+  // and propagated by one shard; parity undo runs per dirty group under the
+  // group latches). Null (the default) keeps every phase on the serial path.
   void SetWorkerPool(exec::WorkerPool* pool) { pool_ = pool; }
 
   // Robustness hook: make Recover() fail with kAborted after `actions`
-  // mutating recovery steps (finalizations, undos, redo applications),
-  // simulating a crash in the middle of recovery.
+  // mutating recovery steps (finalizations, undos, and one per page REDO
+  // visits), simulating a crash in the middle of recovery.
   void InjectFaultAfterActions(uint64_t actions) {
     fault_armed_ = true;
     fault_budget_ = actions;
@@ -86,10 +89,13 @@ class CrashRecovery {
   bool fault_armed_ = false;
   std::atomic<uint64_t> fault_budget_{0};
 
-  // Applies (or LSN-skips) one committed after-image; tallies into the
-  // caller's per-shard counters.
-  Status RedoAfterImage(const LogRecord& record, uint64_t* applied,
-                        uint64_t* skipped);
+  // REDO of one page: `images` index `records` for the page's committed
+  // after-images in LSN order. Reads the page once, folds every image over
+  // it (or LSN-skips it), and propagates the result once if any applied.
+  // Tallies per image into the caller's per-shard counters.
+  Status RedoPage(PageId page, const std::vector<LogRecord>& records,
+                  std::span<const uint32_t> images, uint64_t* applied,
+                  uint64_t* skipped);
 
   // Array + log transfers so far (phase deltas are charged per phase).
   uint64_t TransfersNow() const;

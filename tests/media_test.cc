@@ -69,6 +69,20 @@ TEST_F(MediaRecoveryTest, EveryDiskIsRebuildable) {
   }
 }
 
+TEST_F(MediaRecoveryTest, RebuildReportsItsPhaseCost) {
+  Open();
+  Populate();
+  ASSERT_TRUE(db_->FailDisk(2).ok());
+  const uint64_t before = db_->array()->counters().total();
+  auto report = db_->RebuildDisk(2);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const uint64_t spent = db_->array()->counters().total() - before;
+  ASSERT_EQ(report->phases.size(), 1u);
+  EXPECT_EQ(report->phases[0].phase, obs::RecoveryPhase::kMediaRebuild);
+  EXPECT_GT(spent, 0u);
+  EXPECT_EQ(report->phases[0].page_transfers, spent);
+}
+
 TEST_F(MediaRecoveryTest, DegradedReadsWorkWhileDiskDown) {
   Open();
   Populate();

@@ -231,6 +231,8 @@ TEST_F(OnlineRebuildTest, ForegroundTrafficServedAndPromotedDuringSession) {
   EXPECT_EQ(cleared, info->groups_pending);
   EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
   EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
+  ASSERT_EQ(report->phases.size(), 1u);
+  EXPECT_EQ(report->phases[0].phase, obs::RecoveryPhase::kMediaRebuild);
 
   EXPECT_EQ(DiskByte(0), 0xAA);
   for (PageId page = 1; page < db_->num_pages(); ++page) {

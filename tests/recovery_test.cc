@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/database.h"
 
 namespace rda {
@@ -406,6 +410,133 @@ TEST_F(CrashRecoveryTest, FlushedBotWithoutWorkIsCleanLoser) {
   auto second = db_->Recover();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->losers.empty());
+}
+
+// Every data payload, then every parity twin's payload, as on disk.
+std::vector<std::vector<uint8_t>> ArrayState(Database* db) {
+  std::vector<std::vector<uint8_t>> state;
+  for (PageId page = 0; page < db->num_pages(); ++page) {
+    PageImage image;
+    EXPECT_TRUE(db->array()->ReadData(page, &image).ok());
+    state.push_back(std::move(image.payload));
+  }
+  for (GroupId group = 0; group < db->array()->num_groups(); ++group) {
+    for (uint32_t twin = 0; twin < 2; ++twin) {
+      PageImage image;
+      EXPECT_TRUE(db->array()->ReadParity(group, twin, &image).ok());
+      state.push_back(std::move(image.payload));
+    }
+  }
+  return state;
+}
+
+const obs::PhaseCost* FindPhase(const CrashRecoveryReport& report,
+                                obs::RecoveryPhase phase) {
+  for (const obs::PhaseCost& cost : report.phases) {
+    if (cost.phase == phase) {
+      return &cost;
+    }
+  }
+  return nullptr;
+}
+
+TEST_F(CrashRecoveryTest, RedoReadsEachPageOnceAndPropagatesItOnce) {
+  Open();
+  // Three winners rewrite page 1, a fourth writes page 6. notFORCE keeps
+  // every version in the buffer: only the log holds them at the crash.
+  for (const uint8_t fill : {0x31, 0x32, 0x33}) {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(db_->WritePage(*txn, 1, UserBytes(fill)).ok());
+    ASSERT_TRUE(db_->Commit(*txn).ok());
+  }
+  auto other = db_->Begin();
+  ASSERT_TRUE(db_->WritePage(*other, 6, UserBytes(0x44)).ok());
+  ASSERT_TRUE(db_->Commit(*other).ok());
+  EXPECT_EQ(DiskByte(1), 0x00);
+
+  db_->Crash();
+  auto report = db_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The counts stay per after-image.
+  EXPECT_EQ(report->redo_applied, 4u);
+  EXPECT_EQ(report->redo_skipped, 0u);
+  // One data read per page, then one plain propagation per applied page:
+  // parity read, parity write, data write (the old payload is the read).
+  const obs::PhaseCost* redo = FindPhase(*report, obs::RecoveryPhase::kRedo);
+  ASSERT_NE(redo, nullptr);
+  EXPECT_EQ(redo->page_transfers, 2u + 3u * 2u);
+
+  for (const auto& [page, fill] :
+       {std::pair<PageId, uint8_t>{1, 0x33}, {6, 0x44}}) {
+    auto payload = db_->RawReadPage(page);
+    ASSERT_TRUE(payload.ok());
+    EXPECT_TRUE(std::equal(payload->begin() + kDataRegionOffset,
+                           payload->end(), UserBytes(fill).begin()))
+        << "page " << page;
+  }
+  ExpectParityConsistent();
+
+  // A second pass finds every image on disk: reads only, no propagation.
+  db_->Crash();
+  auto again = db_->Recover();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->redo_applied, 0u);
+  EXPECT_EQ(again->redo_skipped, 4u);
+  redo = FindPhase(*again, obs::RecoveryPhase::kRedo);
+  ASSERT_NE(redo, nullptr);
+  EXPECT_EQ(redo->page_transfers, 2u);
+}
+
+TEST_F(CrashRecoveryTest, CrashInsideRedoConvergesAtEveryBudget) {
+  // Committed rewrites of four pages (two in one group), all still only in
+  // the log at the crash: no losers, no dirty groups, so every recovery
+  // action is REDO work — one per page.
+  const auto crash_with_redo_work = [this] {
+    Open();
+    for (int round = 0; round < 3; ++round) {
+      for (const PageId page : {1, 2, 5, 9}) {
+        auto txn = db_->Begin();
+        ASSERT_TRUE(db_->WritePage(*txn, page,
+                                   UserBytes(static_cast<uint8_t>(
+                                       0x10 * (round + 1) + page)))
+                        .ok());
+        ASSERT_TRUE(db_->Commit(*txn).ok());
+      }
+    }
+    db_->Crash();
+  };
+  crash_with_redo_work();
+  ASSERT_TRUE(db_->Recover().ok());
+  const std::vector<std::vector<uint8_t>> expected = ArrayState(db_.get());
+  EXPECT_EQ(DiskByte(9), 0x39);
+
+  constexpr uint64_t kRedoPages = 4;
+  for (uint64_t budget = 0; budget <= kRedoPages; ++budget) {
+    crash_with_redo_work();
+    auto interrupted = db_->RecoverWithInjectedFault(budget);
+    if (budget < kRedoPages) {
+      ASSERT_FALSE(interrupted.ok()) << "budget " << budget;
+      EXPECT_TRUE(interrupted.status().IsAborted());
+      db_->Crash();
+      ASSERT_TRUE(db_->Recover().ok()) << "budget " << budget;
+    } else {
+      ASSERT_TRUE(interrupted.ok()) << interrupted.status().ToString();
+    }
+    EXPECT_EQ(ArrayState(db_.get()), expected) << "budget " << budget;
+    ExpectParityConsistent();
+  }
+}
+
+TEST_F(CrashRecoveryTest, AfterImageOutsideTheArrayIsCorruption) {
+  Open();
+  LogRecord image;
+  image.type = LogRecordType::kAfterImage;
+  image.txn = 1;
+  image.page = static_cast<PageId>(db_->num_pages());
+  ASSERT_TRUE(db_->log()->Append(std::move(image)).ok());
+  ASSERT_TRUE(db_->log()->Flush().ok());
+  db_->Crash();
+  EXPECT_TRUE(db_->Recover().status().IsCorruption());
 }
 
 // Regression: after a restart, RebuildDirectory must seed the timestamp
