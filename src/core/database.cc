@@ -251,6 +251,12 @@ Result<CrashRecoveryReport> Database::RestoreFromArchive() {
   return archive_->RestoreFromArchive();
 }
 
+Result<CrashRecoveryReport> Database::RestoreFromArchiveWithInjectedFault(
+    uint64_t actions) {
+  archive_->InjectFaultAfterActions(actions);
+  return RestoreFromArchive();
+}
+
 Status Database::BulkLoad(const std::vector<std::vector<uint8_t>>& user_pages) {
   if (!txn_manager_->ActiveTxns().empty()) {
     return Status::FailedPrecondition("bulk load requires quiescence");

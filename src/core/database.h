@@ -127,6 +127,11 @@ class Database {
   // recomputes parity and rolls committed work forward from the log.
   // Quiesces the maintenance thread first.
   Result<CrashRecoveryReport> RestoreFromArchive();
+  // Test/robustness hook: like RestoreFromArchive(), but the roll-forward
+  // fails with kAborted after `actions` recovery mutations — a crash during
+  // the restore. Call Crash() and Recover() afterwards.
+  Result<CrashRecoveryReport> RestoreFromArchiveWithInjectedFault(
+      uint64_t actions);
 
   // Background parity scrub: verify all groups, repair clean ones that
   // fail the XOR check.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -425,11 +423,6 @@ void Runner::RunSingleThreaded() {
       continue;
     }
     const MicroOp& op = ops[idx];
-    if (std::getenv("RDA_FUZZ_TRACE") != nullptr) {
-      std::fprintf(stderr, "op %u: kind=%d page=%u slot=%u txn=%llu\n", idx,
-                   static_cast<int>(op.kind), op.page, op.slot,
-                   static_cast<unsigned long long>(cur));
-    }
     if (op.kind == MicroOp::Kind::kCheckpoint) {
       Status ckpt = db_->Checkpoint();
       if (!ckpt.ok()) {
@@ -473,9 +466,6 @@ void Runner::RunSingleThreaded() {
         // from the baseline (unlogged propagation, Figure 3); take it
         // often so crashes land between steal and EOT.
         if (steal_rng.Bernoulli(0.4)) {
-          if (std::getenv("RDA_FUZZ_TRACE") != nullptr) {
-            std::fprintf(stderr, "  steal page %u\n", op.page);
-          }
           auto* frame = db_->txn_manager()->pool()->Lookup(op.page);
           if (frame != nullptr) {
             Status steal = db_->txn_manager()->pool()->PropagateFrame(frame);

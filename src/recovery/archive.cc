@@ -1,8 +1,10 @@
 #include "recovery/archive.h"
 
+#include <optional>
 #include <utility>
 
 #include "obs/scoped.h"
+#include "wal/log_record.h"
 
 namespace rda {
 
@@ -45,6 +47,8 @@ Status ArchiveManager::TakeArchive(bool truncate_log) {
 }
 
 Result<CrashRecoveryReport> ArchiveManager::RestoreFromArchive() {
+  const std::optional<uint64_t> fault_actions =
+      std::exchange(fault_actions_, std::nullopt);
   if (!HasArchive()) {
     return Status::FailedPrecondition("no archive has been taken");
   }
@@ -66,6 +70,14 @@ Result<CrashRecoveryReport> ArchiveManager::RestoreFromArchive() {
   txn_manager_->LoseVolatileState();
   parity_->LoseVolatileState();
   log_->LoseVolatileState();
+  // Durable before the first snapshot page lands: from here on every
+  // committed image logged before the marker may be off the medium, and any
+  // Recover() — the one below, or a restart after a crash that cuts it
+  // short — replays them all.
+  LogRecord marker;
+  marker.type = LogRecordType::kArchiveRestore;
+  RDA_RETURN_IF_ERROR(log_->Append(std::move(marker)).status());
+  RDA_RETURN_IF_ERROR(log_->Flush());
 
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kArchiveRestore,
@@ -90,6 +102,9 @@ Result<CrashRecoveryReport> ArchiveManager::RestoreFromArchive() {
   CrashRecovery recovery(txn_manager_, parity_, log_);
   recovery.AttachObs(hub_);
   recovery.SetWorkerPool(pool_);
+  if (fault_actions.has_value()) {
+    recovery.InjectFaultAfterActions(*fault_actions);
+  }
   RDA_ASSIGN_OR_RETURN(CrashRecoveryReport report, recovery.Recover());
   report.phases.insert(report.phases.begin(), restore_phases.begin(),
                        restore_phases.end());

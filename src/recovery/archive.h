@@ -2,6 +2,7 @@
 #define RDA_RECOVERY_ARCHIVE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -45,12 +46,18 @@ class ArchiveManager {
     return static_cast<uint64_t>(snapshot_.size());
   }
 
-  // Catastrophic restore: replaces any failed disks, rewrites every data
-  // page from the snapshot, recomputes all parity from the restored data,
-  // and re-runs restart recovery to REDO the work committed since the
-  // archive. In-flight work since the archive is lost per the usual
+  // Catastrophic restore: replaces any failed disks, logs a kArchiveRestore
+  // marker, rewrites every data page from the snapshot, recomputes all
+  // parity from the restored data, and re-runs restart recovery to REDO the
+  // work committed since the archive (every image before the marker, FORCE
+  // or not). In-flight work since the archive is lost per the usual
   // winner/loser rules.
   Result<CrashRecoveryReport> RestoreFromArchive();
+
+  // Robustness hook: the next restore's roll-forward fails with kAborted
+  // after `actions` recovery steps (see
+  // CrashRecovery::InjectFaultAfterActions). One-shot.
+  void InjectFaultAfterActions(uint64_t actions) { fault_actions_ = actions; }
 
   // Hooks archiving into the observability hub: `recovery.archives_taken`
   // counter, and restores report kArchiveRestore/kParityReinit phase costs
@@ -64,6 +71,7 @@ class ArchiveManager {
   exec::WorkerPool* pool_ = nullptr;
   std::vector<std::vector<uint8_t>> snapshot_;
   Lsn archive_lsn_ = kInvalidLsn;
+  std::optional<uint64_t> fault_actions_;
   obs::ObsHub* hub_ = nullptr;
   obs::Counter* archives_counter_ = nullptr;
 };

@@ -138,11 +138,24 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   // links each page's after-images, in LSN order, for the page-ordered REDO
   // of phase 5: redo_head[page] is the log index of the page's first image,
   // redo_next[index] that of the next one.
+  //
+  // It also bounds REDO. Under FORCE every page a transaction changed is on
+  // the array before its commit record, and only two events can take
+  // committed bytes off the medium again: an undo by a non-winner (a loser,
+  // or a runtime abort), and an archive restore. Both leave a durable trace
+  // in the log. maybe_stale[page] marks the pages of the first: every page
+  // named by a non-winner's before-image or chain head, and the dirty page
+  // of every loser-owned dirty group. Records before index restore_end
+  // predate the last kArchiveRestore marker, so a page with a winner image
+  // there is stale too. Under notFORCE every page may be stale.
   constexpr uint32_t kNoImage = UINT32_MAX;
   const PageId num_pages = parity_->array()->num_data_pages();
+  const bool force = txn_manager_->config().force;
   std::vector<LogRecord> records;
   std::vector<uint32_t> redo_head(num_pages, kNoImage);
   std::vector<uint32_t> redo_next;
+  std::vector<bool> maybe_stale(num_pages, !force);
+  uint32_t restore_end = 0;
   std::unordered_set<TxnId> winners;
   std::unordered_set<TxnId> losers;
   // Per transaction, the LSN at which each page's unlogged window opened
@@ -173,6 +186,13 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     losers.reserve(txn_hint);
     redo_next.assign(records.size(), kNoImage);
     std::vector<uint32_t> redo_tail(num_pages, kNoImage);
+    // FORCE: before-images and chain heads, kept until the winners are known.
+    std::vector<uint32_t> undo_traces;
+    const auto mark_stale = [&](PageId page) {
+      if (page < num_pages) {
+        maybe_stale[page] = true;
+      }
+    };
     for (uint32_t index = 0; index < records.size(); ++index) {
       const LogRecord& record = records[index];
       if (record.txn != kInvalidTxnId) {
@@ -207,6 +227,14 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
           // in-window (phase 4b). Later markers overwrite earlier ones —
           // only the window still open at the crash matters.
           window_start[record.txn][record.chain_head] = record.lsn;
+          [[fallthrough]];
+        case LogRecordType::kBeforeImage:
+          if (force) {
+            undo_traces.push_back(index);
+          }
+          break;
+        case LogRecordType::kArchiveRestore:
+          restore_end = index;
           break;
         default:
           break;
@@ -217,12 +245,20 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         losers.insert(txn);
       }
     }
+    for (const uint32_t index : undo_traces) {
+      const LogRecord& record = records[index];
+      if (!winners.contains(record.txn)) {
+        mark_stale(record.type == LogRecordType::kChainHead ? record.chain_head
+                                                            : record.page);
+      }
+    }
     // A dirty group whose owner never reached the log (BOT flushed with the
     // first propagation, so this is defensive) is a loser as well.
     for (const GroupId group : parity_->directory().AllDirtyGroups()) {
       const GroupState& state = parity_->directory().Get(group);
       if (!winners.contains(state.dirty_txn)) {
         losers.insert(state.dirty_txn);
+        mark_stale(state.dirty_page);
       }
     }
 
@@ -372,9 +408,11 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   // = page id mod shard count; each shard walks its pages in ascending
   // order (ascending positions on every disk) and, per page with winners'
   // images, reads it once, folds the images in LSN order under the pageLSN
-  // rules, and propagates at most once. Any shard count yields the same
-  // reads and propagations. Shards tally separately and the totals are
-  // summed in shard order, so the report is deterministic.
+  // rules, and propagates at most once. A page analysis proved current
+  // (FORCE, no non-winner wrote it, no image before the last archive
+  // restore) is not read: its images all count as skipped. Any shard count
+  // yields the same reads and propagations. Shards tally separately and the
+  // totals are summed in shard order, so the report is deterministic.
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kRedo, transfers_now,
                            &report.phases);
@@ -395,6 +433,10 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
               }
             }
             if (images.empty()) {
+              continue;
+            }
+            if (!maybe_stale[page] && images.front() >= restore_end) {
+              skipped[shard] += images.size();
               continue;
             }
             RDA_RETURN_IF_ERROR(ConsumeFaultBudget());

@@ -26,7 +26,7 @@ struct CrashRecoveryReport {
   uint64_t parity_undos = 0;       // Loser pages undone from twin parity.
   uint64_t logged_undos = 0;       // Loser images undone from the log.
   uint64_t redo_applied = 0;       // Committed after-images re-applied.
-  uint64_t redo_skipped = 0;       // Images skipped by the pageLSN check.
+  uint64_t redo_skipped = 0;       // Images found already on the array.
   uint64_t chain_pages_walked = 0; // TWIST chain links traversed (audit).
   // Per-phase cost breakdown (page transfers + wall clock), in execution
   // order. Always filled, whether or not observability is attached.
@@ -47,7 +47,14 @@ struct CrashRecoveryReport {
 //  5. REDO winners, page-ordered and read-once: each page with committed
 //     after-images is read once, its images are folded over that image in
 //     LSN order wherever the pageLSN shows them missing, and the page is
-//     propagated at most once.
+//     propagated at most once. Under FORCE a committed page reached the
+//     array before its commit record, so only pages a non-winner wrote
+//     (named by its before-images or chain heads, or the dirty page of a
+//     loser's group) are read; the images of every other page count as
+//     skipped. An archive restore logs a kArchiveRestore marker before it
+//     rewrites the snapshot, and every page with a winner image logged
+//     before the last marker is replayed as well — the restore's own
+//     roll-forward and any restart after it take the same path.
 //  6. Log AbortComplete for every loser and flush.
 //
 // Idempotent: crashing during recovery and re-running it converges to the

@@ -37,6 +37,16 @@ Result<ScrubReport> ParityScrubber::ScrubAll() {
         }
         const GroupState& state = parity_->directory().Get(group);
         if (state.dirty) {
+          // The working parity is live undo state, so no XOR verdict — but
+          // a torn or latent data sector left here would meet a later disk
+          // failure as a second fault in the group. The healed read repairs
+          // it from the working twin.
+          const Layout& layout = array->layout();
+          PageImage data;
+          for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
+            RDA_RETURN_IF_ERROR(
+                parity_->ReadDataHealed(layout.PageAt(group, i), &data));
+          }
           verdicts[group] = kSkippedDirty;
           return Status::Ok();
         }

@@ -14,7 +14,8 @@ namespace rda {
 // Outcome of one scrub pass.
 struct ScrubReport {
   uint32_t groups_checked = 0;
-  uint32_t groups_skipped_dirty = 0;  // Left alone: covered by a live txn.
+  // Covered by a live txn: data sectors healed, parity left unverified.
+  uint32_t groups_skipped_dirty = 0;
   std::vector<GroupId> repaired;      // Parity recomputed after a mismatch.
   // Faulty sectors (latent errors, checksum mismatches — data and parity
   // pages alike) healed in place by the verify pass's repair-on-read.
@@ -25,8 +26,10 @@ struct ScrubReport {
 // runs during the idle periods of the system" (Section 4.2). Walks every
 // parity group, verifies XOR(data) against the consistent twin and
 // recomputes the parity of clean groups that fail the check (silent
-// corruption, firmware bugs, torn maintenance). Dirty groups are reported
-// but never touched: their working parity is live undo state.
+// corruption, firmware bugs, torn maintenance). The parity of a dirty group
+// is never verified or recomputed — its working parity is live undo state —
+// but its data pages are read through the healed path, so faulty data
+// sectors there are repaired too.
 class ParityScrubber {
  public:
   // With a pool, the verify pass scans the array in contiguous bands of

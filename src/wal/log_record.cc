@@ -110,7 +110,7 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t size) {
     return Status::Corruption("truncated log record");
   }
   if (type < static_cast<uint8_t>(LogRecordType::kBot) ||
-      type > static_cast<uint8_t>(LogRecordType::kCheckpoint)) {
+      type > static_cast<uint8_t>(LogRecordType::kArchiveRestore)) {
     return Status::Corruption("unknown log record type");
   }
   record.type = static_cast<LogRecordType>(type);

@@ -25,8 +25,12 @@ enum class LogRecordType : uint8_t {
   // logging) as they were before the update, plus the captured page header
   // (pageLSN semantics for idempotent recovery).
   kBeforeImage = 4,
-  // REDO information for not-FORCE algorithms: page payload or record bytes
-  // after the update.
+  // REDO information: page payload or record bytes after the update. A
+  // notFORCE restart replays every committed image the pageLSN shows
+  // missing. Under FORCE a committed page is on the array before its commit
+  // record, so restart replays only the images of pages a non-winner wrote
+  // (its undo may have rolled them back) and those logged before the last
+  // kArchiveRestore marker.
   kAfterImage = 5,
   // Head of the TWIST-style chain of pages propagated without UNDO logging
   // (paper Section 4.3): names the most recently unlogged-stolen page; the
@@ -35,6 +39,11 @@ enum class LogRecordType : uint8_t {
   // Action-consistent checkpoint: all modified buffer pages have been
   // propagated; lists the transactions active at the checkpoint.
   kCheckpoint = 7,
+  // Archive restore: the array was rewritten from the archive snapshot, so
+  // every committed image logged before this marker may be off the medium
+  // and must be replayed, FORCE or not. Payload-free; it stays in the log
+  // until the next truncating archive.
+  kArchiveRestore = 8,
 };
 
 // One log record. A plain struct; fields not used by a given type stay at

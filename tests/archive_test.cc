@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "core/database.h"
 
@@ -156,6 +158,75 @@ TEST_F(ArchiveTest, DatabaseUsableAfterRestore) {
   EXPECT_EQ(DiskByte(5), 0x66);
 }
 
+// FORCE restart REDO reads only pages a non-winner wrote, but a restore
+// rewrites every page from the snapshot: its kArchiveRestore marker makes
+// the same Recover() replay every image logged before it.
+class ForceArchiveTest : public ArchiveTest {
+ protected:
+  // Archives pages 0-7, commits past the archive, then loses two disks.
+  void ArchiveCommitAndLoseTwoDisks() {
+    DatabaseOptions options = BaseOptions();
+    options.txn.force = true;
+    Open(options);
+    for (PageId page = 0; page < 8; ++page) {
+      ASSERT_TRUE(WriteTxn(page, static_cast<uint8_t>(page + 1)).ok());
+    }
+    ASSERT_TRUE(db_->TakeArchive().ok());
+    ASSERT_TRUE(WriteTxn(3, 0xAB).ok());
+    ASSERT_TRUE(WriteTxn(10, 0xBC).ok());
+    ASSERT_TRUE(WriteTxn(3, 0xCD).ok());
+    EXPECT_EQ(DiskByte(3), 0xCD);  // FORCE: on the array at commit.
+    ASSERT_TRUE(db_->FailDisk(0).ok());
+    ASSERT_TRUE(db_->FailDisk(1).ok());
+  }
+
+  void ExpectPostArchiveCommits() {
+    for (PageId page = 0; page < 12; ++page) {
+      const uint8_t want = page == 3    ? 0xCD
+                           : page == 10 ? 0xBC
+                           : page < 8   ? static_cast<uint8_t>(page + 1)
+                                        : 0x00;
+      EXPECT_EQ(DiskByte(page), want) << "page " << page;
+    }
+    auto ok = db_->VerifyAllParity();
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(*ok);
+  }
+};
+
+TEST_F(ForceArchiveTest, RestoreReplaysCommitsSinceArchive) {
+  ArchiveCommitAndLoseTwoDisks();
+  auto report = db_->RestoreFromArchive();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // Pages 3 (two images, folded into one write) and 10.
+  EXPECT_EQ(report->redo_applied, 3u);
+  ExpectPostArchiveCommits();
+
+  // The marker stays in the log: a later restart replays the same pages,
+  // finds every image on the array and changes nothing.
+  db_->Crash();
+  auto again = db_->Recover();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->redo_applied, 0u);
+  EXPECT_EQ(again->redo_skipped, 3u);
+  ExpectPostArchiveCommits();
+}
+
+TEST_F(ForceArchiveTest, RestartAfterInterruptedRestoreReplaysCommits) {
+  // Two pages of REDO work: a crash after none or one of them.
+  for (uint64_t budget = 0; budget < 2; ++budget) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    ArchiveCommitAndLoseTwoDisks();
+    auto interrupted = db_->RestoreFromArchiveWithInjectedFault(budget);
+    ASSERT_FALSE(interrupted.ok());
+    EXPECT_TRUE(interrupted.status().IsAborted());
+    db_->Crash();
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectPostArchiveCommits();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scrubber.
 // ---------------------------------------------------------------------------
@@ -210,6 +281,45 @@ TEST_F(ArchiveTest, ScrubSkipsDirtyGroups) {
   // The transaction can still abort via parity afterwards.
   ASSERT_TRUE(db_->Abort(*txn).ok());
   EXPECT_EQ(DiskByte(0), 0x00);
+}
+
+TEST_F(ArchiveTest, ScrubHealsDataSectorsOfDirtyGroups) {
+  DatabaseOptions options = BaseOptions();
+  options.fault.enabled = true;
+  // A latent error on the stolen page (rebuilt from the working twin) or on
+  // a committed page of its dirty group.
+  for (const uint32_t faulty_index : {0u, 1u}) {
+    SCOPED_TRACE("page index " + std::to_string(faulty_index));
+    Open(options);
+    const Layout& layout = db_->array()->layout();
+    const PageId sibling = layout.PageAt(layout.GroupOf(0), 1);
+    ASSERT_TRUE(WriteTxn(sibling, 0x22).ok());
+    ASSERT_TRUE(db_->Checkpoint().ok());  // Puts the sibling on the array.
+    auto txn = db_->Begin();
+    ASSERT_TRUE(
+        db_->WritePage(*txn, 0,
+                       std::vector<uint8_t>(db_->user_page_size(), 0x55))
+            .ok());
+    Frame* frame = db_->txn_manager()->pool()->Lookup(0);
+    ASSERT_TRUE(db_->txn_manager()->pool()->PropagateFrame(frame).ok());
+    const PhysicalLocation loc =
+        layout.DataLocation(faulty_index == 0 ? 0 : sibling);
+    db_->array()->injector(loc.disk)->InjectLatentSector(loc.slot);
+
+    auto report = db_->Scrub();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->groups_skipped_dirty, 1u);
+    EXPECT_EQ(report->sectors_repaired, 1u);
+    EXPECT_FALSE(db_->array()->injector(loc.disk)->HasLatent(loc.slot));
+    EXPECT_EQ(DiskByte(0), 0x55);
+    // The parity undo still works from the untouched twins.
+    ASSERT_TRUE(db_->Abort(*txn).ok());
+    EXPECT_EQ(DiskByte(0), 0x00);
+    EXPECT_EQ(DiskByte(sibling), 0x22);
+    auto ok = db_->VerifyAllParity();
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(*ok);
+  }
 }
 
 // Log truncation unit coverage at the LogManager level.

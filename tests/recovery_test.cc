@@ -261,7 +261,7 @@ TEST_F(CrashRecoveryTest, ForceModeCrashNeedsNoRedo) {
   auto report = db_->Recover();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->redo_applied, 0u);
-  EXPECT_GE(report->redo_skipped, 1u);  // pageLSN said "already there".
+  EXPECT_GE(report->redo_skipped, 1u);  // FORCE: on the array, never read.
   EXPECT_EQ(DiskByte(1), 0x66);
 }
 
@@ -537,6 +537,90 @@ TEST_F(CrashRecoveryTest, AfterImageOutsideTheArrayIsCorruption) {
   ASSERT_TRUE(db_->log()->Flush().ok());
   db_->Crash();
   EXPECT_TRUE(db_->Recover().status().IsCorruption());
+}
+
+// FORCE puts every committed page on the array before its commit record, so
+// restart REDO reads only the pages a non-winner wrote: here pages 2 and 9,
+// out of the four (1, 2, 5, 9) with winner images. Page 12 was written only
+// by the loser. In record logging the loser's slot on page 2 rides the
+// winner's FORCE propagation (a multi-modifier steal).
+TEST_F(CrashRecoveryTest, ForceRedoReadsOnlyPagesANonWinnerWrote) {
+  for (const LoggingMode mode :
+       {LoggingMode::kPageLogging, LoggingMode::kRecordLogging}) {
+    SCOPED_TRACE(mode == LoggingMode::kPageLogging ? "page" : "record");
+    DatabaseOptions options = RecordOptions();
+    options.txn.logging_mode = mode;
+    options.txn.force = true;
+    Open(options);
+    const bool record = mode == LoggingMode::kRecordLogging;
+    // Page logging rewrites the whole user region; record logging writes
+    // slot `slot` (16 bytes).
+    const auto write = [&](TxnId txn, PageId page, RecordSlot slot,
+                           uint8_t fill) {
+      return record ? db_->WriteRecord(txn, page, slot,
+                                       std::vector<uint8_t>(16, fill))
+                    : db_->WritePage(txn, page, UserBytes(fill));
+    };
+    const auto commit = [&](std::vector<std::pair<PageId, uint8_t>> writes) {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(txn.ok());
+      for (const auto& [page, fill] : writes) {
+        ASSERT_TRUE(write(*txn, page, 0, fill).ok());
+      }
+      ASSERT_TRUE(db_->Commit(*txn).ok());
+    };
+    commit({{1, 0x11}, {2, 0x12}});
+    commit({{5, 0x25}, {9, 0x29}});
+    auto loser = db_->Begin();
+    ASSERT_TRUE(loser.ok());
+    if (record) {
+      ASSERT_TRUE(write(*loser, 2, 1, 0xE2).ok());
+    }
+    commit({{2, 0x32}});
+    if (!record) {
+      ASSERT_TRUE(write(*loser, 2, 0, 0xE2).ok());
+    }
+    ASSERT_TRUE(write(*loser, 9, 1, 0xE9).ok());
+    ASSERT_TRUE(write(*loser, 12, 0, 0xEC).ok());
+    for (const PageId page : {2, 9, 12}) {
+      Steal(page);
+    }
+    constexpr uint64_t kWinnerImages = 5;
+
+    db_->Crash();
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->redo_applied + report->redo_skipped, kWinnerImages);
+    const obs::PhaseCost* redo =
+        FindPhase(*report, obs::RecoveryPhase::kRedo);
+    ASSERT_NE(redo, nullptr);
+    // One read each of pages 2 and 9, never of 1 or 5. A whole-page undo
+    // restores the committed image with its pageLSN, so nothing is
+    // re-applied. A record-granular undo resets the pageLSN, so the
+    // winners' records there replay: one plain propagation (parity read,
+    // parity write, data write) per page.
+    EXPECT_EQ(redo->page_transfers, record ? 2u + 2u * 3u : 2u);
+
+    for (const auto& [page, fill] : std::vector<std::pair<PageId, uint8_t>>{
+             {1, 0x11}, {2, 0x32}, {5, 0x25}, {9, 0x29}, {12, 0x00}}) {
+      auto payload = db_->RawReadPage(page);
+      ASSERT_TRUE(payload.ok());
+      const auto user = payload->begin() + kDataRegionOffset;
+      if (record) {
+        // Slot 0 holds the committed record, the loser's slot 1 is undone.
+        EXPECT_TRUE(std::all_of(user, user + 16,
+                                [&](uint8_t b) { return b == fill; }))
+            << "page " << page;
+        EXPECT_TRUE(std::all_of(user + 16, user + 32,
+                                [](uint8_t b) { return b == 0; }))
+            << "page " << page;
+      } else {
+        EXPECT_TRUE(std::equal(user, payload->end(), UserBytes(fill).begin()))
+            << "page " << page;
+      }
+    }
+    ExpectParityConsistent();
+  }
 }
 
 // Regression: after a restart, RebuildDirectory must seed the timestamp

@@ -35,7 +35,7 @@ TEST(LogRecordTest, AllTypesRoundTrip) {
        {LogRecordType::kBot, LogRecordType::kCommit,
         LogRecordType::kAbortComplete, LogRecordType::kBeforeImage,
         LogRecordType::kAfterImage, LogRecordType::kChainHead,
-        LogRecordType::kCheckpoint}) {
+        LogRecordType::kCheckpoint, LogRecordType::kArchiveRestore}) {
     LogRecord record;
     record.type = type;
     record.txn = 5;
