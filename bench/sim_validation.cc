@@ -2,68 +2,13 @@
 // (twin-page parity, buffer, WAL, transactions) under the Reuter workload
 // and compares the measured RDA gain in page transfers per committed
 // transaction against the analytical model evaluated at the same
-// parameters. Absolute numbers differ (the sim pays integer I/Os and cold
-// caches); the claim under test is the SHAPE: RDA wins, and the gain grows
-// with communality.
+// parameters (sim/validation.h). Absolute transfer counts differ (the sim
+// pays integer I/Os and cold caches); the page FORCE/TOC gains agree
+// within a few points at every communality, which sim_test pins.
 #include <iomanip>
 #include <iostream>
 
-#include "model/algorithms.h"
-#include "sim/simulator.h"
-
-namespace {
-
-rda::sim::SimOptions MakeOptions(double c, bool rda_on, uint64_t seed,
-                                 bool force = true,
-                                 bool record_mode = false) {
-  rda::sim::SimOptions options;
-  options.db.array.layout_kind = rda::LayoutKind::kDataStriping;
-  options.db.array.data_pages_per_group = 8;
-  options.db.array.parity_copies = 2;
-  options.db.array.min_data_pages = 512;
-  options.db.array.page_size = 256;
-  options.db.buffer.capacity = 64;
-  options.db.txn.logging_mode = record_mode
-                                    ? rda::LoggingMode::kRecordLogging
-                                    : rda::LoggingMode::kPageLogging;
-  options.db.txn.record_size = 24;
-  options.db.txn.force = force;
-  options.db.txn.rda_undo = rda_on;
-  if (!force) {
-    options.db.checkpoint_interval_updates = 64;
-  }
-  if (record_mode) {
-    options.workload.mode = rda::LoggingMode::kRecordLogging;
-    options.workload.records_per_page = 8;
-  }
-  options.workload.num_pages = 512;
-  options.workload.pages_per_txn = 8;
-  options.workload.communality = c;
-  options.workload.update_txn_fraction = 0.8;
-  options.workload.update_probability = 0.9;
-  options.workload.abort_probability = 0.01;
-  options.workload.hot_window = 48;
-  options.workload.seed = seed;
-  options.num_transactions = 400;
-  options.concurrency = 4;
-  options.seed = seed;
-  return options;
-}
-
-rda::model::ModelParams MatchingModelParams() {
-  rda::model::ModelParams p;
-  p.B = 64;
-  p.S = 512;
-  p.N = 8;
-  p.P = 4;
-  p.s = 8;
-  p.f_u = 0.8;
-  p.p_u = 0.9;
-  p.p_b = 0.01;
-  return p;
-}
-
-}  // namespace
+#include "sim/validation.h"
 
 int main() {
   std::cout << "=== Simulator vs analytical model: page FORCE/TOC ===\n\n"
@@ -74,30 +19,17 @@ int main() {
             << std::setw(16) << "(RDA)" << std::setw(12) << "%"
             << std::setw(12) << "%" << "\n";
 
-  const rda::model::ModelParams params = MatchingModelParams();
   for (const double c : {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}) {
-    double per_commit[2] = {0, 0};
-    for (const bool rda_on : {false, true}) {
-      rda::sim::Simulator sim(MakeOptions(c, rda_on, 42));
-      auto result = sim.Run();
-      if (!result.ok()) {
-        std::cerr << "simulation failed: " << result.status().ToString()
-                  << "\n";
-        return 1;
-      }
-      per_commit[rda_on ? 1 : 0] = result->transfers_per_commit;
+    auto gain = rda::sim::MeasureRdaGain(c, 42);
+    if (!gain.ok()) {
+      std::cerr << "simulation failed: " << gain.status().ToString() << "\n";
+      return 1;
     }
-    const double sim_gain =
-        100.0 * (per_commit[0] - per_commit[1]) / per_commit[1];
-    const double base =
-        rda::model::EvalPageForceToc(params, c, false).throughput;
-    const double with =
-        rda::model::EvalPageForceToc(params, c, true).throughput;
-    const double model_gain = 100.0 * (with - base) / base;
     std::cout << std::fixed << std::setprecision(2) << std::setw(6) << c
-              << std::setw(16) << per_commit[0] << std::setw(16)
-              << per_commit[1] << std::setprecision(1) << std::setw(12)
-              << sim_gain << std::setw(12) << model_gain << "\n";
+              << std::setw(16) << gain->transfers_off << std::setw(16)
+              << gain->transfers_on << std::setprecision(1) << std::setw(12)
+              << gain->percent << std::setw(12)
+              << rda::sim::ModelPageForceTocGain(c) << "\n";
   }
   std::cout << "\n(sim gain = reduction in page transfers per committed "
                "transaction when RDA is on)\n";
@@ -117,21 +49,13 @@ int main() {
         Config{"page notFORCE/ACC", false, false},
         Config{"record FORCE/TOC", true, true},
         Config{"record notFORCE/ACC", false, true}}) {
-    double per_commit[2] = {0, 0};
-    for (const bool rda_on : {false, true}) {
-      rda::sim::Simulator sim(
-          MakeOptions(0.5, rda_on, 99, config.force, config.record));
-      auto result = sim.Run();
-      if (!result.ok()) {
-        std::cerr << "simulation failed: " << result.status().ToString()
-                  << "\n";
-        return 1;
-      }
-      per_commit[rda_on ? 1 : 0] = result->transfers_per_commit;
+    auto gain = rda::sim::MeasureRdaGain(0.5, 99, config.force, config.record);
+    if (!gain.ok()) {
+      std::cerr << "simulation failed: " << gain.status().ToString() << "\n";
+      return 1;
     }
     std::cout << std::setw(34) << config.name << std::fixed
-              << std::setprecision(1) << std::setw(14)
-              << 100.0 * (per_commit[0] - per_commit[1]) / per_commit[1]
+              << std::setprecision(1) << std::setw(14) << gain->percent
               << "\n";
   }
   std::cout << "\n(expected ordering per the model: the page FORCE/TOC "

@@ -165,8 +165,6 @@ const char* ScopedPhase::PhaseSlug(RecoveryPhase phase) {
       return "analysis";
     case RecoveryPhase::kRollForward:
       return "roll_forward";
-    case RecoveryPhase::kChainAudit:
-      return "chain_audit";
     case RecoveryPhase::kLoggedUndo:
       return "logged_undo";
     case RecoveryPhase::kParityUndo:

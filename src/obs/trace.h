@@ -66,11 +66,12 @@ enum class GroupFigState : uint8_t { kClean = 0, kDirty = 1 };
 // Recovery phases instrumented by the crash / media / archive paths. One
 // PhaseCost per phase gives the Sauer-style phase-by-phase recovery
 // timeline, in the paper's own unit (page transfers) plus wall clock.
+// Trace events store the numeric value, so values never change; 3 is
+// unused (the TWIST chain is counted inside kParityUndo).
 enum class RecoveryPhase : uint8_t {
   kDirectoryRebuild = 0,  // Current_Parity, Figure 7 (the S/N term).
   kAnalysis = 1,          // Log scan, winner/loser determination.
   kRollForward = 2,       // Finalize winner twins.
-  kChainAudit = 3,        // TWIST chain walk of losers.
   kLoggedUndo = 4,        // Before-images, reverse LSN order.
   kParityUndo = 5,        // Figure 6 twin-parity undo.
   kRedo = 6,              // Committed after-images, LSN order.

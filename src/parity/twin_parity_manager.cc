@@ -16,7 +16,8 @@ TwinParityManager::TwinParityManager(DiskArray* array)
       scratch_(array->page_size()),
       twin_shadow_(array->num_groups(),
                    {static_cast<uint8_t>(ParityState::kCommitted),
-                    static_cast<uint8_t>(ParityState::kObsolete)}) {}
+                    static_cast<uint8_t>(ParityState::kObsolete)}),
+      held_working_(array->num_groups()) {}
 
 std::unique_lock<std::recursive_mutex> TwinParityManager::LockGroup(
     GroupId group) {
@@ -67,6 +68,22 @@ void TwinParityManager::XorPage(std::vector<uint8_t>* dst,
                                 const std::vector<uint8_t>& src) {
   XorInto(dst, src);
   array_->AccountXor(1);
+}
+
+Status TwinParityManager::WriteTwin(GroupId group, uint32_t twin,
+                                    const PageImage& image) {
+  std::optional<PageImage>& held = held_working_[group];
+  held.reset();
+  RDA_RETURN_IF_ERROR(array_->WriteParity(group, twin, image));
+  if (image.header.parity_state == ParityState::kWorking) {
+    held = image;
+  }
+  return Status::Ok();
+}
+
+void TwinParityManager::MarkClean(GroupId group, uint32_t valid_twin) {
+  held_working_[group].reset();
+  directory_.MarkClean(group, valid_twin);
 }
 
 void TwinParityManager::SyncTwinShadow(GroupId group, uint32_t twin,
@@ -275,7 +292,7 @@ Status TwinParityManager::ReadParityHealed(GroupId group, uint32_t twin,
   }
   *out = repaired;
   if (!array_->DiskFailed(disk)) {
-    if (array_->WriteParity(group, twin, std::move(repaired)).ok()) {
+    if (WriteTwin(group, twin, repaired).ok()) {
       NoteSectorRepair(status, kInvalidPageId, group);
     }
   }
@@ -288,16 +305,16 @@ Status TwinParityManager::FormatArray() {
     PageImage committed(page_size);  // Parity of an all-zero group is zero.
     committed.header.parity_state = ParityState::kCommitted;
     committed.header.timestamp = NextTimestamp();
-    RDA_RETURN_IF_ERROR(array_->WriteParity(g, 0, committed));
+    RDA_RETURN_IF_ERROR(WriteTwin(g, 0, committed));
     SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
     if (array_->layout().parity_copies() == 2) {
       PageImage obsolete(page_size);
       obsolete.header.parity_state = ParityState::kObsolete;
       obsolete.header.timestamp = 0;
-      RDA_RETURN_IF_ERROR(array_->WriteParity(g, 1, obsolete));
+      RDA_RETURN_IF_ERROR(WriteTwin(g, 1, obsolete));
       SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
     }
-    directory_.MarkClean(g, 0);
+    MarkClean(g, 0);
   }
   directory_valid_.store(true, std::memory_order_release);
   return Status::Ok();
@@ -460,7 +477,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       parity->header.timestamp = NextTimestamp();
       parity->header.dirty_page = page;
       const uint32_t working = OtherTwin(state.valid_twin);
-      RDA_RETURN_IF_ERROR(array_->WriteParity(group, working, *parity));
+      RDA_RETURN_IF_ERROR(WriteTwin(group, working, *parity));
       TraceTwinTransition(group, working,
                           static_cast<uint8_t>(ParityState::kWorking), page,
                           txn);
@@ -477,7 +494,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       XorPage(&parity->payload, delta.payload());
       parity->header.timestamp = NextTimestamp();
       RDA_RETURN_IF_ERROR(
-          array_->WriteParity(group, state.working_twin, *parity));
+          WriteTwin(group, state.working_twin, *parity));
       // Figure 8 self-loop: the working twin absorbs another update.
       TraceTwinTransition(group, state.working_twin,
                           static_cast<uint8_t>(ParityState::kWorking), page,
@@ -494,12 +511,13 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       for (const uint32_t twin : {state.valid_twin, state.working_twin}) {
         if (!LocationHealthy(
                 array_->layout().ParityLocation(group, twin))) {
+          held_working_[group].reset();  // The held twin image goes stale.
           continue;
         }
         ScratchPool::ScratchImage parity = scratch_.Acquire();
         RDA_RETURN_IF_ERROR(ReadParityHealed(group, twin, &*parity));
         XorPage(&parity->payload, delta.payload());
-        RDA_RETURN_IF_ERROR(array_->WriteParity(group, twin, *parity));
+        RDA_RETURN_IF_ERROR(WriteTwin(group, twin, *parity));
       }
       break;
     }
@@ -513,7 +531,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
             ReadParityHealed(group, state.valid_twin, &*parity));
         XorPage(&parity->payload, delta.payload());
         RDA_RETURN_IF_ERROR(
-            array_->WriteParity(group, state.valid_twin, *parity));
+            WriteTwin(group, state.valid_twin, *parity));
       }
       break;
     }
@@ -571,17 +589,25 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
                         static_cast<uint8_t>(ParityState::kObsolete),
                         state.dirty_page, txn);
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-    directory_.MarkClean(group, state.working_twin);
+    MarkClean(group, state.working_twin);
     stats_.commits_finalized.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(commits_finalized_counter_);
     return Status::Ok();
   }
+  // The working image is still held from the write that produced it, so
+  // committing it is a single write. Only the restart roll-forward, whose
+  // held images the crash lost, reads the twin back.
   ScratchPool::ScratchImage parity = scratch_.Acquire();
-  RDA_RETURN_IF_ERROR(
-      ReadParityHealed(group, state.working_twin, &*parity));
+  std::optional<PageImage>& held = held_working_[group];
+  if (held.has_value()) {
+    std::swap(*parity, *held);
+  } else {
+    RDA_RETURN_IF_ERROR(
+        ReadParityHealed(group, state.working_twin, &*parity));
+  }
   parity->header.parity_state = ParityState::kCommitted;
   parity->header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(array_->WriteParity(group, state.working_twin, *parity));
+  RDA_RETURN_IF_ERROR(WriteTwin(group, state.working_twin, *parity));
   // The freshly committed twin supersedes the old valid twin, which becomes
   // logically obsolete without a write (timestamps disambiguate after a
   // crash).
@@ -592,7 +618,7 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
                       static_cast<uint8_t>(ParityState::kObsolete),
                       state.dirty_page, txn);
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-  directory_.MarkClean(group, state.working_twin);
+  MarkClean(group, state.working_twin);
   stats_.commits_finalized.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(commits_finalized_counter_);
   return Status::Ok();
@@ -645,12 +671,12 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
     working->header.txn_id = kInvalidTxnId;
     working->header.dirty_page = kInvalidPageId;
     RDA_RETURN_IF_ERROR(
-        array_->WriteParity(group, state.working_twin, *working));
+        WriteTwin(group, state.working_twin, *working));
     TraceTwinTransition(group, state.working_twin,
                         static_cast<uint8_t>(ParityState::kInvalid),
                         state.dirty_page, txn);
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-    directory_.MarkClean(group, state.valid_twin);
+    MarkClean(group, state.valid_twin);
     RDA_ASSIGN_OR_RETURN(result.restored_payload,
                          ReconstructDataPayload(state.dirty_page));
     result.payload_restored = true;
@@ -677,7 +703,7 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
     working->header.txn_id = kInvalidTxnId;
     working->header.dirty_page = kInvalidPageId;
     RDA_RETURN_IF_ERROR(
-        array_->WriteParity(group, state.working_twin, *working));
+        WriteTwin(group, state.working_twin, *working));
   } else {
     // The data page no longer carries the transaction's stamp: its content
     // was already restored. Two distinct histories lead here and they leave
@@ -714,7 +740,7 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
         actual->header.dirty_page = kInvalidPageId;
         actual->header.timestamp = NextTimestamp();
         RDA_RETURN_IF_ERROR(
-            array_->WriteParity(group, state.valid_twin, *actual));
+            WriteTwin(group, state.valid_twin, *actual));
         TraceTwinTransition(group, state.valid_twin,
                             static_cast<uint8_t>(ParityState::kCommitted),
                             state.dirty_page, txn);
@@ -727,14 +753,14 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
     working->header.txn_id = kInvalidTxnId;
     working->header.dirty_page = kInvalidPageId;
     RDA_RETURN_IF_ERROR(
-        array_->WriteParity(group, state.working_twin, *working));
+        WriteTwin(group, state.working_twin, *working));
   }
 
   TraceTwinTransition(group, state.working_twin,
                       static_cast<uint8_t>(ParityState::kInvalid),
                       state.dirty_page, txn);
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-  directory_.MarkClean(group, state.valid_twin);
+  MarkClean(group, state.valid_twin);
   return result;
 }
 
@@ -859,7 +885,7 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
         parity->header.parity_state = ParityState::kCommitted;
       }
       parity->header.timestamp = NextTimestamp();
-      RDA_RETURN_IF_ERROR(array_->WriteParity(group, t, *parity));
+      RDA_RETURN_IF_ERROR(WriteTwin(group, t, *parity));
       SyncTwinShadow(group, t,
                      static_cast<uint8_t>(parity->header.parity_state));
       ++outcome.parity_rebuilt;
@@ -869,7 +895,7 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
       // Stale obsolete twin: its content is not needed; reset it.
       ScratchPool::ScratchImage obsolete = scratch_.Acquire();
       obsolete->header.parity_state = ParityState::kObsolete;
-      RDA_RETURN_IF_ERROR(array_->WriteParity(group, t, *obsolete));
+      RDA_RETURN_IF_ERROR(WriteTwin(group, t, *obsolete));
       SyncTwinShadow(group, t, static_cast<uint8_t>(ParityState::kObsolete));
       ++outcome.obsolete_reset;
       return outcome;
@@ -886,17 +912,17 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
     working.header.parity_state = ParityState::kCommitted;
     working.header.timestamp = NextTimestamp();
     RDA_RETURN_IF_ERROR(
-        array_->WriteParity(group, state.working_twin, working));
+        WriteTwin(group, state.working_twin, working));
     PageImage obsolete(array_->page_size());
     obsolete.header.parity_state = ParityState::kObsolete;
-    RDA_RETURN_IF_ERROR(array_->WriteParity(group, t, obsolete));
+    RDA_RETURN_IF_ERROR(WriteTwin(group, t, obsolete));
     TraceTwinTransition(group, state.working_twin,
                         static_cast<uint8_t>(ParityState::kCommitted),
                         state.dirty_page, state.dirty_txn);
     SyncTwinShadow(group, t, static_cast<uint8_t>(ParityState::kObsolete));
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page,
                          state.dirty_txn);
-    directory_.MarkClean(group, state.working_twin);
+    MarkClean(group, state.working_twin);
     ++outcome.parity_rebuilt;
     return outcome;
   }
@@ -1103,7 +1129,7 @@ Status TwinParityManager::WriteFullGroup(
   // Parity first (consistent with the small-write ordering), then data.
   parity.header.parity_state = ParityState::kCommitted;
   parity.header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(array_->WriteParity(group, state.valid_twin, parity));
+  RDA_RETURN_IF_ERROR(WriteTwin(group, state.valid_twin, parity));
   SyncTwinShadow(group, state.valid_twin,
                  static_cast<uint8_t>(ParityState::kCommitted));
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
@@ -1137,14 +1163,14 @@ Status TwinParityManager::ScrubGroup(GroupId group) {
   }
   parity.header.parity_state = ParityState::kCommitted;
   parity.header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(array_->WriteParity(group, state.valid_twin, parity));
+  RDA_RETURN_IF_ERROR(WriteTwin(group, state.valid_twin, parity));
   SyncTwinShadow(group, state.valid_twin,
                  static_cast<uint8_t>(ParityState::kCommitted));
   if (array_->layout().parity_copies() == 2) {
     PageImage obsolete(array_->page_size());
     obsolete.header.parity_state = ParityState::kObsolete;
     RDA_RETURN_IF_ERROR(
-        array_->WriteParity(group, OtherTwin(state.valid_twin), obsolete));
+        WriteTwin(group, OtherTwin(state.valid_twin), obsolete));
     SyncTwinShadow(group, OtherTwin(state.valid_twin),
                    static_cast<uint8_t>(ParityState::kObsolete));
   }
@@ -1187,17 +1213,17 @@ Status TwinParityManager::ReinitializeParityFromData(exec::WorkerPool* pool) {
         }
         parity->header.parity_state = ParityState::kCommitted;
         parity->header.timestamp = NextTimestamp();
-        RDA_RETURN_IF_ERROR(array_->WriteParity(g, 0, *parity));
+        RDA_RETURN_IF_ERROR(WriteTwin(g, 0, *parity));
         SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
         if (layout.parity_copies() == 2) {
           // Reuse the data scratch as the zeroed obsolete image.
           std::fill(data->payload.begin(), data->payload.end(), 0);
           data->header = PageHeader{};
           data->header.parity_state = ParityState::kObsolete;
-          RDA_RETURN_IF_ERROR(array_->WriteParity(g, 1, *data));
+          RDA_RETURN_IF_ERROR(WriteTwin(g, 1, *data));
           SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
         }
-        directory_.MarkClean(g, 0);
+        MarkClean(g, 0);
         return Status::Ok();
       }));
   directory_valid_.store(true, std::memory_order_release);
@@ -1220,7 +1246,7 @@ Status TwinParityManager::RecomputeCommittedTwin(GroupId group, uint32_t twin,
   }
   parity.header.parity_state = ParityState::kCommitted;
   parity.header.timestamp = floor + 1;
-  RDA_RETURN_IF_ERROR(array_->WriteParity(group, twin, parity));
+  RDA_RETURN_IF_ERROR(WriteTwin(group, twin, parity));
   *out = std::move(parity);
   return Status::Ok();
 }
@@ -1258,7 +1284,7 @@ Status TwinParityManager::RebuildDirectory() {
                      static_cast<uint8_t>(twins[t].header.parity_state));
     }
     if (copies == 1) {
-      directory_.MarkClean(g, 0);
+      MarkClean(g, 0);
       continue;
     }
     if (faulted[0] && faulted[1]) {
@@ -1294,7 +1320,7 @@ Status TwinParityManager::RebuildDirectory() {
       // — log-based undo and the post-recovery scrub restore consistency.
       PageImage obsolete(array_->page_size());
       obsolete.header.parity_state = ParityState::kObsolete;
-      if (array_->WriteParity(g, bad, obsolete).ok()) {
+      if (WriteTwin(g, bad, obsolete).ok()) {
         NoteSectorRepair(fault_cause[bad], kInvalidPageId, g);
       }
       twins[bad] = std::move(obsolete);
@@ -1320,7 +1346,7 @@ Status TwinParityManager::RebuildDirectory() {
       return Status::Corruption("group " + std::to_string(g) +
                                 " has no committed parity twin");
     }
-    directory_.MarkClean(g, valid);
+    MarkClean(g, valid);
     for (uint32_t t = 0; t < 2; ++t) {
       if (twins[t].header.parity_state == ParityState::kWorking) {
         directory_.MarkDirty(g, twins[t].header.dirty_page,
@@ -1467,6 +1493,9 @@ Status TwinParityManager::CheckInvariants() {
 void TwinParityManager::LoseVolatileState() {
   directory_ = DirtySet(array_->num_groups());
   directory_valid_.store(false, std::memory_order_release);
+  for (std::optional<PageImage>& held : held_working_) {
+    held.reset();
+  }
   timestamp_.store(0, std::memory_order_relaxed);
   // The progress bitmap is volatile too: an interrupted online rebuild is
   // detected after restart through the array's persistent rebuilding flag

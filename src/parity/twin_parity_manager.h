@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -147,8 +148,10 @@ class TwinParityManager {
 
   // EOT finalization for one group dirtied by `txn`: the working twin is
   // committed (header state -> kCommitted, fresh timestamp) and becomes the
-  // valid twin; the group becomes clean. Read-modify-write of one parity
-  // page — the model's "2 p_l" term. Idempotent: finalizing a clean group
+  // valid twin; the group becomes clean. One parity-page write, with no
+  // read: the manager still holds the working image it last wrote (see
+  // WriteTwin). Only the restart roll-forward, whose held images the crash
+  // lost, reads the twin back first. Idempotent: finalizing a clean group
   // whose valid twin already committed is a no-op.
   Status FinalizeCommit(GroupId group, TxnId txn);
 
@@ -356,6 +359,16 @@ class TwinParityManager {
   Status ReadOldPayload(PageId page, const std::vector<uint8_t>* hint,
                         std::vector<uint8_t>* out);
 
+  // Every parity-page write of the manager goes through here. A write in
+  // state kWorking becomes the group's held working image: the exact bytes
+  // now on that twin, which FinalizeCommit commits without reading them
+  // back. Any other write to the group drops the held image, and so does
+  // a failed write. Caller holds the group latch (or runs quiesced).
+  Status WriteTwin(GroupId group, uint32_t twin, const PageImage& image);
+  // Marks `group` clean with `valid_twin` valid and drops its held working
+  // image: a held image exists only while its group is dirty.
+  void MarkClean(GroupId group, uint32_t valid_twin);
+
   // On-demand arm of the online rebuild: if a session is active and `group`
   // is still pending, rebuilds it under the group latch before the caller
   // touches any of its pages. Clears the pending bit BEFORE rebuilding (the
@@ -441,6 +454,11 @@ class TwinParityManager {
   // Volatile per-group twin-state shadow (ParityState numeric values),
   // maintained whether or not observability is attached.
   std::vector<std::array<uint8_t, 2>> twin_shadow_;
+
+  // The last image WriteTwin wrote in state kWorking, per dirty group: the
+  // working twin's bytes. Each entry is touched only under its group's
+  // latch.
+  std::vector<std::optional<PageImage>> held_working_;
 
   // Online-rebuild session state. The bitmap entries are atomic so the
   // background sweep can peek without latches (TSan-clean); every logical

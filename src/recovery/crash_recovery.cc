@@ -223,8 +223,8 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         case LogRecordType::kChainHead:
           // Unlogged-window open marker: one per group dirtying. Its LSN
           // splits the transaction's before-images of that page into
-          // pre-window (deferred past the parity undo, phase 4d) and
-          // in-window (phase 4b). Later markers overwrite earlier ones —
+          // pre-window (deferred past the parity undo, phase 4c) and
+          // in-window (phase 4a). Later markers overwrite earlier ones —
           // only the window still open at the crash matters.
           window_start[record.txn][record.chain_head] = record.lsn;
           [[fallthrough]];
@@ -283,42 +283,13 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     }
   }
 
-  // Phase 4a: audit-walk the TWIST chains of losers (the paper's mechanism
-  // for identifying pages propagated without UNDO logging). The chain
-  // heads are the dirty pages recorded in the rebuilt parity directory;
-  // each page's embedded chain_prev link leads to the transaction's
-  // previously unlogged page. The directory is authoritative — the walk
-  // cross-checks it and feeds the report.
-  {
-    obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kChainAudit,
-                           transfers_now, &report.phases);
-    std::unordered_set<PageId> visited;
-    for (const GroupId group : parity_->directory().AllDirtyGroups()) {
-      const GroupState& state = parity_->directory().Get(group);
-      if (!losers.contains(state.dirty_txn)) {
-        continue;
-      }
-      PageId cursor = state.dirty_page;
-      while (cursor != kInvalidPageId && visited.insert(cursor).second) {
-        PageImage data;
-        RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(cursor, &data));
-        const DataPageMeta meta = LoadDataMeta(data.payload);
-        if (meta.txn_id != state.dirty_txn) {
-          break;  // Chain tail (or a page already undone).
-        }
-        ++report.chain_pages_walked;
-        cursor = meta.chain_prev;
-      }
-    }
-  }
-
-  // Phases 4b-4d: loser undo, reverse-chronological PER PAGE. A
+  // Phases 4a-4c: loser undo, reverse-chronological PER PAGE. A
   // before-image from a steal INSIDE a group's unlogged window (LSN after
   // its kChainHead marker) can contain the loser's own bytes from the
   // unlogged steal; restoring it first re-creates exactly the state the
-  // parity undo then cancels, so those go in 4b, before the parity undo
+  // parity undo then cancels, so those go in 4a, before the parity undo
   // (DESIGN.md 4.3). A before-image logged BEFORE the window opened must
-  // wait until 4d: applying it first would change the data page out from
+  // wait until 4c: applying it first would change the data page out from
   // under the XOR cancellation and the parity undo would "restore" garbage
   // (base xor new xor before).
   const auto apply_before_image = [&](const LogRecord& record) -> Status {
@@ -335,7 +306,7 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         parity_->array()->layout().GroupOf(record.page));
     if (!(undo_group.dirty && undo_group.dirty_page == record.page)) {
       // Keep the covering transaction's stamp so the parity undo of
-      // phase 4c still recognizes its work.
+      // phase 4b still recognizes its work.
       meta.txn_id = kInvalidTxnId;
     }
     meta.page_lsn = 0;  // Mixed state: let REDO replay decide per record.
@@ -372,9 +343,11 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     }
   }
 
-  // Phase 4c: parity-undo every dirty group owned by a loser. Each undo
+  // Phase 4b: parity-undo every dirty group owned by a loser. Each undo
   // touches only its own group (directory entry, twins, data page) under
-  // that group's latch, so the dirty groups fan out across the pool.
+  // that group's latch, so the dirty groups fan out across the pool. The
+  // undo reads the dirty page anyway; a page still stamped by its loser is
+  // a member of that loser's TWIST chain and is counted as walked.
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kParityUndo,
                            transfers_now, &report.phases);
@@ -385,16 +358,22 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         undo_groups.emplace_back(group, state.dirty_txn);
       }
     }
+    std::atomic<uint64_t> chain_pages{0};
     RDA_RETURN_IF_ERROR(exec::RunSharded(
         pool_, undo_groups.size(), [&](uint64_t i) -> Status {
           RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-          return parity_
-              ->UndoUnloggedUpdate(undo_groups[i].first, undo_groups[i].second)
-              .status();
+          const auto [group, txn] = undo_groups[i];
+          RDA_ASSIGN_OR_RETURN(const ParityUndoResult undo,
+                               parity_->UndoUnloggedUpdate(group, txn));
+          if (undo.overwritten_meta.txn_id == txn) {
+            chain_pages.fetch_add(1, std::memory_order_relaxed);
+          }
+          return Status::Ok();
         }));
     report.parity_undos += undo_groups.size();
+    report.chain_pages_walked += chain_pages.load(std::memory_order_relaxed);
 
-    // Phase 4d: pre-window before-images, still in reverse LSN order. The
+    // Phase 4c: pre-window before-images, still in reverse LSN order. The
     // parity undo above rewound their pages to each window's base image, so
     // these now apply to the state they were captured against.
     for (const LogRecord* record : pre_window) {

@@ -27,7 +27,9 @@ struct CrashRecoveryReport {
   uint64_t logged_undos = 0;       // Loser images undone from the log.
   uint64_t redo_applied = 0;       // Committed after-images re-applied.
   uint64_t redo_skipped = 0;       // Images found already on the array.
-  uint64_t chain_pages_walked = 0; // TWIST chain links traversed (audit).
+  // Parity-undone pages that still carried their loser's stamp: the TWIST
+  // chain members (paper Section 4.3) the undo found in place.
+  uint64_t chain_pages_walked = 0;
   // Per-phase cost breakdown (page transfers + wall clock), in execution
   // order. Always filled, whether or not observability is attached.
   std::vector<obs::PhaseCost> phases;
@@ -41,9 +43,9 @@ struct CrashRecoveryReport {
 //  2. Analysis: scan the log; BOT without Commit/AbortComplete = loser.
 //  3. Roll FORWARD: finalize dirty groups owned by winners (crash fell
 //     between the commit record and twin finalization).
-//  4. UNDO losers: parity-undo each dirty group owned by a loser (walking
-//     the TWIST chain for audit), then re-apply logged before-images in
-//     reverse LSN order.
+//  4. UNDO losers: parity-undo each dirty group owned by a loser (counting
+//     the TWIST chain pages it finds stamped by the loser), then re-apply
+//     logged before-images in reverse LSN order.
 //  5. REDO winners, page-ordered and read-once: each page with committed
 //     after-images is read once, its images are folded over that image in
 //     LSN order wherever the pageLSN shows them missing, and the page is

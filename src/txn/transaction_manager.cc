@@ -508,7 +508,7 @@ Status TransactionManager::PropagateFrame(Frame* frame) {
         // the transaction's logged before-images (a before-image of this
         // page with a smaller LSN predates the window and must be undone
         // only after the parity undo — see UndoDiskState and recovery
-        // phase 4d). The marker is load-bearing only when such a
+        // phase 4c). The marker is load-bearing only when such a
         // before-image actually exists; otherwise recovery's no-marker
         // default (everything in-window) is already right, so skip the
         // append past the transaction's first chain head and keep the log

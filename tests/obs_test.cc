@@ -508,13 +508,13 @@ TEST(ObsWiringTest, RecoveryPhaseBreakdownCoversAllPhases) {
 
   const obs::RecoveryPhase expected[] = {
       obs::RecoveryPhase::kDirectoryRebuild, obs::RecoveryPhase::kAnalysis,
-      obs::RecoveryPhase::kRollForward,      obs::RecoveryPhase::kChainAudit,
-      obs::RecoveryPhase::kLoggedUndo,       obs::RecoveryPhase::kParityUndo,
-      obs::RecoveryPhase::kRedo,             obs::RecoveryPhase::kLoserResolution,
+      obs::RecoveryPhase::kRollForward,      obs::RecoveryPhase::kLoggedUndo,
+      obs::RecoveryPhase::kParityUndo,       obs::RecoveryPhase::kRedo,
+      obs::RecoveryPhase::kLoserResolution,
   };
-  ASSERT_EQ(report->phases.size(), 8u);
+  ASSERT_EQ(report->phases.size(), 7u);
   uint64_t phase_transfers = 0;
-  for (size_t i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < 7; ++i) {
     EXPECT_EQ(report->phases[i].phase, expected[i]) << "phase " << i;
     phase_transfers += report->phases[i].page_transfers;
   }
@@ -551,7 +551,7 @@ TEST(ObsWiringTest, DisabledObsIsNullAndEngineStillWorks) {
   (*db)->Crash();
   auto report = (*db)->Recover();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->phases.size(), 8u);
+  EXPECT_EQ(report->phases.size(), 7u);
 }
 
 TEST(ObsWiringTest, TraceOnlyModeHasNoRegistry) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -151,6 +153,170 @@ TEST_F(TwinParityTest, CommitFinalizesWorkingTwin) {
   EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
   // Idempotent re-run (recovery path).
   EXPECT_TRUE(parity_->FinalizeCommit(0, 3).ok());
+}
+
+// The commit writes the working image the manager still holds: a steal
+// with the old payload at hand reads only the valid twin, and the commit
+// adds one write and no read.
+TEST_F(TwinParityTest, FinalizeCommitWritesHeldWorkingImageWithoutRead) {
+  const std::vector<uint8_t> old = ReadPayload(0);
+  PageImage image(0);
+  image.payload = MakePayload(0x5a, 7);
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_
+                  ->Propagate(0, 7, PropagationKind::kUnloggedFirst, &old,
+                              image)
+                  .ok());
+  const uint32_t working = parity_->directory().Get(0).working_twin;
+  ASSERT_TRUE(parity_->FinalizeCommit(0, 7).ok());
+  const IoCounters io = array_->counters();
+  EXPECT_EQ(io.page_reads, 1u);   // The valid twin.
+  EXPECT_EQ(io.page_writes, 3u);  // Working twin, data page, commit.
+  PageImage twin;
+  ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
+  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  EXPECT_EQ(parity_->directory().Get(0).valid_twin, working);
+  auto ok = parity_->VerifyGroupParity(0);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
+// A logged write into the dirty group rewrites the working twin, and the
+// held image follows it: the commit still reads nothing and installs
+// parity that covers both pages.
+TEST_F(TwinParityTest, FinalizeAfterLoggedDirtyGroupWriteStaysCoherent) {
+  ASSERT_TRUE(Propagate(1, 2, PropagationKind::kUnloggedFirst,
+                        MakePayload(0x11, 2))
+                  .ok());
+  ASSERT_TRUE(Propagate(0, 3, PropagationKind::kLoggedDirtyGroup,
+                        MakePayload(0x99))
+                  .ok());
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_->FinalizeCommit(0, 2).ok());
+  EXPECT_EQ(array_->counters().page_reads, 0u);
+  EXPECT_EQ(array_->counters().page_writes, 1u);
+  auto ok = parity_->VerifyGroupParity(0);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
+// A crash loses the held image, so the restart roll-forward reads the
+// working twin back before committing it.
+TEST_F(TwinParityTest, FinalizeAfterCrashReadsTheWorkingTwin) {
+  const GroupId group = array_->layout().GroupOf(9);
+  ASSERT_TRUE(Propagate(9, 11, PropagationKind::kUnloggedFirst,
+                        MakePayload(0x61, 11))
+                  .ok());
+  parity_->LoseVolatileState();
+  ASSERT_TRUE(parity_->RebuildDirectory().ok());
+  ASSERT_TRUE(parity_->directory().Get(group).dirty);
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_->FinalizeCommit(group, 11).ok());
+  EXPECT_EQ(array_->counters().page_reads, 1u);
+  EXPECT_EQ(array_->counters().page_writes, 1u);
+  EXPECT_FALSE(parity_->directory().Get(group).dirty);
+  auto ok = parity_->VerifyGroupParity(group);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
+// An online rebuild of the working twin's disk recomputes that twin from
+// data; the commit then writes the rebuilt image, not a stale one.
+TEST_F(TwinParityTest, FinalizeAfterOnlineRebuildOfWorkingTwinDisk) {
+  const std::vector<uint8_t> payload = MakePayload(0x3c, 4);
+  ASSERT_TRUE(Propagate(0, 4, PropagationKind::kUnloggedFirst, payload)
+                  .ok());
+  const uint32_t working = parity_->directory().Get(0).working_twin;
+  const DiskId disk = array_->layout().ParityLocation(0, working).disk;
+  ASSERT_TRUE(array_->FailDisk(disk).ok());
+  ASSERT_TRUE(parity_->BeginOnlineRebuild(disk).ok());
+  bool did_work = false;
+  ASSERT_TRUE(parity_->RebuildGroupIfPending(0, &did_work).ok());
+  ASSERT_TRUE(did_work);
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_->FinalizeCommit(0, 4).ok());
+  EXPECT_EQ(array_->counters().page_reads, 0u);
+  EXPECT_EQ(array_->counters().page_writes, 1u);
+  for (GroupId g = 0; g < array_->num_groups(); ++g) {
+    ASSERT_TRUE(parity_->RebuildGroupIfPending(g, &did_work).ok());
+  }
+  ASSERT_TRUE(parity_->EndOnlineRebuild().ok());
+  EXPECT_EQ(ReadPayload(0), payload);
+  for (GroupId g = 0; g < array_->num_groups(); ++g) {
+    auto ok = parity_->VerifyGroupParity(g);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(*ok) << "group " << g;
+  }
+}
+
+// A torn write of the working twin reports success and leaves a slot that
+// fails its checksum. The commit writes the whole held image over it, so
+// the committed twin reads back clean and covers the data.
+TEST_F(TwinParityTest, FinalizeOverwritesTornWorkingTwin) {
+  FaultConfig faults;
+  faults.enabled = true;  // Scripted faults only.
+  array_->ArmFaultInjection(faults);
+  const uint32_t working = 1 - parity_->directory().Get(0).valid_twin;
+  const PhysicalLocation loc = array_->layout().ParityLocation(0, working);
+  array_->injector(loc.disk)->ScheduleTornWrite(loc.slot);
+  ASSERT_TRUE(Propagate(0, 6, PropagationKind::kUnloggedFirst,
+                        MakePayload(0x4d, 6))
+                  .ok());
+  ASSERT_EQ(array_->injector(loc.disk)->stats().torn_writes, 1u);
+  PageImage torn;
+  EXPECT_FALSE(array_->ReadParity(0, working, &torn).ok());
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_->FinalizeCommit(0, 6).ok());
+  EXPECT_EQ(array_->counters().page_reads, 0u);
+  PageImage twin;
+  ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
+  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  auto ok = parity_->VerifyGroupParity(0);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
+// Committers on different threads steal and commit pages that share
+// groups; each pins its group latch across Classify, Propagate and
+// FinalizeCommit, as the transaction layer does. Run under TSan in CI.
+TEST_F(TwinParityTest, ConcurrentCommittersKeepParityConsistent) {
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        const PageId page = static_cast<PageId>(
+            (t + kThreads * i) % array_->num_data_pages());
+        const TxnId txn = static_cast<TxnId>(1000 * (t + 1) + i);
+        auto latch = parity_->LockGroupOfPage(page);
+        PageImage image(0);
+        image.payload = MakePayload(static_cast<uint8_t>(i), txn);
+        if (parity_->Classify(page, txn) != PropagationKind::kUnloggedFirst ||
+            !parity_
+                 ->Propagate(page, txn, PropagationKind::kUnloggedFirst,
+                             nullptr, image)
+                 .ok() ||
+            !parity_->FinalizeCommit(array_->layout().GroupOf(page), txn)
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(parity_->stats().commits_finalized,
+            uint64_t{kThreads * kCommitsPerThread});
+  EXPECT_EQ(parity_->directory().DirtyCount(), 0u);
+  for (GroupId g = 0; g < array_->num_groups(); ++g) {
+    auto ok = parity_->VerifyGroupParity(g);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(*ok) << "group " << g;
+  }
 }
 
 TEST_F(TwinParityTest, FinalizeRejectsWrongTransaction) {

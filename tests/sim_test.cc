@@ -3,6 +3,7 @@
 #include <map>
 
 #include "sim/simulator.h"
+#include "sim/validation.h"
 
 namespace rda::sim {
 namespace {
@@ -169,6 +170,17 @@ TEST(SimulatorTest, RdaReducesTransfersPerCommit) {
   EXPECT_LT(rda_result->transfers_per_commit,
             base_result->transfers_per_commit);
   EXPECT_GT(rda_result->txn.before_images_avoided, 0u);
+}
+
+// Sim-X1 at the model's own parameters (sim/validation.h): for page
+// FORCE/TOC the engine's RDA gain must match the analytical model's within
+// 6 points at every communality of the sweep, not just in direction.
+TEST(SimulatorTest, PageForceRdaGainAgreesWithModel) {
+  for (const double c : {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}) {
+    auto gain = MeasureRdaGain(c, 42);
+    ASSERT_TRUE(gain.ok()) << gain.status().ToString();
+    EXPECT_NEAR(gain->percent, ModelPageForceTocGain(c), 6.0) << "C = " << c;
+  }
 }
 
 TEST(SimulatorTest, HigherCommunalityFewerTransfers) {
