@@ -1,9 +1,9 @@
 #include "recovery/crash_recovery.h"
 
 #include <algorithm>
+#include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -159,8 +159,8 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   std::unordered_set<TxnId> winners;
   std::unordered_set<TxnId> losers;
   // Per transaction, the LSN at which each page's unlogged window opened
-  // (from its kChainHead marker). Consulted by the undo phases below.
-  std::unordered_map<TxnId, std::unordered_map<PageId, Lsn>> window_start;
+  // (from its kChainHead marker). Phase 4 plans the undo order from it.
+  std::map<std::pair<TxnId, PageId>, Lsn> window_start;
   TxnId max_txn = 0;
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kAnalysis, transfers_now,
@@ -223,10 +223,10 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
         case LogRecordType::kChainHead:
           // Unlogged-window open marker: one per group dirtying. Its LSN
           // splits the transaction's before-images of that page into
-          // pre-window (deferred past the parity undo, phase 4c) and
-          // in-window (phase 4a). Later markers overwrite earlier ones —
-          // only the window still open at the crash matters.
-          window_start[record.txn][record.chain_head] = record.lsn;
+          // pre-window (restored after the parity undo) and in-window
+          // (restored before it); see UndoPlan. Later markers overwrite
+          // earlier ones — only the window still open at the crash matters.
+          window_start[{record.txn, record.chain_head}] = record.lsn;
           [[fallthrough]];
         case LogRecordType::kBeforeImage:
           if (force) {
@@ -283,105 +283,41 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     }
   }
 
-  // Phases 4a-4c: loser undo, reverse-chronological PER PAGE. A
-  // before-image from a steal INSIDE a group's unlogged window (LSN after
-  // its kChainHead marker) can contain the loser's own bytes from the
-  // unlogged steal; restoring it first re-creates exactly the state the
-  // parity undo then cancels, so those go in 4a, before the parity undo
-  // (DESIGN.md 4.3). A before-image logged BEFORE the window opened must
-  // wait until 4c: applying it first would change the data page out from
-  // under the XOR cancellation and the parity undo would "restore" garbage
-  // (base xor new xor before).
-  const auto apply_before_image = [&](const LogRecord& record) -> Status {
-    if (!record.record_granular) {
-      return parity_->ApplyLoggedUndo(record.page, record.before);
-    }
-    PageImage current;
-    RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(record.page, &current));
-    std::vector<uint8_t> payload = std::move(current.payload);
-    RecordPageView view(&payload, txn_manager_->config().record_size);
-    RDA_RETURN_IF_ERROR(view.Write(record.slot, record.before));
-    DataPageMeta meta = LoadDataMeta(payload);
-    const GroupState& undo_group = parity_->directory().Get(
-        parity_->array()->layout().GroupOf(record.page));
-    if (!(undo_group.dirty && undo_group.dirty_page == record.page)) {
-      // Keep the covering transaction's stamp so the parity undo of
-      // phase 4b still recognizes its work.
-      meta.txn_id = kInvalidTxnId;
-    }
-    meta.page_lsn = 0;  // Mixed state: let REDO replay decide per record.
-    StoreDataMeta(meta, &payload);
-    return parity_->ApplyLoggedUndo(record.page, payload);
-  };
-  std::vector<const LogRecord*> pre_window;
+  // Phase 4: undo every loser through the executor a runtime abort uses
+  // (TransactionManager::UndoPlan), one plan for all losers. Its two
+  // stages are the logged-undo and parity-undo phases.
+  TransactionManager::UndoPlan undo;
+  undo.before_step = [this] { return ConsumeFaultBudget(); };
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kLoggedUndo,
                            transfers_now, &report.phases);
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      const LogRecord& record = *it;
-      if (record.type != LogRecordType::kBeforeImage ||
-          !losers.contains(record.txn)) {
+      if (it->type == LogRecordType::kBeforeImage &&
+          losers.contains(it->txn)) {
+        undo.images.push_back(&*it);
+      }
+    }
+    for (const GroupId group : parity_->directory().AllDirtyGroups()) {
+      const GroupState& state = parity_->directory().Get(group);
+      if (!losers.contains(state.dirty_txn)) {
         continue;
       }
-      const GroupState& state = parity_->directory().Get(
-          parity_->array()->layout().GroupOf(record.page));
-      if (state.dirty && state.dirty_txn == record.txn &&
-          state.dirty_page == record.page) {
-        auto txn_windows = window_start.find(record.txn);
-        if (txn_windows != window_start.end()) {
-          auto window = txn_windows->second.find(record.page);
-          if (window != txn_windows->second.end() &&
-              record.lsn < window->second) {
-            pre_window.push_back(&record);  // Kept in reverse LSN order.
-            continue;
-          }
-        }
+      undo.parity_groups.emplace_back(group, state.dirty_txn);
+      auto window = window_start.find({state.dirty_txn, state.dirty_page});
+      if (window != window_start.end()) {
+        undo.window_open.insert(*window);
       }
-      RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-      RDA_RETURN_IF_ERROR(apply_before_image(record));
-      ++report.logged_undos;
     }
+    RDA_RETURN_IF_ERROR(txn_manager_->UndoLogged(&undo));
   }
-
-  // Phase 4b: parity-undo every dirty group owned by a loser. Each undo
-  // touches only its own group (directory entry, twins, data page) under
-  // that group's latch, so the dirty groups fan out across the pool. The
-  // undo reads the dirty page anyway; a page still stamped by its loser is
-  // a member of that loser's TWIST chain and is counted as walked.
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kParityUndo,
                            transfers_now, &report.phases);
-    std::vector<std::pair<GroupId, TxnId>> undo_groups;
-    for (const GroupId group : parity_->directory().AllDirtyGroups()) {
-      const GroupState& state = parity_->directory().Get(group);
-      if (losers.contains(state.dirty_txn)) {
-        undo_groups.emplace_back(group, state.dirty_txn);
-      }
-    }
-    std::atomic<uint64_t> chain_pages{0};
-    RDA_RETURN_IF_ERROR(exec::RunSharded(
-        pool_, undo_groups.size(), [&](uint64_t i) -> Status {
-          RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-          const auto [group, txn] = undo_groups[i];
-          RDA_ASSIGN_OR_RETURN(const ParityUndoResult undo,
-                               parity_->UndoUnloggedUpdate(group, txn));
-          if (undo.overwritten_meta.txn_id == txn) {
-            chain_pages.fetch_add(1, std::memory_order_relaxed);
-          }
-          return Status::Ok();
-        }));
-    report.parity_undos += undo_groups.size();
-    report.chain_pages_walked += chain_pages.load(std::memory_order_relaxed);
-
-    // Phase 4c: pre-window before-images, still in reverse LSN order. The
-    // parity undo above rewound their pages to each window's base image, so
-    // these now apply to the state they were captured against.
-    for (const LogRecord* record : pre_window) {
-      RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-      RDA_RETURN_IF_ERROR(apply_before_image(*record));
-      ++report.logged_undos;
-    }
+    RDA_RETURN_IF_ERROR(txn_manager_->UndoParity(&undo, pool_));
   }
+  report.logged_undos = undo.logged_undos;
+  report.parity_undos = undo.parity_undos;
+  report.chain_pages_walked = undo.chain_pages_walked;
 
   // Phase 5: REDO committed after-images, page-ordered and read-once. Shard
   // = page id mod shard count; each shard walks its pages in ascending

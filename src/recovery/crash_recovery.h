@@ -43,9 +43,11 @@ struct CrashRecoveryReport {
 //  2. Analysis: scan the log; BOT without Commit/AbortComplete = loser.
 //  3. Roll FORWARD: finalize dirty groups owned by winners (crash fell
 //     between the commit record and twin finalization).
-//  4. UNDO losers: parity-undo each dirty group owned by a loser (counting
-//     the TWIST chain pages it finds stamped by the loser), then re-apply
-//     logged before-images in reverse LSN order.
+//  4. UNDO losers through TransactionManager::UndoPlan, the executor a
+//     runtime abort uses: logged before-images in reverse LSN order, except
+//     that an image logged before its page's unlogged window opened waits
+//     until the parity undo of every loser-owned dirty group (which counts
+//     the TWIST chain pages it finds stamped by the loser) has run.
 //  5. REDO winners, page-ordered and read-once: each page with committed
 //     after-images is read once, its images are folded over that image in
 //     LSN order wherever the pageLSN shows them missing, and the page is

@@ -8,20 +8,11 @@
 #include <vector>
 
 #include "common/types.h"
+#include "wal/log_record.h"
 
 namespace rda {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
-
-// In-memory copy of one logged before-image, kept so a runtime abort can
-// undo without re-scanning the log (crash recovery scans the log instead).
-struct LoggedUndo {
-  PageId page = kInvalidPageId;
-  bool record_granular = false;
-  RecordSlot slot = 0;
-  std::vector<uint8_t> before;  // Whole payload (page) or record bytes.
-  Lsn lsn = kInvalidLsn;
-};
 
 // Latest value a transaction wrote to one record slot (record-logging mode);
 // used to build after-images at commit even if the frame was evicted.
@@ -83,8 +74,9 @@ class Transaction {
   // de-duplicated.
   std::vector<PageId> modified_pages;
 
-  // Logged before-images, append order (undo applies them in reverse).
-  std::vector<LoggedUndo> logged_undos;
+  // Logged before-images as appended (LSNs set), append order: a runtime
+  // abort undoes from them without re-scanning the log.
+  std::vector<LogRecord> logged_undos;
 
   // Record-mode writes (latest value per (page, slot)).
   std::vector<RecordWrite> record_writes;

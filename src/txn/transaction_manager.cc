@@ -378,9 +378,8 @@ Status TransactionManager::LogBeforeImagesForSteal(
       bi.txn = txn_id;
       bi.page = frame->page;
       bi.before = before;
-      RDA_ASSIGN_OR_RETURN(const Lsn lsn, log_->Append(bi));
-      txn->logged_undos.push_back(
-          LoggedUndo{frame->page, false, 0, before, lsn});
+      RDA_ASSIGN_OR_RETURN(bi.lsn, log_->Append(bi));
+      txn->logged_undos.push_back(std::move(bi));
       stats_.before_images_logged.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(before_logged_counter_);
     } else {
@@ -402,10 +401,8 @@ Status TransactionManager::LogBeforeImagesForSteal(
         bi.slot = pending.slot;
         bi.record_granular = true;
         bi.before = pending.before;
-        RDA_ASSIGN_OR_RETURN(const Lsn lsn, log_->Append(bi));
-        txn->logged_undos.push_back(
-            LoggedUndo{frame->page, true, pending.slot, pending.before,
-                       lsn});
+        RDA_ASSIGN_OR_RETURN(bi.lsn, log_->Append(bi));
+        txn->logged_undos.push_back(std::move(bi));
         stats_.before_images_logged.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(before_logged_counter_);
       }
@@ -507,14 +504,14 @@ Status TransactionManager::PropagateFrame(Frame* frame) {
         // unlogged window's open marker: its LSN orders the window against
         // the transaction's logged before-images (a before-image of this
         // page with a smaller LSN predates the window and must be undone
-        // only after the parity undo — see UndoDiskState and recovery
-        // phase 4c). The marker is load-bearing only when such a
+        // only after the parity undo — see UndoPlan). The marker is
+        // load-bearing only when such a
         // before-image actually exists; otherwise recovery's no-marker
         // default (everything in-window) is already right, so skip the
         // append past the transaction's first chain head and keep the log
         // at the paper's volume.
         bool prior_before_image = false;
-        for (const LoggedUndo& undo : txn->logged_undos) {
+        for (const LogRecord& undo : txn->logged_undos) {
           if (undo.page == frame->page) {
             prior_before_image = true;
             break;
@@ -748,92 +745,88 @@ Status TransactionManager::Commit(TxnId txn_id) {
   return Status::Ok();
 }
 
-Status TransactionManager::UndoDiskState(
-    Transaction* txn,
-    std::unordered_map<PageId, std::vector<uint8_t>>* restored_disk) {
-  // Undo must be reverse-chronological PER PAGE. Logged before-images taken
-  // INSIDE a group's unlogged window (after its kUnloggedFirst steal) go
-  // first: such an image can contain this transaction's own bytes from the
-  // unlogged steal, and restoring it re-creates exactly the state the
-  // parity undo then cancels — P xor P' equals the unlogged delta, so the
-  // parity undo lands on the window's base image (see DESIGN.md 4.3). A
-  // before-image logged BEFORE the window opened must instead be applied
-  // only AFTER the parity undo: applying it first would change the data
-  // page out from under the XOR cancellation and the parity undo would
-  // "restore" garbage (base xor new xor before).
-  std::unordered_map<PageId, Lsn> window_start;
-  for (size_t i = 0; i < txn->dirtied_groups.size(); ++i) {
-    const GroupState& state =
-        parity_->directory().Get(txn->dirtied_groups[i]);
-    if (state.dirty && state.dirty_txn == txn->id()) {
-      window_start[state.dirty_page] = txn->dirtied_group_window_lsn[i];
-    }
+Status TransactionManager::RestoreBeforeImage(const LogRecord& image,
+                                              UndoPlan* plan) {
+  if (plan->before_step) {
+    RDA_RETURN_IF_ERROR(plan->before_step());
   }
-  const auto apply_logged_undo = [&](const LoggedUndo& undo) -> Status {
-    if (!undo.record_granular) {
-      RDA_RETURN_IF_ERROR(parity_->ApplyLoggedUndo(undo.page, undo.before));
-      (*restored_disk)[undo.page] = undo.before;
-      return Status::Ok();
-    }
-    // Record-granular: patch the slot inside the current on-disk payload.
-    // The group latch spans the read-modify-write and the dirty-group
-    // directory check.
-    auto group_latch = parity_->LockGroupOfPage(undo.page);
-    std::vector<uint8_t> payload;
-    auto cached = restored_disk->find(undo.page);
-    if (cached != restored_disk->end()) {
-      payload = cached->second;
-    } else {
-      PageImage image;
-      RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(undo.page, &image));
-      payload = std::move(image.payload);
-    }
-    RecordPageView view(&payload, config_.record_size);
-    RDA_RETURN_IF_ERROR(view.Write(undo.slot, undo.before));
-    DataPageMeta meta = LoadDataMeta(payload);
-    const GroupState& undo_group = parity_->directory().Get(
-        parity_->array()->layout().GroupOf(undo.page));
-    if (!(undo_group.dirty && undo_group.dirty_page == undo.page)) {
-      meta.txn_id = kInvalidTxnId;  // Keep the covering txn's stamp intact.
-    }
-    meta.page_lsn = 0;  // Mixed state: force full REDO replay after a crash.
-    StoreDataMeta(meta, &payload);
-    RDA_RETURN_IF_ERROR(parity_->ApplyLoggedUndo(undo.page, payload));
-    (*restored_disk)[undo.page] = std::move(payload);
+  ++plan->logged_undos;
+  if (!image.record_granular) {
+    RDA_RETURN_IF_ERROR(parity_->ApplyLoggedUndo(image.page, image.before));
+    plan->restored[image.page] = image.before;
     return Status::Ok();
-  };
+  }
+  // Record-granular: patch the slot inside the current on-disk payload.
+  // The group latch spans the read-modify-write and the dirty-group
+  // directory check.
+  auto group_latch = parity_->LockGroupOfPage(image.page);
+  std::vector<uint8_t>& payload = plan->restored[image.page];
+  if (payload.empty()) {
+    PageImage current;
+    RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(image.page, &current));
+    payload = std::move(current.payload);
+  }
+  RecordPageView view(&payload, config_.record_size);
+  RDA_RETURN_IF_ERROR(view.Write(image.slot, image.before));
+  DataPageMeta meta = LoadDataMeta(payload);
+  const GroupState& group = parity_->directory().Get(
+      parity_->array()->layout().GroupOf(image.page));
+  if (!(group.dirty && group.dirty_page == image.page)) {
+    // Keep the covering transaction's stamp: the parity undo recognizes
+    // its work by it.
+    meta.txn_id = kInvalidTxnId;
+  }
+  meta.page_lsn = 0;  // Mixed state: let REDO replay decide per record.
+  StoreDataMeta(meta, &payload);
+  return parity_->ApplyLoggedUndo(image.page, payload);
+}
 
-  std::vector<const LoggedUndo*> pre_window;
-  for (auto it = txn->logged_undos.rbegin(); it != txn->logged_undos.rend();
-       ++it) {
-    const LoggedUndo& undo = *it;
-    auto window = window_start.find(undo.page);
-    if (window != window_start.end() && undo.lsn < window->second) {
-      pre_window.push_back(&undo);  // Kept in reverse LSN order.
+Status TransactionManager::UndoLogged(UndoPlan* plan) {
+  for (const LogRecord* image : plan->images) {
+    auto window = plan->window_open.find({image->txn, image->page});
+    if (window != plan->window_open.end() && image->lsn < window->second) {
+      plan->deferred.push_back(image);
       continue;
     }
-    RDA_RETURN_IF_ERROR(apply_logged_undo(undo));
+    RDA_RETURN_IF_ERROR(RestoreBeforeImage(*image, plan));
   }
+  return Status::Ok();
+}
 
-  // Parity undo: cancels each dirtied group's unlogged delta exactly.
-  for (const GroupId group : txn->dirtied_groups) {
-    auto group_latch = parity_->LockGroup(group);
-    const GroupState& state = parity_->directory().Get(group);
-    if (!state.dirty || state.dirty_txn != txn->id()) {
-      continue;  // Already finalized or undone.
+Status TransactionManager::UndoParity(UndoPlan* plan,
+                                      exec::WorkerPool* pool) {
+  // A skipped group's result keeps page == kInvalidPageId.
+  std::vector<ParityUndoResult> undone(plan->parity_groups.size());
+  RDA_RETURN_IF_ERROR(exec::RunSharded(
+      pool, undone.size(), [&](uint64_t i) -> Status {
+        if (plan->before_step) {
+          RDA_RETURN_IF_ERROR(plan->before_step());
+        }
+        const auto [group, owner] = plan->parity_groups[i];
+        auto group_latch = parity_->LockGroup(group);
+        const GroupState& state = parity_->directory().Get(group);
+        if (!state.dirty || state.dirty_txn != owner) {
+          return Status::Ok();  // Already finalized or undone.
+        }
+        RDA_ASSIGN_OR_RETURN(undone[i],
+                             parity_->UndoUnloggedUpdate(group, owner));
+        return Status::Ok();
+      }));
+  for (size_t i = 0; i < undone.size(); ++i) {
+    ParityUndoResult& undo = undone[i];
+    if (undo.page == kInvalidPageId) {
+      continue;
     }
-    RDA_ASSIGN_OR_RETURN(ParityUndoResult undo,
-                         parity_->UndoUnloggedUpdate(group, txn->id()));
+    ++plan->parity_undos;
+    if (undo.overwritten_meta.txn_id == plan->parity_groups[i].second) {
+      ++plan->chain_pages_walked;
+    }
     if (undo.payload_restored) {
-      (*restored_disk)[undo.page] = std::move(undo.restored_payload);
+      plan->restored[undo.page] = std::move(undo.restored_payload);
     }
   }
-
-  // Pre-window before-images LAST, still in reverse LSN order: the parity
-  // undo above has rewound their pages to each window's base image, so
-  // these now apply to the state they were captured against.
-  for (const LoggedUndo* undo : pre_window) {
-    RDA_RETURN_IF_ERROR(apply_logged_undo(*undo));
+  for (const LogRecord* image : plan->deferred) {
+    RDA_RETURN_IF_ERROR(RestoreBeforeImage(*image, plan));
   }
   return Status::Ok();
 }
@@ -941,9 +934,23 @@ Status TransactionManager::Abort(TxnId txn_id) {
                              abort_us_hist_, static_cast<int64_t>(txn_id));
   const uint64_t transfers_start = TransfersStart();
 
-  std::unordered_map<PageId, std::vector<uint8_t>> restored_disk;
-  RDA_RETURN_IF_ERROR(UndoDiskState(txn, &restored_disk));
-  CleanBufferAfterAbort(txn, restored_disk);
+  UndoPlan plan;
+  for (auto it = txn->logged_undos.rbegin(); it != txn->logged_undos.rend();
+       ++it) {
+    plan.images.push_back(&*it);
+  }
+  for (size_t i = 0; i < txn->dirtied_groups.size(); ++i) {
+    const GroupId group = txn->dirtied_groups[i];
+    plan.parity_groups.emplace_back(group, txn_id);
+    const GroupState& state = parity_->directory().Get(group);
+    if (state.dirty && state.dirty_txn == txn_id) {
+      plan.window_open[{txn_id, state.dirty_page}] =
+          txn->dirtied_group_window_lsn[i];
+    }
+  }
+  RDA_RETURN_IF_ERROR(UndoLogged(&plan));
+  RDA_RETURN_IF_ERROR(UndoParity(&plan, /*pool=*/nullptr));
+  CleanBufferAfterAbort(txn, plan.restored);
 
   if (txn->bot_logged) {
     LogRecord done;

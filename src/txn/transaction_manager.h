@@ -3,14 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "exec/worker_pool.h"
 #include "lock/lock_manager.h"
 #include "obs/obs.h"
 #include "parity/twin_parity_manager.h"
@@ -157,6 +161,49 @@ class TransactionManager {
   // txn-lifecycle trace events. Null detaches.
   void AttachObs(obs::ObsHub* hub);
 
+  // Disk-level undo (paper Section 4.3): the one executor behind runtime
+  // abort (one transaction, planned from memory) and restart (all losers,
+  // planned from log analysis). Undo is reverse-chronological PER PAGE:
+  //  - UndoLogged restores, in reverse LSN order, the before-images taken
+  //    inside their page's unlogged window. Such an image can hold the
+  //    owner's bytes from the unlogged steal, which the parity undo then
+  //    cancels exactly (P xor P' is the unlogged delta; DESIGN.md 4.3).
+  //    Images logged before their page's window opened are set aside.
+  //  - UndoParity parity-undoes each planned group, rewinding its page to
+  //    the window's base image, then restores the set-aside images in
+  //    reverse LSN order. Applied before the parity undo, they would
+  //    change the page under the XOR cancellation, which would then
+  //    "restore" base xor new xor before.
+  struct UndoPlan {
+    // kBeforeImage records to restore, in reverse LSN order.
+    std::vector<const LogRecord*> images;
+    // Dirty groups to parity-undo, each with the transaction that owns its
+    // unlogged window.
+    std::vector<std::pair<GroupId, TxnId>> parity_groups;
+    // LSN at which each (owner, page) unlogged window opened. An image of
+    // that page by that owner with a smaller LSN predates the window; a
+    // page without an entry counts as in-window throughout.
+    std::map<std::pair<TxnId, PageId>, Lsn> window_open;
+    // Runs before every disk-changing step; an error stops the undo (the
+    // restart's injected crash points). May be called from pool threads.
+    std::function<Status()> before_step;
+
+    // Filled as the plan runs. `restored` holds the on-disk payload of
+    // every page the undo rewrote, so a later record patch of the page
+    // reads no disk and an abort can repair its buffer frames.
+    std::vector<const LogRecord*> deferred;  // Pre-window, reverse LSN.
+    std::unordered_map<PageId, std::vector<uint8_t>> restored;
+    uint64_t logged_undos = 0;
+    uint64_t parity_undos = 0;
+    // Parity-undone pages that still carried their owner's stamp: the
+    // TWIST chain members the undo found in place.
+    uint64_t chain_pages_walked = 0;
+  };
+  Status UndoLogged(UndoPlan* plan);
+  // Fans the parity undos out over `pool` (null = serial): each touches
+  // only its own group under that group's latch.
+  Status UndoParity(UndoPlan* plan, exec::WorkerPool* pool);
+
  private:
   // Eviction/propagation callback registered with the buffer pool: applies
   // the Figure 3 decision and performs logging + parity-maintained writes.
@@ -181,12 +228,9 @@ class TransactionManager {
   Status LogBeforeImagesForSteal(Frame* frame,
                                  const std::vector<Transaction*>& modifiers);
 
-  // Disk-level undo of everything `txn` propagated: parity undo of dirtied
-  // groups first, then logged before-images in reverse. Fills
-  // `restored_disk` with the page payloads now on disk.
-  Status UndoDiskState(Transaction* txn,
-                       std::unordered_map<PageId, std::vector<uint8_t>>*
-                           restored_disk);
+  // Restores one before-image (a whole page, or one record slot patched
+  // into the page's current payload) with parity maintenance.
+  Status RestoreBeforeImage(const LogRecord& image, UndoPlan* plan);
 
   // Reverts txn's record modifications inside resident frames and detaches
   // the transaction from them.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -440,6 +441,39 @@ const obs::PhaseCost* FindPhase(const CrashRecoveryReport& report,
   return nullptr;
 }
 
+TEST_F(CrashRecoveryTest, RecordUndoReadsEachPageOnce) {
+  Open(RecordOptions());
+  auto winner = db_->Begin();
+  auto loser = db_->Begin();
+  ASSERT_TRUE(
+      db_->WriteRecord(*winner, 3, 0, std::vector<uint8_t>(16, 0xA1)).ok());
+  ASSERT_TRUE(
+      db_->WriteRecord(*loser, 3, 1, std::vector<uint8_t>(16, 0xB1)).ok());
+  ASSERT_TRUE(
+      db_->WriteRecord(*loser, 3, 2, std::vector<uint8_t>(16, 0xB2)).ok());
+  Steal(3);  // Two modifiers: logged, one before-image per loser slot.
+  ASSERT_TRUE(db_->Commit(*winner).ok());
+
+  db_->Crash();
+  auto report = db_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->logged_undos, 2u);
+  // One data read, then one plain propagation per image (data read, parity
+  // read, data write, parity write). The second image patches the payload
+  // the first one wrote instead of reading the page again.
+  const obs::PhaseCost* undo =
+      FindPhase(*report, obs::RecoveryPhase::kLoggedUndo);
+  ASSERT_NE(undo, nullptr);
+  EXPECT_EQ(undo->page_transfers, 1u + 4u * 2u);
+
+  auto payload = db_->RawReadPage(3);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ((*payload)[kDataRegionOffset], 0xA1);       // Winner's slot.
+  EXPECT_EQ((*payload)[kDataRegionOffset + 16], 0x00);  // Loser slot 1.
+  EXPECT_EQ((*payload)[kDataRegionOffset + 32], 0x00);  // Loser slot 2.
+  ExpectParityConsistent();
+}
+
 TEST_F(CrashRecoveryTest, RedoReadsEachPageOnceAndPropagatesItOnce) {
   Open();
   // Three winners rewrite page 1, a fourth writes page 6. notFORCE keeps
@@ -668,6 +702,147 @@ TEST_F(CrashRecoveryTest, RestartSeedsTimestampsAboveStableTwins) {
   EXPECT_EQ(DiskByte(1), 0xAA);
   ExpectParityConsistent();
 }
+
+// Differential check of the one undo executor: "abort, then crash and
+// recover" must end where "crash before the abort, then recover" does, for
+// every algorithm class and recovery width. The loser T makes a logged
+// steal before its dirty page's unlogged window opens (the pre-window
+// image), the unlogged steal that opens it, a logged steal inside it, an
+// unlogged repeat, an unlogged steal in a second group and a buffered-only
+// write.
+struct UndoDifferentialParam {
+  bool force;
+  LoggingMode mode;
+  uint32_t recovery_threads;
+};
+
+class UndoDifferentialTest
+    : public ::testing::TestWithParam<UndoDifferentialParam> {
+ protected:
+  struct Outcome {
+    std::vector<std::vector<uint8_t>> user_bytes;  // Per data page.
+    CrashRecoveryReport report;
+  };
+
+  // Runs the schedule; aborts T before the crash iff `abort_first`.
+  void Run(bool abort_first, Outcome* out) {
+    DatabaseOptions options = BaseOptions();
+    options.txn.force = GetParam().force;
+    options.txn.logging_mode = GetParam().mode;
+    options.txn.record_size = 16;
+    options.recovery.recovery_threads = GetParam().recovery_threads;
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db_ = std::move(opened).value();
+
+    // Committed base values, all on the array.
+    auto setup = db_->Begin();
+    for (const PageId page : {0, 1, 2, 5}) {
+      Write(*setup, page, static_cast<uint8_t>(0x10 + page));
+    }
+    ASSERT_TRUE(db_->Commit(*setup).ok());
+    for (const PageId page : {0, 1, 2, 5}) {
+      Steal(page);
+    }
+
+    auto other = db_->Begin();
+    auto txn = db_->Begin();
+    Write(*other, 0, 0xE0);
+    Steal(0);  // Unlogged: group 0 is now dirty by `other`.
+    Write(*txn, 1, 0xA1);
+    Steal(1);  // Group 0 dirty by another transaction: logged.
+    ASSERT_TRUE(db_->Commit(*other).ok());  // Group 0 clean again.
+    Write(*txn, 1, 0xA2);
+    Steal(1);  // Unlogged: the window on page 1 opens after its image.
+    Write(*txn, 2, 0xA3);
+    Steal(2);  // Logged, inside the window.
+    Write(*txn, 1, 0xA4);
+    Steal(1);  // Unlogged repeat.
+    Write(*txn, 5, 0xA5);
+    Steal(5);  // Unlogged: a second group.
+    Write(*txn, 9, 0xA6);  // Buffered only.
+
+    if (abort_first) {
+      ASSERT_TRUE(db_->Abort(*txn).ok());
+    }
+    db_->Crash();
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    out->report = *report;
+    for (PageId page = 0; page < db_->num_pages(); ++page) {
+      auto payload = db_->RawReadPage(page);
+      ASSERT_TRUE(payload.ok());
+      out->user_bytes.emplace_back(payload->begin() + kDataRegionOffset,
+                                   payload->end());
+    }
+    auto parity_ok = db_->VerifyAllParity();
+    ASSERT_TRUE(parity_ok.ok());
+    EXPECT_TRUE(*parity_ok);
+  }
+
+  // Page logging writes the whole user region, record logging slot 1.
+  void Write(TxnId txn, PageId page, uint8_t fill) {
+    const Status status =
+        GetParam().mode == LoggingMode::kPageLogging
+            ? db_->WritePage(txn, page,
+                             std::vector<uint8_t>(db_->user_page_size(), fill))
+            : db_->WriteRecord(txn, page, 1, std::vector<uint8_t>(16, fill));
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+
+  void Steal(PageId page) {
+    Frame* frame = db_->txn_manager()->pool()->Lookup(page);
+    ASSERT_NE(frame, nullptr);
+    ASSERT_TRUE(db_->txn_manager()->pool()->PropagateFrame(frame).ok());
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(UndoDifferentialTest, AbortThenCrashMatchesCrashBeforeAbort) {
+  Outcome aborted;
+  Outcome crashed;
+  ASSERT_NO_FATAL_FAILURE(Run(/*abort_first=*/true, &aborted));
+  ASSERT_NO_FATAL_FAILURE(Run(/*abort_first=*/false, &crashed));
+
+  // The restart undid T itself: both windows by parity, the pre-window and
+  // the in-window image from the log.
+  EXPECT_TRUE(aborted.report.losers.empty());
+  ASSERT_EQ(crashed.report.losers.size(), 1u);
+  EXPECT_EQ(crashed.report.parity_undos, 2u);
+  EXPECT_EQ(crashed.report.logged_undos, 2u);
+
+  ASSERT_EQ(aborted.user_bytes.size(), crashed.user_bytes.size());
+  for (PageId page = 0; page < aborted.user_bytes.size(); ++page) {
+    EXPECT_EQ(aborted.user_bytes[page], crashed.user_bytes[page])
+        << "page " << page;
+  }
+  // And both hold the committed state: `other`'s write and T's base.
+  const size_t at = GetParam().mode == LoggingMode::kPageLogging ? 0 : 16;
+  for (const auto& [page, byte] :
+       {std::pair<PageId, uint8_t>{0, 0xE0}, {1, 0x11}, {2, 0x12}, {5, 0x15},
+        {9, 0x00}}) {
+    EXPECT_EQ(crashed.user_bytes[page][at], byte) << "page " << page;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Classes, UndoDifferentialTest,
+    ::testing::Values(
+        UndoDifferentialParam{true, LoggingMode::kPageLogging, 1},
+        UndoDifferentialParam{true, LoggingMode::kPageLogging, 4},
+        UndoDifferentialParam{false, LoggingMode::kPageLogging, 1},
+        UndoDifferentialParam{false, LoggingMode::kPageLogging, 4},
+        UndoDifferentialParam{true, LoggingMode::kRecordLogging, 1},
+        UndoDifferentialParam{true, LoggingMode::kRecordLogging, 4},
+        UndoDifferentialParam{false, LoggingMode::kRecordLogging, 1},
+        UndoDifferentialParam{false, LoggingMode::kRecordLogging, 4}),
+    [](const ::testing::TestParamInfo<UndoDifferentialParam>& info) {
+      return std::string(info.param.force ? "Force" : "NoForce") +
+             (info.param.mode == LoggingMode::kPageLogging ? "Page"
+                                                           : "Record") +
+             "Threads" + std::to_string(info.param.recovery_threads);
+    });
 
 }  // namespace
 }  // namespace rda
