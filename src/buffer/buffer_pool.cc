@@ -54,16 +54,14 @@ Result<Frame*> BufferPool::FetchLocked(Shard& shard, PageId page,
     if (cache_hit != nullptr) {
       *cache_hit = true;
     }
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(hits_counter_);
+    hits_.Add();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
     return &it->second;
   }
   if (cache_hit != nullptr) {
     *cache_hit = false;
   }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(misses_counter_);
+  misses_.Add();
   obs::ScopedSpan miss_span(spans_, obs::SpanKind::kBufferFetchMiss,
                             /*histogram=*/nullptr,
                             static_cast<int64_t>(page));
@@ -158,8 +156,7 @@ Status BufferPool::EvictOneLocked(Shard& shard) {
       }
       RDA_RETURN_IF_ERROR(propagated);
       if (steal) {
-        stats_.steals.fetch_add(1, std::memory_order_relaxed);
-        obs::Inc(steals_counter_);
+        steals_.Add();
         obs::TraceEvent event;
         event.subsystem = obs::Subsystem::kBuffer;
         event.kind = obs::EventKind::kSteal;
@@ -171,8 +168,7 @@ Status BufferPool::EvictOneLocked(Shard& shard) {
         obs::Emit(trace_, event);
       }
     }
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(evictions_counter_);
+    evictions_.Add();
     shard.lru.erase(victim->lru_pos);
     shard.frames.erase(victim->page);
     return Status::Ok();
@@ -211,10 +207,10 @@ Status BufferPool::PropagateAllDirty() {
 
 void BufferPool::AttachObs(obs::ObsHub* hub) {
   trace_ = obs::TraceOf(hub);
-  hits_counter_ = obs::GetCounter(hub, "buffer.hits");
-  misses_counter_ = obs::GetCounter(hub, "buffer.misses");
-  evictions_counter_ = obs::GetCounter(hub, "buffer.evictions");
-  steals_counter_ = obs::GetCounter(hub, "buffer.steals");
+  hits_.Bind(obs::GetCounter(hub, "buffer.hits"));
+  misses_.Bind(obs::GetCounter(hub, "buffer.misses"));
+  evictions_.Bind(obs::GetCounter(hub, "buffer.evictions"));
+  steals_.Bind(obs::GetCounter(hub, "buffer.steals"));
   latch_waits_counter_ = obs::GetCounter(hub, "buffer.latch_waits");
   spans_ = obs::SpansOf(hub);
 }
@@ -278,18 +274,18 @@ uint32_t BufferPool::size() const {
 
 BufferStats BufferPool::stats() const {
   BufferStats s;
-  s.hits = stats_.hits.load(std::memory_order_relaxed);
-  s.misses = stats_.misses.load(std::memory_order_relaxed);
-  s.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  s.steals = stats_.steals.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.evictions = evictions_.value();
+  s.steals = steals_.value();
   return s;
 }
 
 void BufferPool::ResetStats() {
-  stats_.hits.store(0, std::memory_order_relaxed);
-  stats_.misses.store(0, std::memory_order_relaxed);
-  stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.steals.store(0, std::memory_order_relaxed);
+  hits_.Reset();
+  misses_.Reset();
+  evictions_.Reset();
+  steals_.Reset();
 }
 
 }  // namespace rda

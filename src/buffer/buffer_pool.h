@@ -1,7 +1,6 @@
 #ifndef RDA_BUFFER_BUFFER_POOL_H_
 #define RDA_BUFFER_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -223,21 +222,15 @@ class BufferPool {
   size_t num_shards_;
   std::unique_ptr<Shard[]> shards_;
 
-  // Per-field atomic stats: bumped under different shard latches.
-  struct AtomicBufferStats {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> steals{0};
-  };
-  AtomicBufferStats stats_;
+  // The counters behind stats(), exported as `buffer.<field>`. Bumped
+  // under different shard latches; each is one atomic.
+  obs::StatCounter hits_;
+  obs::StatCounter misses_;
+  obs::StatCounter evictions_;
+  obs::StatCounter steals_;
 
   // Observability (null = disabled).
   obs::TraceBuffer* trace_ = nullptr;
-  obs::Counter* hits_counter_ = nullptr;
-  obs::Counter* misses_counter_ = nullptr;
-  obs::Counter* evictions_counter_ = nullptr;
-  obs::Counter* steals_counter_ = nullptr;
   obs::Counter* latch_waits_counter_ = nullptr;
   // Latency spans on the miss/evict paths only — a cache hit never reads
   // the clock.

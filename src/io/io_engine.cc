@@ -42,7 +42,7 @@ IoEngine::~IoEngine() {
   for (auto& lane : job_lanes_) {
     for (Job& job : lane) {
       job.promise->set_value(job.work());
-      jobs_run_.fetch_add(1, std::memory_order_relaxed);
+      jobs_run_.Add();
     }
     lane.clear();
   }
@@ -75,15 +75,12 @@ std::shared_future<Status> IoEngine::Submit(DiskId disk, SlotId slot,
       // transfer now covers both logical writes.
       *it->second.image = std::move(image);
       it->second.is_parity = is_parity;
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(submitted_counter_);
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(coalesced_counter_);
+      submitted_writes_.Add();
+      coalesced_writes_.Add();
       if (is_parity) {
         // A merged parity-slot write is one read-modify-write absorbed
         // into the batch the queue accumulated for this (group, twin).
-        parity_rmw_.fetch_add(1, std::memory_order_relaxed);
-        obs::Inc(parity_rmw_counter_);
+        batched_parity_rmw_.Add();
       }
       if (!want_future) {
         return {};
@@ -111,8 +108,7 @@ std::shared_future<Status> IoEngine::Submit(DiskId disk, SlotId slot,
     // (the workers rescan all owned disks after each drain anyway).
     wake = queue.pending.size() == options_.queue_watermark;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(submitted_counter_);
+  submitted_writes_.Add();
   depth_.fetch_add(1, std::memory_order_relaxed);
   if (depth_gauge_ != nullptr) {
     depth_gauge_->Add(1);
@@ -143,8 +139,7 @@ bool IoEngine::ReadFromQueue(DiskId disk, SlotId slot, PageImage* out) const {
     }
     *out = *inflight->second;
   }
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(cache_hits_counter_);
+  cache_hits_.Add();
   return true;
 }
 
@@ -209,7 +204,7 @@ void IoEngine::RunJobs(uint32_t worker) {
       lane.pop_front();
     }
     job.promise->set_value(job.work());
-    jobs_run_.fetch_add(1, std::memory_order_relaxed);
+    jobs_run_.Add();
   }
 }
 
@@ -235,8 +230,7 @@ void IoEngine::DrainDisk(DiskId disk) {
     // the head sweeps one way across the platter per drain pass.
     for (auto& [slot, entry] : batch) {
       const Status status = writer_(disk, slot, *entry.image);
-      physical_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(physical_counter_);
+      physical_writes_.Add();
       {
         std::lock_guard<std::mutex> lock(queue.mu);
         queue.inflight.erase(slot);
@@ -301,18 +295,18 @@ void IoEngine::PurgeDisk(DiskId disk) {
       depth_gauge_->Add(-1);
     }
   }
-  purged_.fetch_add(dropped.size(), std::memory_order_relaxed);
+  purged_writes_.Add(dropped.size());
 }
 
 IoEngine::StatsSnapshot IoEngine::stats() const {
   StatsSnapshot snapshot;
-  snapshot.submitted_writes = submitted_.load(std::memory_order_relaxed);
-  snapshot.physical_writes = physical_.load(std::memory_order_relaxed);
-  snapshot.coalesced_writes = coalesced_.load(std::memory_order_relaxed);
-  snapshot.batched_parity_rmw = parity_rmw_.load(std::memory_order_relaxed);
-  snapshot.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  snapshot.purged_writes = purged_.load(std::memory_order_relaxed);
-  snapshot.jobs_run = jobs_run_.load(std::memory_order_relaxed);
+  snapshot.submitted_writes = submitted_writes_.value();
+  snapshot.physical_writes = physical_writes_.value();
+  snapshot.coalesced_writes = coalesced_writes_.value();
+  snapshot.batched_parity_rmw = batched_parity_rmw_.value();
+  snapshot.cache_hits = cache_hits_.value();
+  snapshot.purged_writes = purged_writes_.value();
+  snapshot.jobs_run = jobs_run_.value();
   return snapshot;
 }
 
@@ -322,11 +316,13 @@ uint64_t IoEngine::QueueDepth() const {
 }
 
 void IoEngine::AttachObs(obs::ObsHub* hub) {
-  submitted_counter_ = obs::GetCounter(hub, "io.submitted_writes");
-  physical_counter_ = obs::GetCounter(hub, "io.physical_writes");
-  coalesced_counter_ = obs::GetCounter(hub, "io.coalesced_writes");
-  parity_rmw_counter_ = obs::GetCounter(hub, "io.batched_parity_rmw");
-  cache_hits_counter_ = obs::GetCounter(hub, "io.cache_hits");
+  submitted_writes_.Bind(obs::GetCounter(hub, "io.submitted_writes"));
+  physical_writes_.Bind(obs::GetCounter(hub, "io.physical_writes"));
+  coalesced_writes_.Bind(obs::GetCounter(hub, "io.coalesced_writes"));
+  batched_parity_rmw_.Bind(obs::GetCounter(hub, "io.batched_parity_rmw"));
+  cache_hits_.Bind(obs::GetCounter(hub, "io.cache_hits"));
+  purged_writes_.Bind(obs::GetCounter(hub, "io.purged_writes"));
+  jobs_run_.Bind(obs::GetCounter(hub, "io.jobs_run"));
   depth_gauge_ = obs::GetGauge(hub, "io.queue_depth");
   const std::vector<double> us_bounds = {10,   50,   100,   250,   500,
                                          1000, 2500, 5000,  10000, 25000};

@@ -111,7 +111,9 @@ class IoEngine {
   // medium, exactly as if the writes had completed before the failure.
   void PurgeDisk(DiskId disk);
 
-  // Point-in-time statistics (monotonic counters).
+  // Point-in-time statistics (monotonic counters; with a registry attached
+  // they are its `io.<field>` counters, so they also include the counts of
+  // any earlier engine attached to the same registry).
   struct StatsSnapshot {
     uint64_t submitted_writes = 0;  // SubmitWrite calls.
     uint64_t physical_writes = 0;   // Drained journal entries.
@@ -185,22 +187,18 @@ class IoEngine {
   std::vector<std::deque<Job>> job_lanes_;  // One lane list per worker.
   std::vector<std::thread> workers_;
 
-  // Statistics (relaxed atomics: monotonic counters, read quiesced).
-  mutable std::atomic<uint64_t> submitted_{0};
-  mutable std::atomic<uint64_t> physical_{0};
-  mutable std::atomic<uint64_t> coalesced_{0};
-  mutable std::atomic<uint64_t> parity_rmw_{0};
-  mutable std::atomic<uint64_t> cache_hits_{0};
-  mutable std::atomic<uint64_t> purged_{0};
-  mutable std::atomic<uint64_t> jobs_run_{0};
+  // The counters behind stats(), exported as `io.<field>`. Bumped by the
+  // submitters and the workers; each is one atomic.
+  obs::StatCounter submitted_writes_;
+  obs::StatCounter physical_writes_;
+  obs::StatCounter coalesced_writes_;
+  obs::StatCounter batched_parity_rmw_;
+  mutable obs::StatCounter cache_hits_;  // Bumped by the const read path.
+  obs::StatCounter purged_writes_;
+  obs::StatCounter jobs_run_;
   std::atomic<int64_t> depth_{0};
 
   // Observability (null = disabled).
-  obs::Counter* submitted_counter_ = nullptr;
-  obs::Counter* physical_counter_ = nullptr;
-  obs::Counter* coalesced_counter_ = nullptr;
-  obs::Counter* parity_rmw_counter_ = nullptr;
-  obs::Counter* cache_hits_counter_ = nullptr;
   obs::Gauge* depth_gauge_ = nullptr;
   std::vector<obs::Histogram*> dispatch_hists_;
 };

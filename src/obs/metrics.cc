@@ -4,6 +4,19 @@
 
 namespace rda::obs {
 
+void StatCounter::Bind(Counter* shared) {
+  Counter* next = shared != nullptr ? shared : &local_;
+  if (next == target_) {
+    return;
+  }
+  const uint64_t carried = target_->value();
+  if (next == &local_) {
+    local_.Reset();
+  }
+  next->Add(carried);
+  target_ = next;
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {}
 

@@ -14,10 +14,12 @@ namespace rda::obs {
 
 // A named monotonic counter. Instrumented components cache the pointer once
 // (AttachObs) and increment through it on the hot path — one add, no lookup.
-// A null pointer means "observability disabled"; use Inc() for null-safe
-// increments. Increments are lock-free (relaxed atomics): counters are
-// aggregates, not synchronization points, so concurrent writers only need
-// to not lose updates.
+// A registry-only counter's pointer is null while the component has no
+// registry (metrics disabled or not attached); Inc() is the null-safe
+// increment for those. Counters behind a stats() view are StatCounters
+// (below) and are never null. Increments are lock-free (relaxed atomics):
+// counters are aggregates, not synchronization points, so concurrent
+// writers only need to not lose updates.
 class Counter {
  public:
   void Add(uint64_t delta = 1) {
@@ -28,6 +30,25 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
+};
+
+// An always-on counter owned by a component whose stats() view or logic
+// reads it. It counts into its own storage until Bind() redirects it to the
+// registry's counter of the same name, so one event is one add whether or
+// not metrics are enabled, and the view and the registry export read the
+// same number. Bind while no other thread increments (at attach time).
+class StatCounter {
+ public:
+  void Add(uint64_t delta = 1) { target_->Add(delta); }
+  uint64_t value() const { return target_->value(); }
+  void Reset() { target_->Reset(); }
+  // Counts into `shared` from now on (own storage when null), carrying the
+  // current value over so value() never goes backwards.
+  void Bind(Counter* shared);
+
+ private:
+  Counter local_;
+  Counter* target_ = &local_;
 };
 
 // A named point-in-time value (signed: deltas may go negative transiently).

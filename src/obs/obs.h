@@ -32,8 +32,9 @@ struct ObsOptions {
 // The per-database observability hub: one MetricsRegistry plus one
 // TraceBuffer, one SpanCollector and one FlightRecorder, handed (as a
 // nullable pointer) to every engine component via AttachObs. Disabled
-// facilities return null, and instrumentation collapses to a pointer test —
-// the registry-null-check flavour of zero-cost-when-disabled.
+// facilities return null, and registry-only instrumentation collapses to a
+// pointer test — the registry-null-check flavour of zero-cost-when-disabled.
+// StatCounters keep counting into their own storage.
 class ObsHub {
  public:
   explicit ObsHub(const ObsOptions& options) : options_(options) {

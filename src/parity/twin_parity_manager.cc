@@ -37,31 +37,28 @@ std::unique_lock<std::recursive_mutex> TwinParityManager::LockGroupOfPage(
 
 ParityStats TwinParityManager::stats() const {
   ParityStats s;
-  s.unlogged_first = stats_.unlogged_first.load(std::memory_order_relaxed);
-  s.unlogged_repeat = stats_.unlogged_repeat.load(std::memory_order_relaxed);
-  s.logged_dirty_group =
-      stats_.logged_dirty_group.load(std::memory_order_relaxed);
-  s.plain = stats_.plain.load(std::memory_order_relaxed);
-  s.parity_undos = stats_.parity_undos.load(std::memory_order_relaxed);
-  s.logged_undos = stats_.logged_undos.load(std::memory_order_relaxed);
-  s.commits_finalized =
-      stats_.commits_finalized.load(std::memory_order_relaxed);
-  s.latent_repairs = stats_.latent_repairs.load(std::memory_order_relaxed);
-  s.corruption_repairs =
-      stats_.corruption_repairs.load(std::memory_order_relaxed);
+  s.unlogged_first = unlogged_first_.value();
+  s.unlogged_repeat = unlogged_repeat_.value();
+  s.logged_dirty_group = logged_dirty_group_.value();
+  s.plain = plain_.value();
+  s.parity_undos = parity_undos_.value();
+  s.logged_undos = logged_undos_.value();
+  s.commits_finalized = commits_finalized_.value();
+  s.latent_repairs = latent_repairs_.value();
+  s.corruption_repairs = corruption_repairs_.value();
   return s;
 }
 
 void TwinParityManager::ResetStats() {
-  stats_.unlogged_first.store(0, std::memory_order_relaxed);
-  stats_.unlogged_repeat.store(0, std::memory_order_relaxed);
-  stats_.logged_dirty_group.store(0, std::memory_order_relaxed);
-  stats_.plain.store(0, std::memory_order_relaxed);
-  stats_.parity_undos.store(0, std::memory_order_relaxed);
-  stats_.logged_undos.store(0, std::memory_order_relaxed);
-  stats_.commits_finalized.store(0, std::memory_order_relaxed);
-  stats_.latent_repairs.store(0, std::memory_order_relaxed);
-  stats_.corruption_repairs.store(0, std::memory_order_relaxed);
+  unlogged_first_.Reset();
+  unlogged_repeat_.Reset();
+  logged_dirty_group_.Reset();
+  plain_.Reset();
+  parity_undos_.Reset();
+  logged_undos_.Reset();
+  commits_finalized_.Reset();
+  latent_repairs_.Reset();
+  corruption_repairs_.Reset();
 }
 
 void TwinParityManager::XorPage(std::vector<uint8_t>* dst,
@@ -135,19 +132,16 @@ void TwinParityManager::TraceGroupTransition(GroupId group, bool to_dirty,
 
 void TwinParityManager::AttachObs(obs::ObsHub* hub) {
   trace_ = obs::TraceOf(hub);
-  unlogged_first_counter_ = obs::GetCounter(hub, "parity.unlogged_first");
-  unlogged_repeat_counter_ = obs::GetCounter(hub, "parity.unlogged_repeat");
-  logged_dirty_group_counter_ =
-      obs::GetCounter(hub, "parity.logged_dirty_group");
-  plain_counter_ = obs::GetCounter(hub, "parity.plain");
-  parity_undos_counter_ = obs::GetCounter(hub, "parity.parity_undos");
-  logged_undos_counter_ = obs::GetCounter(hub, "parity.logged_undos");
-  commits_finalized_counter_ =
-      obs::GetCounter(hub, "parity.commits_finalized");
+  unlogged_first_.Bind(obs::GetCounter(hub, "parity.unlogged_first"));
+  unlogged_repeat_.Bind(obs::GetCounter(hub, "parity.unlogged_repeat"));
+  logged_dirty_group_.Bind(obs::GetCounter(hub, "parity.logged_dirty_group"));
+  plain_.Bind(obs::GetCounter(hub, "parity.plain"));
+  parity_undos_.Bind(obs::GetCounter(hub, "parity.parity_undos"));
+  logged_undos_.Bind(obs::GetCounter(hub, "parity.logged_undos"));
+  commits_finalized_.Bind(obs::GetCounter(hub, "parity.commits_finalized"));
+  latent_repairs_.Bind(obs::GetCounter(hub, "parity.latent_repairs"));
+  corruption_repairs_.Bind(obs::GetCounter(hub, "parity.corruption_repairs"));
   degraded_reads_counter_ = obs::GetCounter(hub, "parity.degraded_reads");
-  latent_repairs_counter_ = obs::GetCounter(hub, "parity.latent_repairs");
-  corruption_repairs_counter_ =
-      obs::GetCounter(hub, "parity.corruption_repairs");
   latch_waits_counter_ = obs::GetCounter(hub, "parity.latch_waits");
   online_on_demand_counter_ =
       obs::GetCounter(hub, "parity.online_on_demand_rebuilds");
@@ -169,11 +163,9 @@ void TwinParityManager::NoteSectorRepair(const Status& cause, PageId page,
                                          GroupId group) {
   const bool corruption = cause.IsCorruption();
   if (corruption) {
-    stats_.corruption_repairs.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(corruption_repairs_counter_);
+    corruption_repairs_.Add();
   } else {
-    stats_.latent_repairs.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(latent_repairs_counter_);
+    latent_repairs_.Add();
   }
   if (trace_ == nullptr) {
     return;
@@ -466,8 +458,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
 
   switch (kind) {
     case PropagationKind::kUnloggedFirst: {
-      stats_.unlogged_first.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(unlogged_first_counter_);
+      unlogged_first_.Add();
       ScratchPool::ScratchImage parity = scratch_.Acquire();
       RDA_RETURN_IF_ERROR(
           ReadParityHealed(group, state.valid_twin, &*parity));
@@ -486,8 +477,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       break;
     }
     case PropagationKind::kUnloggedRepeat: {
-      stats_.unlogged_repeat.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(unlogged_repeat_counter_);
+      unlogged_repeat_.Add();
       ScratchPool::ScratchImage parity = scratch_.Acquire();
       RDA_RETURN_IF_ERROR(
           ReadParityHealed(group, state.working_twin, &*parity));
@@ -502,8 +492,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       break;
     }
     case PropagationKind::kLoggedDirtyGroup: {
-      stats_.logged_dirty_group.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(logged_dirty_group_counter_);
+      logged_dirty_group_.Add();
       // XOR the same delta into both twins: P xor P' is unchanged, so the
       // dirty page's parity undo stays exact (paper Section 4.1). In
       // degraded mode a twin on a failed disk is skipped — it goes stale
@@ -522,8 +511,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       break;
     }
     case PropagationKind::kPlain: {
-      stats_.plain.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(plain_counter_);
+      plain_.Add();
       if (LocationHealthy(
               array_->layout().ParityLocation(group, state.valid_twin))) {
         ScratchPool::ScratchImage parity = scratch_.Acquire();
@@ -590,8 +578,7 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
                         state.dirty_page, txn);
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
     MarkClean(group, state.working_twin);
-    stats_.commits_finalized.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(commits_finalized_counter_);
+    commits_finalized_.Add();
     return Status::Ok();
   }
   // The working image is still held from the write that produced it, so
@@ -619,8 +606,7 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
                       state.dirty_page, txn);
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
   MarkClean(group, state.working_twin);
-  stats_.commits_finalized.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(commits_finalized_counter_);
+  commits_finalized_.Add();
   return Status::Ok();
 }
 
@@ -639,8 +625,7 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
                                       " not dirty by transaction " +
                                       std::to_string(txn));
   }
-  stats_.parity_undos.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(parity_undos_counter_);
+  parity_undos_.Add();
 
   PageImage data;
   // Decide degraded mode from the disk's health, NOT from the read status:
@@ -775,8 +760,7 @@ Status TwinParityManager::ApplyLoggedUndo(PageId page,
     return Status::InvalidArgument("before-image size mismatch");
   }
   auto latch = LockGroupOfPage(page);
-  stats_.logged_undos.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(logged_undos_counter_);
+  logged_undos_.Add();
   PageImage restored(array_->page_size());
   restored.payload = before;
   // Reuse Propagate's parity maintenance; inside a dirty group both twins

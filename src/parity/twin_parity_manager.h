@@ -334,7 +334,8 @@ class TwinParityManager {
   const DirtySet& directory() const { return directory_; }
   DiskArray* array() { return array_; }
   // Snapshot by value: counters are bumped under per-group latches, so a
-  // reference would race with concurrent propagations.
+  // reference would race with concurrent propagations. The counters count
+  // with or without an attached registry.
   ParityStats stats() const;
   void ResetStats();
 
@@ -420,26 +421,23 @@ class TwinParityManager {
   void TraceGroupTransition(GroupId group, bool to_dirty, PageId page,
                             TxnId txn);
 
-  // Per-field atomic mirror of ParityStats (fields bumped under different
-  // group latches must not race; stats() assembles a plain snapshot).
-  struct AtomicParityStats {
-    std::atomic<uint64_t> unlogged_first{0};
-    std::atomic<uint64_t> unlogged_repeat{0};
-    std::atomic<uint64_t> logged_dirty_group{0};
-    std::atomic<uint64_t> plain{0};
-    std::atomic<uint64_t> parity_undos{0};
-    std::atomic<uint64_t> logged_undos{0};
-    std::atomic<uint64_t> commits_finalized{0};
-    std::atomic<uint64_t> latent_repairs{0};
-    std::atomic<uint64_t> corruption_repairs{0};
-  };
-
   DiskArray* array_;
   DirtySet directory_;
   std::atomic<ParityTimestamp> timestamp_{0};
   std::atomic<bool> directory_valid_{false};
   std::atomic<bool> crash_before_writeback_{false};
-  AtomicParityStats stats_;
+
+  // The counters behind stats(), exported as `parity.<field>`. Bumped
+  // under different group latches; each is one atomic.
+  obs::StatCounter unlogged_first_;
+  obs::StatCounter unlogged_repeat_;
+  obs::StatCounter logged_dirty_group_;
+  obs::StatCounter plain_;
+  obs::StatCounter parity_undos_;
+  obs::StatCounter logged_undos_;
+  obs::StatCounter commits_finalized_;
+  obs::StatCounter latent_repairs_;
+  obs::StatCounter corruption_repairs_;
 
   // One recursive latch per parity group (see the class comment). The array
   // is sized at construction and never reallocated, so indexing is safe
@@ -475,16 +473,7 @@ class TwinParityManager {
 
   // Observability (null = disabled).
   obs::TraceBuffer* trace_ = nullptr;
-  obs::Counter* unlogged_first_counter_ = nullptr;
-  obs::Counter* unlogged_repeat_counter_ = nullptr;
-  obs::Counter* logged_dirty_group_counter_ = nullptr;
-  obs::Counter* plain_counter_ = nullptr;
-  obs::Counter* parity_undos_counter_ = nullptr;
-  obs::Counter* logged_undos_counter_ = nullptr;
-  obs::Counter* commits_finalized_counter_ = nullptr;
   obs::Counter* degraded_reads_counter_ = nullptr;
-  obs::Counter* latent_repairs_counter_ = nullptr;
-  obs::Counter* corruption_repairs_counter_ = nullptr;
   obs::Counter* latch_waits_counter_ = nullptr;
   obs::Counter* online_on_demand_counter_ = nullptr;
   obs::Counter* online_write_promotions_counter_ = nullptr;

@@ -8,7 +8,7 @@ namespace rda {
 
 void Checkpointer::AttachObs(obs::ObsHub* hub) {
   trace_ = obs::TraceOf(hub);
-  checkpoints_counter_ = obs::GetCounter(hub, "recovery.checkpoints");
+  checkpoints_taken_.Bind(obs::GetCounter(hub, "recovery.checkpoints"));
 }
 
 Status Checkpointer::TakeCheckpoint() {
@@ -19,9 +19,12 @@ Status Checkpointer::TakeCheckpoint() {
   const size_t active = record.active_txns.size();
   RDA_ASSIGN_OR_RETURN(const Lsn lsn, log_->Append(std::move(record)));
   RDA_RETURN_IF_ERROR(log_->Flush());
-  last_checkpoint_lsn_ = lsn;
-  ++checkpoints_taken_;
-  obs::Inc(checkpoints_counter_);
+  Lsn last = last_checkpoint_lsn_.load(std::memory_order_relaxed);
+  while ((last == kInvalidLsn || last < lsn) &&
+         !last_checkpoint_lsn_.compare_exchange_weak(
+             last, lsn, std::memory_order_relaxed)) {
+  }
+  checkpoints_taken_.Add();
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.subsystem = obs::Subsystem::kRecovery;

@@ -1,6 +1,8 @@
 #ifndef RDA_RECOVERY_CHECKPOINTER_H_
 #define RDA_RECOVERY_CHECKPOINTER_H_
 
+#include <atomic>
+
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/obs.h"
@@ -31,9 +33,13 @@ class Checkpointer {
   // a kCheckpoint record.
   Status TakeCheckpoint();
 
-  // LSN of the most recent completed checkpoint, or kInvalidLsn.
-  Lsn last_checkpoint_lsn() const { return last_checkpoint_lsn_; }
-  uint64_t checkpoints_taken() const { return checkpoints_taken_; }
+  // LSN of the most recent completed checkpoint, or kInvalidLsn. Two
+  // concurrent checkpoints may complete in either order; the later LSN
+  // wins.
+  Lsn last_checkpoint_lsn() const {
+    return last_checkpoint_lsn_.load(std::memory_order_relaxed);
+  }
+  uint64_t checkpoints_taken() const { return checkpoints_taken_.value(); }
 
   // Hooks checkpoints into the observability hub (`recovery.checkpoints`
   // counter and kCheckpoint trace events). Null detaches.
@@ -42,10 +48,10 @@ class Checkpointer {
  private:
   TransactionManager* txn_manager_;
   LogManager* log_;
-  Lsn last_checkpoint_lsn_ = kInvalidLsn;
-  uint64_t checkpoints_taken_ = 0;
+  std::atomic<Lsn> last_checkpoint_lsn_{kInvalidLsn};
+  // Exported as `recovery.checkpoints`.
+  obs::StatCounter checkpoints_taken_;
   obs::TraceBuffer* trace_ = nullptr;
-  obs::Counter* checkpoints_counter_ = nullptr;
 };
 
 }  // namespace rda

@@ -95,11 +95,7 @@ bool DiskArray::ShouldRetry(const Status& status, DiskId disk,
       !RetryableIoError(status, disks_[disk].failed())) {
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    ++policy_stats_.io_retries;
-  }
-  obs::Inc(retries_counter_);
+  io_retries_.Add();
   disks_[disk].AddServiceDelay(RetryBackoffMs(policy_, attempt + 1));
   EmitDiskEvent(obs::EventKind::kIoRetry, disk);
   return true;
@@ -110,20 +106,13 @@ void DiskArray::NoteAttemptOutcome(const Status& status, DiskId disk,
   if (status.ok()) {
     if (attempts_used > 0) {
       // A retry absorbed the fault, so it was transient by definition.
-      {
-        std::lock_guard<std::mutex> lock(policy_mu_);
-        ++policy_stats_.transient_faults;
-      }
-      obs::Inc(transients_counter_);
+      transient_faults_.Add();
     }
   } else if (!disks_[disk].failed()) {
     // Exhausted retries on a live disk, or corruption: a persistent
     // sector-level error. Degraded healing (and the error budget) is the
     // caller's move — this layer only reports honestly.
-    {
-      std::lock_guard<std::mutex> lock(policy_mu_);
-      ++policy_stats_.sector_errors;
-    }
+    sector_errors_.Add();
     EmitDiskEvent(obs::EventKind::kIoFault, disk);
   }
 }
@@ -422,9 +411,8 @@ void DiskArray::EscalateDisk(DiskId disk, const std::string& reason) {
       return;  // A concurrent escalation already took the disk out.
     }
     escalated_[disk] = true;
-    ++policy_stats_.escalations;
   }
-  obs::Inc(escalations_counter_);
+  escalations_.Add();
   EmitDiskEvent(obs::EventKind::kEscalation, disk);
   // Flight recorder: the escalation is the moment the timeline that led
   // here is about to scroll out of the rings — dump it now.
@@ -490,6 +478,15 @@ uint32_t DiskArray::NumFailedDisks() const {
   return failed;
 }
 
+IoPolicyStats DiskArray::policy_stats() const {
+  IoPolicyStats stats;
+  stats.io_retries = io_retries_.value();
+  stats.transient_faults = transient_faults_.value();
+  stats.sector_errors = sector_errors_.value();
+  stats.escalations = escalations_.value();
+  return stats;
+}
+
 IoCounters DiskArray::counters() const {
   IoCounters total;
   for (const Disk& d : disks_) {
@@ -521,9 +518,10 @@ void DiskArray::AttachObs(obs::ObsHub* hub) {
   reads_counter_ = obs::GetCounter(hub, "storage.reads");
   writes_counter_ = obs::GetCounter(hub, "storage.writes");
   xor_counter_ = obs::GetCounter(hub, "storage.xor_computations");
-  retries_counter_ = obs::GetCounter(hub, "storage.io_retries");
-  transients_counter_ = obs::GetCounter(hub, "storage.transient_faults");
-  escalations_counter_ = obs::GetCounter(hub, "storage.escalations");
+  io_retries_.Bind(obs::GetCounter(hub, "storage.io_retries"));
+  transient_faults_.Bind(obs::GetCounter(hub, "storage.transient_faults"));
+  sector_errors_.Bind(obs::GetCounter(hub, "storage.sector_errors"));
+  escalations_.Bind(obs::GetCounter(hub, "storage.escalations"));
   disk_read_counters_.assign(disks_.size(), nullptr);
   disk_write_counters_.assign(disks_.size(), nullptr);
   if (hub != nullptr) {

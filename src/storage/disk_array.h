@@ -96,12 +96,8 @@ class DiskArray {
   // first sticky drain error. Called before crash teardown, counter
   // resets, and at the end of rebuild/scrub sweeps.
   Status FlushIo();
-  // Snapshot by value: the stats are mutated under the policy mutex by
-  // concurrent I/O threads.
-  IoPolicyStats policy_stats() const {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    return policy_stats_;
-  }
+  // Snapshot by value: the counters are bumped by concurrent I/O threads.
+  IoPolicyStats policy_stats() const;
 
   // Creates one FaultInjector per disk (seeded from config.seed and the
   // disk id so streams are independent) and attaches them. Replaces any
@@ -213,10 +209,15 @@ class DiskArray {
   std::unique_ptr<io::IoEngine> engine_;
 
   IoPolicy policy_;
-  // Guards the retry/escalation bookkeeping below (off the clean-path I/O:
-  // taken only when a fault actually occurred).
+  // The counters behind policy_stats(), exported as `storage.<field>`.
+  // Mutable so the const read path can account.
+  mutable obs::StatCounter io_retries_;
+  mutable obs::StatCounter transient_faults_;
+  mutable obs::StatCounter sector_errors_;
+  obs::StatCounter escalations_;
+  // Guards the per-disk error budget, escalation and rebuilding flags and
+  // the listener below (off the clean-path I/O).
   mutable std::mutex policy_mu_;
-  mutable IoPolicyStats policy_stats_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
   std::vector<uint32_t> sector_error_counts_;
   std::vector<bool> escalated_;
@@ -232,9 +233,6 @@ class DiskArray {
   obs::Counter* reads_counter_ = nullptr;
   obs::Counter* writes_counter_ = nullptr;
   obs::Counter* xor_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* transients_counter_ = nullptr;
-  obs::Counter* escalations_counter_ = nullptr;
   std::vector<obs::Counter*> disk_read_counters_;
   std::vector<obs::Counter*> disk_write_counters_;
 };

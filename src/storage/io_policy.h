@@ -46,9 +46,9 @@ struct IoPolicy {
   uint32_t queue_watermark = 32;
 };
 
-// Array-level accounting of the policy's work. Mirrored into the obs
-// counters storage.io_retries / storage.transient_faults /
-// storage.escalations when a hub is attached.
+// Array-level accounting of the policy's work: a view over the array's
+// storage.io_retries / storage.transient_faults / storage.sector_errors /
+// storage.escalations counters.
 struct IoPolicyStats {
   // Re-attempts performed (every loop iteration after the first).
   uint64_t io_retries = 0;

@@ -58,11 +58,12 @@ uint64_t TransactionManager::TransfersNow() const {
 void TransactionManager::AttachObs(obs::ObsHub* hub) {
   pool_.AttachObs(hub);
   trace_ = obs::TraceOf(hub);
-  begun_counter_ = obs::GetCounter(hub, "txn.begun");
-  committed_counter_ = obs::GetCounter(hub, "txn.committed");
-  aborted_counter_ = obs::GetCounter(hub, "txn.aborted");
-  before_logged_counter_ = obs::GetCounter(hub, "txn.before_images_logged");
-  before_avoided_counter_ = obs::GetCounter(hub, "txn.before_images_avoided");
+  begun_.Bind(obs::GetCounter(hub, "txn.begun"));
+  committed_.Bind(obs::GetCounter(hub, "txn.committed"));
+  aborted_.Bind(obs::GetCounter(hub, "txn.aborted"));
+  before_images_logged_.Bind(obs::GetCounter(hub, "txn.before_images_logged"));
+  before_images_avoided_.Bind(
+      obs::GetCounter(hub, "txn.before_images_avoided"));
   transfers_per_commit_ = obs::GetHistogram(
       hub, "txn.transfers_per_commit", {1, 2, 4, 8, 16, 32, 64, 128, 256});
   const std::vector<double> us_bounds = {5,    10,   25,   50,    100,  250,
@@ -75,22 +76,20 @@ void TransactionManager::AttachObs(obs::ObsHub* hub) {
 
 TxnStats TransactionManager::stats() const {
   TxnStats s;
-  s.begun = stats_.begun.load(std::memory_order_relaxed);
-  s.committed = stats_.committed.load(std::memory_order_relaxed);
-  s.aborted = stats_.aborted.load(std::memory_order_relaxed);
-  s.before_images_logged =
-      stats_.before_images_logged.load(std::memory_order_relaxed);
-  s.before_images_avoided =
-      stats_.before_images_avoided.load(std::memory_order_relaxed);
+  s.begun = begun_.value();
+  s.committed = committed_.value();
+  s.aborted = aborted_.value();
+  s.before_images_logged = before_images_logged_.value();
+  s.before_images_avoided = before_images_avoided_.value();
   return s;
 }
 
 void TransactionManager::ResetStats() {
-  stats_.begun.store(0, std::memory_order_relaxed);
-  stats_.committed.store(0, std::memory_order_relaxed);
-  stats_.aborted.store(0, std::memory_order_relaxed);
-  stats_.before_images_logged.store(0, std::memory_order_relaxed);
-  stats_.before_images_avoided.store(0, std::memory_order_relaxed);
+  begun_.Reset();
+  committed_.Reset();
+  aborted_.Reset();
+  before_images_logged_.Reset();
+  before_images_avoided_.Reset();
 }
 
 Result<TxnId> TransactionManager::Begin() {
@@ -104,8 +103,7 @@ Result<TxnId> TransactionManager::Begin() {
     }
     txns_.emplace(id, std::move(txn));
   }
-  stats_.begun.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(begun_counter_);
+  begun_.Add();
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.subsystem = obs::Subsystem::kTxn;
@@ -380,8 +378,7 @@ Status TransactionManager::LogBeforeImagesForSteal(
       bi.before = before;
       RDA_ASSIGN_OR_RETURN(bi.lsn, log_->Append(bi));
       txn->logged_undos.push_back(std::move(bi));
-      stats_.before_images_logged.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(before_logged_counter_);
+      before_images_logged_.Add();
     } else {
       // One record-granular before-image per slot this transaction touched
       // since the last propagation, valued at the slot's logical
@@ -403,8 +400,7 @@ Status TransactionManager::LogBeforeImagesForSteal(
         bi.before = pending.before;
         RDA_ASSIGN_OR_RETURN(bi.lsn, log_->Append(bi));
         txn->logged_undos.push_back(std::move(bi));
-        stats_.before_images_logged.fetch_add(1, std::memory_order_relaxed);
-        obs::Inc(before_logged_counter_);
+        before_images_logged_.Add();
       }
     }
   }
@@ -553,8 +549,7 @@ Status TransactionManager::PropagateFrame(Frame* frame) {
             parity_->array()->layout().GroupOf(frame->page), window_lsn);
         txn->chain_head = frame->page;
       }
-      stats_.before_images_avoided.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(before_avoided_counter_);
+      before_images_avoided_.Add();
       return Status::Ok();
     }
   }
@@ -725,8 +720,7 @@ Status TransactionManager::Commit(TxnId txn_id) {
 
   locks_->ReleaseAll(txn_id);
   txn->state = TxnState::kCommitted;
-  stats_.committed.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(committed_counter_);
+  committed_.Add();
   AttributeTransfers(txn, transfers_start);
   obs::Observe(transfers_per_commit_, static_cast<double>(txn->transfers));
   if (trace_ != nullptr) {
@@ -962,8 +956,7 @@ Status TransactionManager::Abort(TxnId txn_id) {
 
   locks_->ReleaseAll(txn_id);
   txn->state = TxnState::kAborted;
-  stats_.aborted.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(aborted_counter_);
+  aborted_.Add();
   AttributeTransfers(txn, transfers_start);
   if (trace_ != nullptr) {
     obs::TraceEvent event;

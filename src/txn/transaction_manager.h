@@ -1,7 +1,6 @@
 #ifndef RDA_TXN_TRANSACTION_MANAGER_H_
 #define RDA_TXN_TRANSACTION_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -264,24 +263,17 @@ class TransactionManager {
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> txns_;
   TxnId next_txn_ = 1;
 
-  // Per-field atomic stats: bumped from several worker threads.
-  struct AtomicTxnStats {
-    std::atomic<uint64_t> begun{0};
-    std::atomic<uint64_t> committed{0};
-    std::atomic<uint64_t> aborted{0};
-    std::atomic<uint64_t> before_images_logged{0};
-    std::atomic<uint64_t> before_images_avoided{0};
-  };
-  AtomicTxnStats stats_;
+  // The counters behind stats(), exported as `txn.<field>`. Bumped from
+  // several worker threads; each is one atomic.
+  obs::StatCounter begun_;
+  obs::StatCounter committed_;
+  obs::StatCounter aborted_;
+  obs::StatCounter before_images_logged_;
+  obs::StatCounter before_images_avoided_;
 
   // Observability (null / false = disabled).
   bool obs_attached_ = false;
   obs::TraceBuffer* trace_ = nullptr;
-  obs::Counter* begun_counter_ = nullptr;
-  obs::Counter* committed_counter_ = nullptr;
-  obs::Counter* aborted_counter_ = nullptr;
-  obs::Counter* before_logged_counter_ = nullptr;
-  obs::Counter* before_avoided_counter_ = nullptr;
   obs::Histogram* transfers_per_commit_ = nullptr;
   // Latency spans: the whole Commit()/Abort() plus its force/WAL/parity
   // segments, and the begin->EOT lifetime interval.

@@ -579,6 +579,46 @@ TEST(MtSoakGroupCommitTest, ConcurrentCommittersShareFlushes) {
   EXPECT_TRUE(*parity_ok);
 }
 
+// Automatic checkpoints from concurrent writers: with an interval of one
+// update, every write of four threads takes a checkpoint, so checkpoints
+// overlap. Each one must be counted once (view and registry agree with the
+// kCheckpoint records in the log), and the last checkpoint LSN must be the
+// newest record's, whichever checkpoint finished last.
+TEST(MtSoakCheckpointTest, ConcurrentAutoCheckpointsCountEveryCheckpoint) {
+  DatabaseOptions options = MakeOptions(/*force=*/false, /*rda=*/true);
+  options.checkpoint_interval_updates = 1;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  const auto scripts = DrawScripts(/*seed=*/23);
+  std::atomic<bool> failed{false};
+  {
+    std::vector<std::thread> workers;
+    for (uint32_t w = 0; w < kThreads; ++w) {
+      workers.emplace_back(RunScript, db->get(), scripts[w], &failed);
+    }
+    for (std::thread& worker : workers) {
+      worker.join();
+    }
+  }
+  ASSERT_FALSE(failed.load());
+
+  std::vector<LogRecord> records;
+  ASSERT_TRUE((*db)->log()->Scan(0, &records).ok());
+  uint64_t logged = 0;
+  Lsn newest = kInvalidLsn;
+  for (const LogRecord& record : records) {
+    if (record.type == LogRecordType::kCheckpoint) {
+      ++logged;
+      newest = record.lsn;
+    }
+  }
+  EXPECT_GT(logged, kThreads);
+  EXPECT_EQ((*db)->Stats().checkpoints, logged);
+  EXPECT_EQ((*db)->SnapshotMetrics().CounterValue("recovery.checkpoints"),
+            logged);
+  EXPECT_EQ((*db)->checkpointer()->last_checkpoint_lsn(), newest);
+}
+
 // Striped media rebuild under TSan: a concurrent workload produces the
 // database, then every disk is failed and rebuilt with a 4-wide worker
 // pool. The rebuild workers share the parity manager, scratch pool, dirty

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "io/io_engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -541,6 +542,13 @@ TEST(ObsWiringTest, DisabledObsIsNullAndEngineStillWorks) {
   ASSERT_TRUE((*db)->Commit(*txn).ok());
 
   EXPECT_TRUE((*db)->SnapshotMetrics().counters.empty());
+  // The stats views count without a registry.
+  const Database::StatsSnapshot stats = (*db)->Stats();
+  EXPECT_EQ(stats.txn.begun, 1u);
+  EXPECT_EQ(stats.txn.committed, 1u);
+  EXPECT_EQ(stats.parity.unlogged_first, 1u);
+  EXPECT_EQ(stats.parity.commits_finalized, 1u);
+  EXPECT_GT(stats.buffer.misses, 0u);
   EXPECT_TRUE((*db)->DumpTrace("/tmp/never-written").IsFailedPrecondition());
   EXPECT_TRUE((*db)->DumpMetrics("/tmp/never-written")
                   .IsFailedPrecondition());
@@ -552,6 +560,90 @@ TEST(ObsWiringTest, DisabledObsIsNullAndEngineStillWorks) {
   auto report = (*db)->Recover();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->phases.size(), 7u);
+}
+
+// Each field of the component stats views is the registry counter of the
+// same name, not a second count of the same event: after a workload that
+// moves every kind of field, view and export agree.
+TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
+  DatabaseOptions options = SmallDb();
+  options.buffer.capacity = 4;   // A loser writing 8 pages must steal.
+  options.fault.enabled = true;  // All probabilities zero: scripted faults.
+  options.io.width = 2;
+  options.io.queue_watermark = 1u << 20;  // Writes stay queued until purged.
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  Database* d = db->get();
+
+  // A latent sector on group 0's valid twin: the first write through the
+  // group heals it.
+  const GroupState& group0 = d->parity()->directory().Get(0);
+  const PhysicalLocation twin =
+      d->array()->layout().ParityLocation(0, group0.valid_twin);
+  d->array()->injector(twin.disk)->InjectLatentSector(twin.slot);
+
+  std::vector<uint8_t> bytes(d->user_page_size(), 0x77);
+  auto winner = d->Begin();
+  ASSERT_TRUE(winner.ok());
+  ASSERT_TRUE(d->WritePage(*winner, 0, bytes).ok());
+  ASSERT_TRUE(d->Commit(*winner).ok());
+  ASSERT_TRUE(d->Checkpoint().ok());
+  auto loser = d->Begin();
+  ASSERT_TRUE(loser.ok());
+  for (PageId page = 1; page < 32; page += 4) {
+    ASSERT_TRUE(d->WritePage(*loser, page, bytes).ok());
+  }
+  ASSERT_TRUE(d->Abort(*loser).ok());
+  // The commit's data write is still journaled: failing its disk purges it.
+  ASSERT_TRUE(d->FailDisk(d->array()->layout().DataLocation(0).disk).ok());
+
+  const Database::StatsSnapshot stats = d->Stats();
+  const io::IoEngine::StatsSnapshot io = d->array()->io_engine()->stats();
+  const IoPolicyStats policy = d->array()->policy_stats();
+  EXPECT_GT(stats.buffer.steals, 0u);
+  EXPECT_EQ(stats.txn.aborted, 1u);
+  EXPECT_GT(stats.parity.parity_undos, 0u);
+  EXPECT_EQ(stats.parity.latent_repairs, 1u);
+  EXPECT_GT(policy.sector_errors, 0u);
+  EXPECT_GT(io.purged_writes, 0u);
+  EXPECT_GT(io.jobs_run, 0u);
+
+  const obs::MetricsSnapshot metrics = d->SnapshotMetrics();
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"txn.begun", stats.txn.begun},
+      {"txn.committed", stats.txn.committed},
+      {"txn.aborted", stats.txn.aborted},
+      {"txn.before_images_logged", stats.txn.before_images_logged},
+      {"txn.before_images_avoided", stats.txn.before_images_avoided},
+      {"buffer.hits", stats.buffer.hits},
+      {"buffer.misses", stats.buffer.misses},
+      {"buffer.evictions", stats.buffer.evictions},
+      {"buffer.steals", stats.buffer.steals},
+      {"parity.unlogged_first", stats.parity.unlogged_first},
+      {"parity.unlogged_repeat", stats.parity.unlogged_repeat},
+      {"parity.logged_dirty_group", stats.parity.logged_dirty_group},
+      {"parity.plain", stats.parity.plain},
+      {"parity.parity_undos", stats.parity.parity_undos},
+      {"parity.logged_undos", stats.parity.logged_undos},
+      {"parity.commits_finalized", stats.parity.commits_finalized},
+      {"parity.latent_repairs", stats.parity.latent_repairs},
+      {"parity.corruption_repairs", stats.parity.corruption_repairs},
+      {"recovery.checkpoints", stats.checkpoints},
+      {"io.submitted_writes", io.submitted_writes},
+      {"io.physical_writes", io.physical_writes},
+      {"io.coalesced_writes", io.coalesced_writes},
+      {"io.batched_parity_rmw", io.batched_parity_rmw},
+      {"io.cache_hits", io.cache_hits},
+      {"io.purged_writes", io.purged_writes},
+      {"io.jobs_run", io.jobs_run},
+      {"storage.io_retries", policy.io_retries},
+      {"storage.transient_faults", policy.transient_faults},
+      {"storage.sector_errors", policy.sector_errors},
+      {"storage.escalations", policy.escalations},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(metrics.CounterValue(name), value) << name;
+  }
 }
 
 TEST(ObsWiringTest, TraceOnlyModeHasNoRegistry) {
