@@ -56,11 +56,6 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->array_->ArmFaultInjection(opts.fault);
   }
   db->log_ = std::make_unique<LogManager>(opts.log);
-  // Provider, not pointer: SetIoPolicy recreates the engine, and the log
-  // must always duplex through the array's CURRENT one (or serially, when
-  // a later policy turns the engine off).
-  db->log_->AttachIoEngine(
-      [array = db->array_.get()] { return array->io_engine(); });
   db->locks_ = std::make_unique<LockManager>();
   db->txn_manager_ = std::make_unique<TransactionManager>(
       opts.txn, db->parity_.get(), db->log_.get(), db->locks_.get(),

@@ -23,9 +23,10 @@ enum class InjectedBug : uint8_t {
 
 struct FuzzOptions {
   InjectedBug bug = InjectedBug::kNone;
-  // Async I/O engine width for the run's Database (0 = synchronous). The
-  // corpus sweep replays every schedule through both paths; any divergence
-  // the oracle can see is an engine equivalence bug.
+  // io.width of the run's Database (0 = synchronous writes, nonzero = the
+  // per-disk write journal). The corpus sweep replays every schedule
+  // through both paths; any divergence the oracle can see is a journal
+  // equivalence bug.
   uint32_t io_width = 0;
 };
 

@@ -1,16 +1,13 @@
 #ifndef RDA_IO_IO_ENGINE_H_
 #define RDA_IO_IO_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -20,26 +17,30 @@
 
 namespace rda::io {
 
-// Tuning knobs of the asynchronous engine (surfaced through IoPolicy as
-// DatabaseOptions::io.width / io.queue_watermark).
+// Tuning knob of the journal (surfaced through IoPolicy as
+// DatabaseOptions::io.queue_watermark).
 struct IoEngineOptions {
-  // Worker threads draining the per-disk submission queues. Disk d is owned
-  // by worker d % width, so one disk is never drained by two threads.
-  uint32_t width = 1;
-  // Pending writes on one disk that wake its worker for a drain. Submission
-  // never blocks on the watermark — it only sets the coalescing window.
+  // Pending writes on one disk at which the submission that reaches it
+  // drains that disk's journal. Larger values widen the coalescing window;
+  // Flush() always drains regardless.
   uint32_t queue_watermark = 32;
 };
 
-// Asynchronous per-disk I/O engine (DESIGN.md section 16).
+// Per-disk write journal (DESIGN.md section 16).
 //
 // Model: each disk has a submission queue that behaves like an NVRAM-backed
 // write journal — a write is durable the moment SubmitWrite returns, and the
-// journal is replayed onto the medium by a background worker in elevator
-// (slot-ascending) order. Because the journal holds at most one image per
-// slot (last-writer-wins), rewrites of a page still in queue COALESCE into a
-// single physical transfer; reads consult the journal first and are served
-// from memory without touching the device at all.
+// journal is replayed onto the medium in elevator (slot-ascending) order.
+// Because the journal holds at most one image per slot (last-writer-wins),
+// rewrites of a page still in queue COALESCE into a single physical
+// transfer; reads consult the journal first and are served from memory
+// without touching the device at all.
+//
+// The engine owns no thread. A disk's journal is drained on the submitting
+// thread by the submission that makes it reach the watermark, and Flush()
+// and the destructor drain whatever is left. Two threads may still drain
+// one disk (a watermark crossing racing a Flush), so drains of one disk are
+// serialized; reads see an entry until its physical write has completed.
 //
 // The engine knows nothing about layouts, parity semantics or retry policy:
 // the owner (DiskArray) supplies one `PhysicalWrite` callback that performs
@@ -55,60 +56,43 @@ struct IoEngineOptions {
 //  * Disk failure: Fail() destroys the whole medium, so queued writes for
 //    that disk are moot; PurgeDisk drops them. This is indistinguishable
 //    from the synchronous history "write completed, then the disk died".
-//
-// Generic job lanes: small CPU-bound unit-of-I/O closures (the WAL's
-// per-copy stable appends) ride the same worker threads via SubmitJob, so
-// log duplexing overlaps across lanes without a second thread pool.
 class IoEngine {
  public:
   // Performs one physical slot write (retries, fault injection and transfer
-  // accounting included). `is_parity` tags parity-page slots for the
-  // batched-parity statistics only.
+  // accounting included).
   using PhysicalWrite =
       std::function<Status(DiskId disk, SlotId slot, const PageImage& image)>;
 
   IoEngine(uint32_t num_disks, const IoEngineOptions& options,
            PhysicalWrite writer);
+  // Drains the remaining journal: nothing submitted is ever stranded.
   ~IoEngine();
 
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
 
-  // Journals `image` for (disk, slot). Returns the completion future of the
-  // slot's journal entry: it resolves when the entry's (possibly merged)
-  // physical write lands. A submission that merges into a queued entry
-  // shares that entry's future — its bytes are superseded, and they become
-  // durable-on-medium together with the superseding write.
-  std::shared_future<Status> SubmitWrite(DiskId disk, SlotId slot,
-                                         PageImage image, bool is_parity);
-
-  // SubmitWrite without the completion future: the hot path for callers
-  // that rely on Flush()'s sticky-error reporting instead (DiskArray's
-  // WriteSlot). Skips the promise/future allocation entirely; a later
-  // SubmitWrite merging into a detached entry attaches one on demand.
-  void SubmitWriteDetached(DiskId disk, SlotId slot, PageImage image,
-                           bool is_parity);
+  // Journals `image` for (disk, slot); a write already queued for the slot
+  // is replaced in place. If this submission makes the disk's journal
+  // reach the watermark, the disk is drained before SubmitWrite returns.
+  // `is_parity` tags parity-page slots for the batched-parity statistics
+  // only. Drain errors are reported by Flush(), not here.
+  void SubmitWrite(DiskId disk, SlotId slot, PageImage image, bool is_parity);
 
   // Serves a read from the journal (pending or in-flight image). Returns
   // true and fills *out on a hit. A hit is NOT a device transfer and bumps
   // no storage counters — only the engine's cache_hits statistic.
   bool ReadFromQueue(DiskId disk, SlotId slot, PageImage* out) const;
 
-  // Runs `job` on worker lane % width. The caller owns result collection
-  // via the returned future; jobs never touch the write queues.
-  std::shared_future<Status> SubmitJob(uint32_t lane,
-                                       std::function<Status()> job);
-
-  // Drains every queue from the calling thread (workers may drain
-  // concurrently; per-disk drains are serialized). Returns the first
-  // sticky drain error across disks (lowest disk id), Ok otherwise.
+  // Drains every queue from the calling thread (per-disk drains are
+  // serialized against watermark drains on other threads). Returns the
+  // first sticky drain error across disks (lowest disk id), Ok otherwise.
   // Reported errors are cleared (report-once), so one historical failure
   // never wedges later flushes — scrub/rebuild passes in particular.
   Status Flush();
 
-  // Drops every queued write for `disk` and clears its sticky error. The
-  // dropped entries' futures complete Ok: their content is gone WITH the
-  // medium, exactly as if the writes had completed before the failure.
+  // Drops every queued write for `disk` and clears its sticky error: the
+  // dropped content is gone WITH the medium, exactly as if the writes had
+  // completed before the failure.
   void PurgeDisk(DiskId disk);
 
   // Point-in-time statistics (monotonic counters; with a registry attached
@@ -121,7 +105,6 @@ class IoEngine {
     uint64_t batched_parity_rmw = 0;  // Coalesced writes on parity slots.
     uint64_t cache_hits = 0;        // Reads served from the journal.
     uint64_t purged_writes = 0;     // Entries dropped by PurgeDisk.
-    uint64_t jobs_run = 0;          // SubmitJob closures executed.
   };
   StatsSnapshot stats() const;
 
@@ -132,14 +115,9 @@ class IoEngine {
   // histograms (io.diskN.dispatch_us: submit -> medium). Null detaches.
   void AttachObs(obs::ObsHub* hub);
 
-  uint32_t width() const { return options_.width; }
-
  private:
   struct Pending {
     std::shared_ptr<PageImage> image;
-    // Null for detached submissions (nobody will wait on this entry).
-    std::shared_ptr<std::promise<Status>> promise;
-    std::shared_future<Status> future;
     bool is_parity = false;
     std::chrono::steady_clock::time_point submitted;
   };
@@ -159,43 +137,24 @@ class IoEngine {
     Status error = Status::Ok();
   };
 
-  struct Job {
-    std::function<Status()> work;
-    std::shared_ptr<std::promise<Status>> promise;
-  };
-
-  // Common journal path behind SubmitWrite / SubmitWriteDetached. Returns
-  // an empty future when `want_future` is false.
-  std::shared_future<Status> Submit(DiskId disk, SlotId slot, PageImage image,
-                                    bool is_parity, bool want_future);
-  void WorkerLoop(uint32_t worker);
   // Drains `disk` until its pending map is empty. Serialized per disk.
   void DrainDisk(DiskId disk);
-  void RunJobs(uint32_t worker);
 
   const IoEngineOptions options_;
   const PhysicalWrite writer_;
   std::vector<DiskQueue> queues_;
-  // Serializes drains of one disk between workers and Flush() callers.
+  // Serializes drains of one disk between submitters and Flush() callers.
+  // Taken before DiskQueue::mu, never while holding it.
   std::vector<std::unique_ptr<std::mutex>> drain_mus_;
 
-  // Wake-up plumbing: workers sleep on cv_ until a queue they own crosses
-  // the watermark, a job arrives, or shutdown.
-  mutable std::mutex wake_mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::vector<std::deque<Job>> job_lanes_;  // One lane list per worker.
-  std::vector<std::thread> workers_;
-
-  // The counters behind stats(), exported as `io.<field>`. Bumped by the
-  // submitters and the workers; each is one atomic.
+  // The counters behind stats(), exported as `io.<field>`. Bumped by
+  // submitters and drainers; each is one atomic.
   obs::StatCounter submitted_writes_;
   obs::StatCounter physical_writes_;
   obs::StatCounter coalesced_writes_;
   obs::StatCounter batched_parity_rmw_;
   mutable obs::StatCounter cache_hits_;  // Bumped by the const read path.
   obs::StatCounter purged_writes_;
-  obs::StatCounter jobs_run_;
   std::atomic<int64_t> depth_{0};
 
   // Observability (null = disabled).

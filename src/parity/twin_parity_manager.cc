@@ -143,10 +143,10 @@ void TwinParityManager::AttachObs(obs::ObsHub* hub) {
   corruption_repairs_.Bind(obs::GetCounter(hub, "parity.corruption_repairs"));
   degraded_reads_counter_ = obs::GetCounter(hub, "parity.degraded_reads");
   latch_waits_counter_ = obs::GetCounter(hub, "parity.latch_waits");
-  online_on_demand_counter_ =
-      obs::GetCounter(hub, "parity.online_on_demand_rebuilds");
-  online_write_promotions_counter_ =
-      obs::GetCounter(hub, "parity.online_write_promotions");
+  online_on_demand_.Bind(
+      obs::GetCounter(hub, "parity.online_on_demand_rebuilds"));
+  online_write_promotions_.Bind(
+      obs::GetCounter(hub, "parity.online_write_promotions"));
   spans_ = obs::SpansOf(hub);
   propagate_hist_ = obs::GetHistogram(
       hub, "parity.propagate_us",
@@ -967,8 +967,9 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
   rebuild_groups_total_.store(info.groups_total, std::memory_order_relaxed);
   rebuild_groups_remaining_.store(info.groups_total,
                                   std::memory_order_relaxed);
-  rebuild_on_demand_.store(0, std::memory_order_relaxed);
-  rebuild_write_promotions_.store(0, std::memory_order_relaxed);
+  on_demand_base_.store(online_on_demand_.value(), std::memory_order_relaxed);
+  write_promotions_base_.store(online_write_promotions_.value(),
+                               std::memory_order_relaxed);
   array_->SetRebuilding(disk, true);
   // Publish the session BEFORE installing the fresh medium: between the two
   // the disk still reads as failed, so EnsureGroupRebuilt stands down and
@@ -1070,11 +1071,9 @@ Status TwinParityManager::EnsureGroupRebuilt(GroupId group) {
 void TwinParityManager::NotePendingCleared(GroupId group, bool on_demand) {
   rebuild_groups_remaining_.fetch_sub(1, std::memory_order_relaxed);
   if (on_demand) {
-    rebuild_on_demand_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(online_on_demand_counter_);
+    online_on_demand_.Add();
   } else {
-    rebuild_write_promotions_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(online_write_promotions_counter_);
+    online_write_promotions_.Add();
   }
   if (trace_ != nullptr) {
     obs::TraceEvent event;

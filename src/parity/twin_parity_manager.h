@@ -238,12 +238,15 @@ class TwinParityManager {
   // without taking the latch); the authoritative check under the latch
   // happens inside RebuildGroupIfPending.
   bool OnlineGroupPending(GroupId group) const;
-  // Session counters (reset at Begin, retained after End for inspection).
+  // Counts of the current (or, after End, the last) session: the
+  // parity.online_* counters less their value at Begin.
   uint64_t OnlineOnDemandRepairs() const {
-    return rebuild_on_demand_.load(std::memory_order_relaxed);
+    return online_on_demand_.value() -
+           on_demand_base_.load(std::memory_order_relaxed);
   }
   uint64_t OnlineWritePromotions() const {
-    return rebuild_write_promotions_.load(std::memory_order_relaxed);
+    return online_write_promotions_.value() -
+           write_promotions_base_.load(std::memory_order_relaxed);
   }
 
   // Degraded-mode read: reconstructs (without writing) the payload of
@@ -468,15 +471,17 @@ class TwinParityManager {
   std::unique_ptr<std::atomic<uint8_t>[]> rebuild_pending_;
   std::atomic<uint32_t> rebuild_groups_total_{0};
   std::atomic<uint32_t> rebuild_groups_remaining_{0};
-  std::atomic<uint64_t> rebuild_on_demand_{0};
-  std::atomic<uint64_t> rebuild_write_promotions_{0};
+  // Monotonic across sessions (exported as parity.online_*); the bases
+  // are their values at the current session's Begin.
+  obs::StatCounter online_on_demand_;
+  obs::StatCounter online_write_promotions_;
+  std::atomic<uint64_t> on_demand_base_{0};
+  std::atomic<uint64_t> write_promotions_base_{0};
 
   // Observability (null = disabled).
   obs::TraceBuffer* trace_ = nullptr;
   obs::Counter* degraded_reads_counter_ = nullptr;
   obs::Counter* latch_waits_counter_ = nullptr;
-  obs::Counter* online_on_demand_counter_ = nullptr;
-  obs::Counter* online_write_promotions_counter_ = nullptr;
   // Latency spans (propagate/undo/rebuild) and the propagate-latency
   // histogram feeding the percentile reports.
   obs::SpanCollector* spans_ = nullptr;

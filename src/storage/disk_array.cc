@@ -202,7 +202,7 @@ Status DiskArray::PhysicalWriteForEngine(DiskId disk, SlotId slot,
 Status DiskArray::WriteSlot(DiskId disk, SlotId slot, const PageImage& image,
                             bool is_parity) {
   if (engine_ != nullptr && !disks_[disk].failed()) {
-    engine_->SubmitWriteDetached(disk, slot, PageImage(image), is_parity);
+    engine_->SubmitWrite(disk, slot, PageImage(image), is_parity);
     return Status::Ok();
   }
   RDA_RETURN_IF_ERROR(WriteWithRetry(disk, slot, image));
@@ -216,10 +216,10 @@ Status DiskArray::WriteSlot(DiskId disk, SlotId slot, const PageImage& image,
 Status DiskArray::WriteSlot(DiskId disk, SlotId slot, PageImage&& image,
                             bool is_parity) {
   if (engine_ != nullptr && !disks_[disk].failed()) {
-    // Journaled-async: durable on return, physical transfer (and its
-    // counters) deferred to the drain. A failed disk falls through to the
+    // Journaled: durable on return, physical transfer (and its counters)
+    // deferred to the drain. A failed disk falls through to the
     // synchronous path so the caller sees the exact same error status.
-    engine_->SubmitWriteDetached(disk, slot, std::move(image), is_parity);
+    engine_->SubmitWrite(disk, slot, std::move(image), is_parity);
     return Status::Ok();
   }
   RDA_RETURN_IF_ERROR(WriteWithRetry(disk, slot, std::move(image)));
@@ -288,13 +288,12 @@ Status DiskArray::WriteParity(GroupId group, uint32_t twin,
 }
 
 void DiskArray::SetIoPolicy(const IoPolicy& policy) {
-  // Stopping the old engine first drains anything journaled under the
-  // previous policy, so a width change never strands a write.
+  // Destroying the old engine first drains anything journaled under the
+  // previous policy, so a policy change never strands a write.
   engine_.reset();
   policy_ = policy;
   if (policy.width > 0) {
     io::IoEngineOptions engine_options;
-    engine_options.width = policy.width;
     engine_options.queue_watermark = policy.queue_watermark;
     engine_ = std::make_unique<io::IoEngine>(
         static_cast<uint32_t>(disks_.size()), engine_options,

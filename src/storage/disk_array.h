@@ -53,7 +53,7 @@ class DiskArray {
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
-  // Stops the engine FIRST: its destructor drains any still-journaled
+  // Destroys the engine FIRST: its destructor drains any still-journaled
   // writes through PhysicalWriteForEngine, which touches injectors_ and
   // the per-disk counters — members that implicit destruction would have
   // torn down before engine_ (declaration order puts them after it).
@@ -83,20 +83,20 @@ class DiskArray {
 
   // --- sector-fault plumbing (DESIGN.md section 10) ---
 
-  // Retry/escalation behaviour of the raw I/O above, plus the async-engine
-  // knobs: policy.width > 0 starts the per-disk submission-queue engine
-  // (all writes become journaled-async, reads consult the journal first);
-  // width 0 stops it and restores the synchronous path bit-for-bit.
+  // Retry/escalation behaviour of the raw I/O above, plus the journal
+  // knobs: policy.width > 0 builds the per-disk write journal (all writes
+  // become journaled, reads consult the journal first); width 0 drains and
+  // drops it, restoring the synchronous path bit-for-bit.
   void SetIoPolicy(const IoPolicy& policy);
   const IoPolicy& io_policy() const { return policy_; }
 
-  // The async engine, or null when policy.width == 0.
+  // The write journal, or null when policy.width == 0.
   io::IoEngine* io_engine() { return engine_.get(); }
   // Drains every submission queue (no-op without an engine). Returns the
   // first sticky drain error. Called before crash teardown, counter
   // resets, and at the end of rebuild/scrub sweeps.
   Status FlushIo();
-  // Snapshot by value: the counters are bumped by concurrent I/O threads.
+  // Snapshot by value: the counters are bumped by concurrent threads.
   IoPolicyStats policy_stats() const;
 
   // Creates one FaultInjector per disk (seeded from config.seed and the

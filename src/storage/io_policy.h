@@ -19,7 +19,7 @@ namespace rda {
 // degraded mode, the recovery layer's job. The defaults retry transients
 // but never escalate (disk_error_budget = 0), so an unconfigured array
 // behaves exactly like the pre-policy code on the clean path. One
-// exception ignores the budget: a journaled async write that exhausts its
+// exception ignores the budget: a journaled write that exhausts its
 // retries at drain time always escalates the disk, because its submitter
 // already saw Ok and only redundancy can keep that promise (DESIGN.md
 // section 16).
@@ -35,14 +35,15 @@ struct IoPolicy {
   // escalate.
   uint32_t disk_error_budget = 0;
 
-  // --- asynchronous I/O engine (DESIGN.md section 16) ---
+  // --- per-disk write journal (DESIGN.md section 16) ---
 
-  // Worker threads of the per-disk submission-queue engine. 0 (the
-  // default) disables the engine entirely: every write is synchronous and
-  // the array behaves bit-for-bit like the pre-engine code.
+  // 0 (the default) = synchronous writes: no journal is built. Any nonzero
+  // value = journaled writes through the per-disk IoEngine; the value sets
+  // nothing else.
   uint32_t width = 0;
-  // Pending writes on one disk that wake its drain worker. Larger values
-  // widen the coalescing window; Flush() always drains regardless.
+  // Pending writes on one disk at which the submitting thread drains that
+  // disk's journal. Larger values widen the coalescing window; Flush()
+  // always drains regardless.
   uint32_t queue_watermark = 32;
 };
 

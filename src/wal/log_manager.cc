@@ -63,30 +63,8 @@ Status LogManager::FlushLocked() {
   obs::Inc(forces_counter_);
   obs::Inc(pages_flushed_counter_, pages * options_.copies);
 
-  io::IoEngine* engine =
-      engine_provider_ ? engine_provider_() : nullptr;
-  if (engine != nullptr && engine->width() > 1 && stable_.size() > 1) {
-    // Duplex in parallel: copies 1..n ride the engine's job lanes while
-    // this thread appends copy 0. All futures are collected before mu_ is
-    // released, so nothing observes a half-duplexed flush.
-    std::vector<std::shared_future<Status>> appends;
-    appends.reserve(stable_.size() - 1);
-    for (uint32_t c = 1; c < stable_.size(); ++c) {
-      std::vector<uint8_t>* copy = &stable_[c];
-      const std::vector<uint8_t>* src = &chunk;
-      appends.push_back(engine->SubmitJob(c - 1, [copy, src] {
-        copy->insert(copy->end(), src->begin(), src->end());
-        return Status::Ok();
-      }));
-    }
-    stable_[0].insert(stable_[0].end(), chunk.begin(), chunk.end());
-    for (auto& append : appends) {
-      append.wait();
-    }
-  } else {
-    for (auto& copy : stable_) {
-      copy.insert(copy.end(), chunk.begin(), chunk.end());
-    }
+  for (auto& copy : stable_) {
+    copy.insert(copy.end(), chunk.begin(), chunk.end());
   }
   stable_index_.insert(stable_index_.end(), chunk_index.begin(),
                        chunk_index.end());

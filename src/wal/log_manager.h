@@ -4,14 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "io/io_engine.h"
 #include "obs/obs.h"
 #include "storage/io_stats.h"
 #include "wal/log_record.h"
@@ -140,20 +138,6 @@ class LogManager {
   // group-commit batch-size histogram). Null detaches.
   void AttachObs(obs::ObsHub* hub);
 
-  // Lends the array's async engine to the log: FlushLocked fans the
-  // per-copy stable appends out across the engine's job lanes (one lane per
-  // duplexed copy) and waits for all of them before returning, so log
-  // duplexing overlaps without a second thread pool. Safe because workers
-  // never take mu_ and the futures are collected with mu_ held. The engine
-  // is fetched through `provider` at every flush rather than cached:
-  // DiskArray::SetIoPolicy destroys and recreates its engine, so a cached
-  // raw pointer would dangle after any post-Open policy change. An empty
-  // provider (or one returning null) detaches — serial appends, the
-  // pre-engine behavior.
-  void AttachIoEngine(std::function<io::IoEngine*()> provider) {
-    engine_provider_ = std::move(provider);
-  }
-
  private:
   // Moves the current buffer to the stable copies, entirely under mu_ (the
   // caller holds it). Publication is immediate; any simulated latency is
@@ -212,8 +196,6 @@ class LogManager {
   obs::Histogram* follower_wait_hist_ = nullptr;
   obs::Histogram* flush_hist_ = nullptr;  // Plain Flush() wall time.
   obs::SpanCollector* spans_ = nullptr;
-  // Resolves the array's current engine (see AttachIoEngine); may be empty.
-  std::function<io::IoEngine*()> engine_provider_;
 };
 
 }  // namespace rda

@@ -1,17 +1,18 @@
-// The asynchronous per-disk I/O engine (DESIGN.md section 16): journal
-// semantics of the raw IoEngine (elevator order, last-writer-wins
-// coalescing, shared completion futures, purge-on-failure, job lanes), the
+// The per-disk write journal (DESIGN.md section 16): journal semantics of
+// the raw IoEngine (elevator order, last-writer-wins coalescing,
+// purge-on-failure, drain on the watermark-crossing submission), the
 // DiskArray integration (journal-hit reads, deferred transfer counters,
-// width-0 pass-through), and end-to-end durability of an async Database
-// across Crash()+Recover().
+// width-0 pass-through), and a journaled Database end to end: durability
+// across Crash()+Recover() and run-to-run repeatability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/database.h"
 #include "io/io_engine.h"
 #include "storage/disk_array.h"
@@ -29,10 +30,8 @@ PageImage MakeImage(uint8_t fill) {
 
 io::IoEngineOptions ManualDrainOptions() {
   io::IoEngineOptions options;
-  options.width = 1;
-  // Watermark far above anything a test submits: workers never drain on
-  // their own, so every physical write happens inside an explicit Flush()
-  // on the calling thread — deterministic order, no races on captures.
+  // Watermark far above anything a test submits: no submission drains, so
+  // every physical write happens inside an explicit Flush().
   options.queue_watermark = 1u << 20;
   return options;
 }
@@ -66,17 +65,13 @@ TEST(IoEngineTest, RewritesOfQueuedSlotCoalesceLastWriterWins) {
                         landed.push_back(image.payload[0]);
                         return Status::Ok();
                       });
-  auto first = engine.SubmitWrite(0, 3, MakeImage(10), false);
-  auto second = engine.SubmitWrite(0, 3, MakeImage(20), false);
-  auto third = engine.SubmitWrite(0, 3, MakeImage(30), false);
+  engine.SubmitWrite(0, 3, MakeImage(10), false);
+  engine.SubmitWrite(0, 3, MakeImage(20), false);
+  engine.SubmitWrite(0, 3, MakeImage(30), false);
   ASSERT_TRUE(engine.Flush().ok());
-  // One physical transfer carrying the last submission's bytes...
+  // One physical transfer carrying the last submission's bytes.
   ASSERT_EQ(landed.size(), 1u);
   EXPECT_EQ(landed[0], 30);
-  // ...whose completion all three submitters share.
-  EXPECT_TRUE(first.get().ok());
-  EXPECT_TRUE(second.get().ok());
-  EXPECT_TRUE(third.get().ok());
   const auto stats = engine.stats();
   EXPECT_EQ(stats.submitted_writes, 3u);
   EXPECT_EQ(stats.coalesced_writes, 2u);
@@ -127,35 +122,36 @@ TEST(IoEngineTest, PurgeDropsQueuedWritesAndCompletesTheirFutures) {
                         ++physical;
                         return Status::Ok();
                       });
-  auto doomed = engine.SubmitWrite(0, 1, MakeImage(1), false);
+  engine.SubmitWrite(0, 1, MakeImage(1), false);
   engine.SubmitWrite(1, 1, MakeImage(2), false);
   engine.PurgeDisk(0);
-  // The dropped write's history is "landed, then the medium died": Ok.
-  EXPECT_TRUE(doomed.get().ok());
   ASSERT_TRUE(engine.Flush().ok());
   EXPECT_EQ(physical, 1u);  // Only the surviving disk's write transferred.
   EXPECT_EQ(engine.stats().purged_writes, 1u);
 }
 
-TEST(IoEngineTest, JobLanesRunSubmittedClosures) {
+TEST(IoEngineTest, WatermarkCrossingDrainsBeforeSubmitReturns) {
+  constexpr uint32_t kWatermark = 4;
+  std::vector<SlotId> landed;
   io::IoEngineOptions options;
-  options.width = 2;
-  options.queue_watermark = 1u << 20;
-  io::IoEngine engine(2, options, [](DiskId, SlotId, const PageImage&) {
-    return Status::Ok();
-  });
-  std::atomic<int> ran{0};
-  auto a = engine.SubmitJob(0, [&ran] {
-    ran.fetch_add(1);
-    return Status::Ok();
-  });
-  auto b = engine.SubmitJob(1, [&ran] {
-    ran.fetch_add(1);
-    return Status::IoError("synthetic");
-  });
-  EXPECT_TRUE(a.get().ok());
-  EXPECT_FALSE(b.get().ok());
-  EXPECT_EQ(ran.load(), 2);
+  options.queue_watermark = kWatermark;
+  io::IoEngine engine(1, options,
+                      [&landed](DiskId, SlotId slot, const PageImage&) {
+                        landed.push_back(slot);
+                        return Status::Ok();
+                      });
+  for (SlotId slot = kWatermark; slot > 1; --slot) {
+    engine.SubmitWrite(0, slot, MakeImage(1), false);
+  }
+  EXPECT_EQ(engine.QueueDepth(), kWatermark - 1);
+  EXPECT_EQ(engine.stats().physical_writes, 0u);
+  // The watermark-th submission drains the disk on this thread, in elevator
+  // order, before it returns — no Flush().
+  engine.SubmitWrite(0, 1, MakeImage(1), false);
+  EXPECT_EQ(engine.QueueDepth(), 0u);
+  EXPECT_EQ(engine.stats().physical_writes, kWatermark);
+  const std::vector<SlotId> expected = {1, 2, 3, 4};
+  EXPECT_EQ(landed, expected);
 }
 
 TEST(IoEngineTest, DestructorDrainsTheJournal) {
@@ -306,7 +302,7 @@ DatabaseOptions AsyncDbOptions(bool force, bool rda) {
     options.checkpoint_interval_updates = 16;
   }
   options.io.width = 2;
-  options.io.queue_watermark = 4;  // Small: exercise background drains too.
+  options.io.queue_watermark = 4;  // Small: exercise watermark drains too.
   return options;
 }
 
@@ -332,6 +328,68 @@ TEST(DatabaseAsyncIoTest, CommittedWritesSurviveCrashWithAsyncEngine) {
   auto parity_ok = (*db)->VerifyAllParity();
   ASSERT_TRUE(parity_ok.ok());
   EXPECT_TRUE(*parity_ok);
+}
+
+// Everything the journal decides — which writes coalesce, when a disk
+// drains, the order the head visits slots — depends only on the submission
+// sequence, so a single-client run repeats exactly from its seed.
+struct JournalRunFingerprint {
+  std::vector<uint64_t> disk_counters;  // Per disk: reads, writes, retries.
+  std::vector<double> disk_busy_ms;     // Per-disk service clocks.
+  std::vector<std::pair<std::string, uint64_t>> io_counters;  // io.*
+  uint64_t queue_depth = 0;
+};
+
+JournalRunFingerprint RunSeededJournalWorkload(uint64_t seed) {
+  JournalRunFingerprint print;
+  auto db = Database::Open(AsyncDbOptions(/*force=*/false, /*rda=*/true));
+  EXPECT_TRUE(db.ok());
+  if (!db.ok()) {
+    return print;
+  }
+  Random rng(seed);
+  std::vector<uint8_t> bytes((*db)->user_page_size());
+  for (int t = 0; t < 120; ++t) {
+    auto txn = (*db)->Begin();
+    EXPECT_TRUE(txn.ok());
+    const uint64_t writes = rng.UniformRange(1, 4);
+    for (uint64_t w = 0; w < writes; ++w) {
+      const PageId page = rng.Uniform((*db)->num_pages());
+      std::fill(bytes.begin(), bytes.end(),
+                static_cast<uint8_t>(rng.Uniform(256)));
+      EXPECT_TRUE((*db)->WritePage(*txn, page, bytes).ok());
+    }
+    if (rng.Bernoulli(0.125)) {
+      EXPECT_TRUE((*db)->Abort(*txn).ok());
+    } else {
+      EXPECT_TRUE((*db)->Commit(*txn).ok());
+    }
+  }
+  DiskArray* array = (*db)->array();
+  for (DiskId d = 0; d < array->num_disks(); ++d) {
+    const IoCounters counters = array->disk(d)->counters();
+    print.disk_counters.push_back(counters.page_reads);
+    print.disk_counters.push_back(counters.page_writes);
+    print.disk_counters.push_back(counters.io_retries);
+    print.disk_busy_ms.push_back(array->disk(d)->busy_ms());
+  }
+  for (const auto& [name, value] : (*db)->SnapshotMetrics().counters) {
+    if (name.rfind("io.", 0) == 0) {
+      print.io_counters.emplace_back(name, value);
+    }
+  }
+  print.queue_depth = array->io_engine()->QueueDepth();
+  return print;
+}
+
+TEST(DatabaseAsyncIoTest, SingleClientJournalRunRepeatsExactly) {
+  const JournalRunFingerprint first = RunSeededJournalWorkload(17);
+  const JournalRunFingerprint second = RunSeededJournalWorkload(17);
+  ASSERT_FALSE(first.io_counters.empty());
+  EXPECT_EQ(first.disk_counters, second.disk_counters);
+  EXPECT_EQ(first.disk_busy_ms, second.disk_busy_ms);
+  EXPECT_EQ(first.io_counters, second.io_counters);
+  EXPECT_EQ(first.queue_depth, second.queue_depth);
 }
 
 // The reviewer-found regression: a FORCE commit whose journaled data-page

@@ -606,7 +606,6 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
   EXPECT_EQ(stats.parity.latent_repairs, 1u);
   EXPECT_GT(policy.sector_errors, 0u);
   EXPECT_GT(io.purged_writes, 0u);
-  EXPECT_GT(io.jobs_run, 0u);
 
   const obs::MetricsSnapshot metrics = d->SnapshotMetrics();
   const std::pair<const char*, uint64_t> fields[] = {
@@ -635,7 +634,6 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
       {"io.batched_parity_rmw", io.batched_parity_rmw},
       {"io.cache_hits", io.cache_hits},
       {"io.purged_writes", io.purged_writes},
-      {"io.jobs_run", io.jobs_run},
       {"storage.io_retries", policy.io_retries},
       {"storage.transient_faults", policy.transient_faults},
       {"storage.sector_errors", policy.sector_errors},

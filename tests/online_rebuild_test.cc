@@ -267,6 +267,69 @@ TEST_F(OnlineRebuildTest, OnDemandRepairIsIdempotentAgainstTheSweep) {
   ExpectParityConsistent();
 }
 
+// The session accessors count one session each; the registry's
+// parity.online_* counters keep counting across sessions.
+TEST_F(OnlineRebuildTest, SessionCountersCountOnlyTheirOwnSession) {
+  Open();
+  Populate();
+  const Layout& layout = db_->array()->layout();
+
+  // Session 1: every pending group is repaired on demand.
+  ASSERT_TRUE(db_->FailDisk(1).ok());
+  auto first = db_->parity()->BeginOnlineRebuild(1);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  VerifyAllPages();
+  auto report = db_->RebuildDiskOnline(1);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->completed);
+  const uint64_t first_on_demand = db_->parity()->OnlineOnDemandRepairs();
+  const uint64_t first_promotions = db_->parity()->OnlineWritePromotions();
+  EXPECT_EQ(first_on_demand, first->groups_pending);
+  EXPECT_EQ(first_promotions, 0u);
+
+  // Session 2 starts from zero and counts only its own repairs.
+  const DiskId victim = 2;
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  auto second = db_->parity()->BeginOnlineRebuild(victim);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(db_->parity()->OnlineOnDemandRepairs(), 0u);
+  EXPECT_EQ(db_->parity()->OnlineWritePromotions(), 0u);
+  std::vector<PageId> on_victim;
+  for (PageId page = 0; page < db_->num_pages(); ++page) {
+    if (DataDiskOf(page) == victim) {
+      on_victim.push_back(page);
+    }
+  }
+  ASSERT_GE(on_victim.size(), 2u);
+  // The last page Populate wrote is still buffered, so writing it reads
+  // nothing: its group is retired by write promotion.
+  const PageId promoted = on_victim.back();
+  const PageId repaired = on_victim.front();
+  ASSERT_NE(layout.GroupOf(promoted), layout.GroupOf(repaired));
+  ASSERT_TRUE(
+      WriteTxn(promoted, static_cast<uint8_t>(promoted + 1)).ok());
+  EXPECT_EQ(DiskByte(repaired), static_cast<uint8_t>(repaired + 1));
+  report = db_->RebuildDiskOnline(victim);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->completed);
+  const uint64_t second_on_demand = db_->parity()->OnlineOnDemandRepairs();
+  const uint64_t second_promotions = db_->parity()->OnlineWritePromotions();
+  EXPECT_GE(second_on_demand, 1u);
+  EXPECT_GE(second_promotions, 1u);
+  EXPECT_EQ(report->groups_on_demand, second_on_demand);
+  EXPECT_EQ(report->write_promotions, second_promotions);
+  EXPECT_EQ(report->groups_background + second_on_demand + second_promotions,
+            second->groups_pending);
+
+  const obs::MetricsSnapshot metrics = db_->SnapshotMetrics();
+  EXPECT_EQ(metrics.CounterValue("parity.online_on_demand_rebuilds"),
+            first_on_demand + second_on_demand);
+  EXPECT_EQ(metrics.CounterValue("parity.online_write_promotions"),
+            first_promotions + second_promotions);
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
 // ---------------------------------------------------------------------------
 // Nasty window 1: crash in the middle of an online rebuild. The persistent
 // rebuilding flag makes Recover() fail the half-written medium and redo the
