@@ -10,12 +10,13 @@
 //
 // Part 2 (live): what that availability is worth in practice. A real
 // Database instance (with per-access disk delays) loses a disk and
-// rebuilds it three ways while writer threads keep committing:
-//   - quiesced  : the classic offline RebuildDisk — the rebuild wall time
-//                 IS the unavailability window (zero commits).
-//   - online    : RebuildDiskOnline at rate limits {unlimited, 50%, 10%}
-//                 of the total token demand — commits continue, trading
-//                 rebuild time against foreground p99.
+// rebuilds it with the one RebuildDisk path in two settings:
+//   - quiesced  : no writer runs, as in a classic offline rebuild — the
+//                 rebuild wall time IS the unavailability window (zero
+//                 commits).
+//   - online    : writer threads keep committing, at rate limits
+//                 {unlimited, 50%, 10%} of the total token demand —
+//                 trading rebuild time against foreground p99.
 // Commit-latency percentiles come from the engine's "txn.commit_us"
 // histogram; a parity scrub pass closes the report. Writes
 // BENCH_online_rebuild.json for the README availability table and the CI
@@ -315,8 +316,9 @@ int main(int argc, char** argv) {
     json += "}";
   }
 
-  // (b) quiesced rebuild: the offline path — no transactions can run, so
-  // the rebuild wall time is the unavailability window.
+  // (b) quiesced rebuild: the same path with no transactions running, as
+  // an offline rebuild would force — the wall time is the unavailability
+  // window.
   {
     auto db_or = open();
     if (!db_or.ok()) {
@@ -380,7 +382,7 @@ int main(int argc, char** argv) {
     rda::OnlineRebuildOptions options;
     options.throttle = rate.tokens_per_sec != 0 ? &bucket : nullptr;
     const auto start = std::chrono::steady_clock::now();
-    auto report = db->RebuildDiskOnline(kVictimDisk, options);
+    auto report = db->RebuildDisk(kVictimDisk, options);
     const double wall_ms = ElapsedMs(start);
     fleet.StopAndJoin();
     if (!report.ok()) {

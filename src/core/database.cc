@@ -185,11 +185,7 @@ Status Database::FinishInterruptedRebuilds() {
     // the suspect disk out (its twins are selected around). CrashRecovery
     // rebuilds it again afterwards, then on a fully healthy array.
     RDA_RETURN_IF_ERROR(parity_->RebuildDirectory());
-    MediaRecovery recovery(parity_.get(), recovery_pool_.get());
-    recovery.AttachObs(obs_.get());
-    RDA_ASSIGN_OR_RETURN(MediaRecoveryReport report,
-                         recovery.RebuildDisk(disk));
-    MergeUndoLost(report.undo_coverage_lost);
+    RDA_RETURN_IF_ERROR(RebuildDisk(disk).status());
     // If the lost disk held a group's NEWEST committed twin, the directory
     // rebuild above could only select the stale older survivor — data is
     // current, parity is not. A scrub spots exactly those groups by the
@@ -301,21 +297,11 @@ Status Database::BulkLoad(const std::vector<std::vector<uint8_t>>& user_pages) {
   return Status::Ok();
 }
 
-Result<MediaRecoveryReport> Database::RebuildDisk(DiskId disk) {
-  MediaRecovery recovery(parity_.get(), recovery_pool_.get());
-  recovery.AttachObs(obs_.get());
-  auto report = recovery.RebuildDisk(disk);
-  if (report.ok()) {
-    MergeUndoLost(report->undo_coverage_lost);
-  }
-  return report;
-}
-
-Result<MediaRecoveryReport> Database::RebuildDiskOnline(
+Result<MediaRecoveryReport> Database::RebuildDisk(
     DiskId disk, const OnlineRebuildOptions& options) {
   MediaRecovery recovery(parity_.get(), recovery_pool_.get());
   recovery.AttachObs(obs_.get());
-  auto report = recovery.RebuildDiskOnline(disk, options);
+  auto report = recovery.RebuildDisk(disk, options);
   if (report.ok()) {
     MergeUndoLost(report->undo_coverage_lost);
   }

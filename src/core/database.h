@@ -69,10 +69,10 @@ struct DatabaseOptions {
 //   Begin / ReadPage / WritePage / ReadRecord / WriteRecord / Commit / Abort
 //   Crash()  -> all volatile state is gone ->  Recover()
 //   FailDisk(d)  -> degraded reads keep working
-//     -> RebuildDiskOnline(d) / MaintenanceService: transactions keep
+//     -> RebuildDisk(d) / MaintenanceService: transactions keep
 //        committing while the replacement disk fills group by group
 //        (touched groups are repaired on demand, ahead of the sweep)
-//     -> healthy again  (RebuildDisk(d) is the quiescent variant)
+//     -> healthy again
 class Database {
  public:
   static Result<std::unique_ptr<Database>> Open(const DatabaseOptions& options);
@@ -148,22 +148,21 @@ class Database {
   void Crash();
   // Restart after Crash(): runs the Section 4.3 algorithm. Disks that were
   // mid-rebuild at the crash are failed (their media holds stale zeros for
-  // un-rebuilt groups) and rebuilt quiescently before normal recovery.
+  // un-rebuilt groups) and rebuilt before normal recovery.
   Result<CrashRecoveryReport> Recover();
   // Test/robustness hook: like Recover(), but fails with kAborted after
   // `actions` recovery mutations — simulating a crash DURING recovery.
   // Call Crash() and Recover() again afterwards; convergence is tested.
   Result<CrashRecoveryReport> RecoverWithInjectedFault(uint64_t actions);
   Status FailDisk(DiskId disk) { return array_->FailDisk(disk); }
-  // Quiescent rebuild: replaces the disk and reconstructs every group in
-  // one sweep. Correct only when no transactions run concurrently.
-  Result<MediaRecoveryReport> RebuildDisk(DiskId disk);
-  // Online rebuild: replaces the disk and reconstructs group by group under
-  // the group latches while transactions keep running. Foreground access to
-  // a not-yet-rebuilt group repairs it on demand; the sweep is optionally
-  // throttled / pausable / cancellable via `options`. This is the
-  // synchronous form of what the MaintenanceService runs in the background.
-  Result<MediaRecoveryReport> RebuildDiskOnline(
+  // Media rebuild: replaces the disk and reconstructs group by group under
+  // the group latches; transactions may keep running. Foreground access to
+  // a not-yet-rebuilt group repairs it on demand. Unthrottled, the sweep is
+  // sharded over the recovery pool; `options` can throttle (then it runs
+  // serially), pause or cancel it, and a later call resumes a cancelled
+  // rebuild of the same disk. This is the synchronous form of what the
+  // MaintenanceService runs in the background.
+  Result<MediaRecoveryReport> RebuildDisk(
       DiskId disk, const OnlineRebuildOptions& options = {});
 
   // Outcome of one RepairEscalations() pass. A disk whose rebuild fails no
@@ -179,7 +178,7 @@ class Database {
   // replace + full media rebuild, one disk at a time in ascending disk
   // order. Safe to call periodically; a no-op when none. With the
   // maintenance service enabled this polling is unnecessary — escalations
-  // queue an online rebuild automatically.
+  // queue a background rebuild automatically.
   Result<EscalationRepairReport> RepairEscalations();
 
   // The background maintenance service (never null; idle unless
@@ -249,7 +248,7 @@ class Database {
   // Recover() prologue: any disk whose persistent rebuilding flag is set
   // crashed mid-rebuild — its medium holds stale zeros wherever the sweep
   // had not reached. Fail it (so the directory rebuild reconstructs through
-  // the survivors) and redo the rebuild quiescently.
+  // the survivors) and redo the rebuild.
   Status FinishInterruptedRebuilds();
   // Returns (and clears) the error a crash-time journal drain reported —
   // Recover() refuses to run on an array that silently lost a write.

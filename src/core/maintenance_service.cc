@@ -251,14 +251,15 @@ void MaintenanceService::RunJob(const Job& job) {
                        /*histogram=*/nullptr,
                        static_cast<int64_t>(job.disk));
   if (job.kind == Job::Kind::kRebuild) {
+    // No pool: a background rebuild stays a serial background citizen.
     MediaRecovery media(parity_);
+    media.AttachObs(hub_);
     OnlineRebuildOptions options;
     options.throttle =
         options_.rebuild_pages_per_sec != 0 ? &rebuild_bucket_ : nullptr;
     options.cancel = &cancel_current_;
     options.pause = &paused_;
-    Result<MediaRecoveryReport> report = media.RebuildDiskOnline(job.disk,
-                                                                 options);
+    Result<MediaRecoveryReport> report = media.RebuildDisk(job.disk, options);
     if (!report.ok()) {
       rebuilds_failed_.fetch_add(1, std::memory_order_relaxed);
       obs::TriggerFlight(flight_, "background rebuild of disk " +

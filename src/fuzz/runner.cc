@@ -311,10 +311,7 @@ void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
         RecordViolation("FailDisk: " + failed.ToString());
         return;
       }
-      Result<MediaRecoveryReport> report =
-          fault.kind == FaultEvent::Kind::kDiskFailOnlineRebuild
-              ? db_->RebuildDiskOnline(disk)
-              : db_->RebuildDisk(disk);
+      Result<MediaRecoveryReport> report = db_->RebuildDisk(disk);
       if (!report.ok()) {
         RecordViolation("rebuild of disk " + std::to_string(disk) +
                         " failed: " + report.status().ToString());
@@ -671,8 +668,7 @@ void Runner::RunSegment(uint32_t segment_end, DiskId* pending_online_disk,
     rebuild_thread = std::thread([this, disk, &throttle, &rebuild_done] {
       OnlineRebuildOptions rebuild;
       rebuild.throttle = throttle.get();
-      Result<MediaRecoveryReport> report = db_->RebuildDiskOnline(disk,
-                                                                  rebuild);
+      Result<MediaRecoveryReport> report = db_->RebuildDisk(disk, rebuild);
       if (!report.ok()) {
         RecordViolation("online rebuild of disk " + std::to_string(disk) +
                         " failed: " + report.status().ToString());
@@ -760,8 +756,7 @@ void Runner::RunMultiThreaded() {
     // No traffic between this event and the previous one: finish a pending
     // online rebuild synchronously before the next event lands on it.
     if (pending_online != kInvalidDiskId) {
-      Result<MediaRecoveryReport> report =
-          db_->RebuildDiskOnline(pending_online);
+      Result<MediaRecoveryReport> report = db_->RebuildDisk(pending_online);
       if (!report.ok()) {
         RecordViolation("online rebuild of disk " +
                         std::to_string(pending_online) +
@@ -792,8 +787,7 @@ void Runner::RunMultiThreaded() {
     }
   }
   if (pending_online != kInvalidDiskId && !Violated()) {
-    Result<MediaRecoveryReport> report =
-        db_->RebuildDiskOnline(pending_online);
+    Result<MediaRecoveryReport> report = db_->RebuildDisk(pending_online);
     if (!report.ok()) {
       RecordViolation("online rebuild of disk " +
                       std::to_string(pending_online) +

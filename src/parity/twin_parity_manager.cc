@@ -934,29 +934,37 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
   if (rebuild_pending_ == nullptr) {
     rebuild_pending_ = std::make_unique<std::atomic<uint8_t>[]>(groups);
   }
+  // Membership comes from the layout alone. A group's pages sit on
+  // distinct disks, so a group as wide as the array has a member on every
+  // disk; only narrower groups need the per-page scan.
+  const bool every_group_member =
+      layout.data_pages_per_group() + layout.parity_copies() ==
+      layout.num_disks();
   OnlineRebuildInfo info;
   for (GroupId g = 0; g < groups; ++g) {
-    auto latch = LockGroup(g);
-    bool member = false;
-    for (uint32_t i = 0; i < layout.data_pages_per_group() && !member; ++i) {
-      member = layout.DataLocation(layout.PageAt(g, i)).disk == disk;
-    }
+    bool member = every_group_member;
     for (uint32_t t = 0; t < layout.parity_copies() && !member; ++t) {
       member = layout.ParityLocation(g, t).disk == disk;
     }
-    if (member) {
-      const GroupState& state = directory_.Get(g);
-      if (state.dirty &&
-          layout.ParityLocation(g, state.valid_twin).disk == disk) {
-        // The before-image parity of this in-flight unlogged update sits on
-        // the dead disk: its undo coverage is lost, exactly as the
-        // quiescent rebuild reports. (New dirtiness cannot join this list —
-        // after Begin every pending group is rebuilt before it is touched.)
-        info.undo_coverage_lost.push_back(state.dirty_txn);
-      }
-      ++info.groups_total;
+    for (uint32_t i = 0; i < layout.data_pages_per_group() && !member; ++i) {
+      member = layout.DataLocation(layout.PageAt(g, i)).disk == disk;
     }
-    rebuild_pending_[g].store(member ? 1 : 0, std::memory_order_relaxed);
+    if (!member) {
+      rebuild_pending_[g].store(0, std::memory_order_relaxed);
+      continue;
+    }
+    auto latch = LockGroup(g);
+    const GroupState& state = directory_.Get(g);
+    if (state.dirty &&
+        layout.ParityLocation(g, state.valid_twin).disk == disk) {
+      // The before-image parity of this in-flight unlogged update sits on
+      // the dead disk: its undo coverage is lost. (New dirtiness cannot
+      // join this list — after Begin every pending group is rebuilt
+      // before it is touched.)
+      info.undo_coverage_lost.push_back(state.dirty_txn);
+    }
+    ++info.groups_total;
+    rebuild_pending_[g].store(1, std::memory_order_relaxed);
   }
   info.groups_pending = info.groups_total;
   std::sort(info.undo_coverage_lost.begin(), info.undo_coverage_lost.end());
@@ -1016,19 +1024,22 @@ TwinParityManager::RebuildGroupIfPending(GroupId group, bool* did_work) {
 }
 
 Status TwinParityManager::EndOnlineRebuild() {
-  if (!rebuild_active_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("no online rebuild is active");
-  }
   const uint32_t remaining =
       rebuild_groups_remaining_.load(std::memory_order_relaxed);
-  if (remaining != 0) {
+  if (remaining != 0 && rebuild_active_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
         std::to_string(remaining) + " groups still pending rebuild of disk " +
         std::to_string(rebuild_disk_));
   }
+  // Two sweeps of one session can both see it drained; exactly one of
+  // them ends it. The other finds it already ended and has nothing to do.
+  // rebuild_disk_ keeps naming the ended session: only Begin rewrites it.
   const DiskId disk = rebuild_disk_;
-  rebuild_active_.store(false, std::memory_order_release);
-  rebuild_disk_ = kInvalidDiskId;
+  bool active = true;
+  if (!rebuild_active_.compare_exchange_strong(active, false,
+                                               std::memory_order_acq_rel)) {
+    return Status::Ok();
+  }
   array_->SetRebuilding(disk, false);
   return Status::Ok();
 }
@@ -1040,11 +1051,8 @@ bool TwinParityManager::OnlineGroupPending(GroupId group) const {
 }
 
 Status TwinParityManager::EnsureGroupRebuilt(GroupId group) {
-  if (!rebuild_active_.load(std::memory_order_acquire)) {
-    return Status::Ok();
-  }
-  auto latch = LockGroup(group);
-  if (rebuild_pending_ == nullptr ||
+  if (!rebuild_active_.load(std::memory_order_acquire) ||
+      rebuild_pending_ == nullptr ||
       rebuild_pending_[group].load(std::memory_order_relaxed) == 0) {
     return Status::Ok();
   }

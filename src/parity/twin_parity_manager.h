@@ -189,8 +189,8 @@ class TwinParityManager {
 
   // --- online rebuild session (DESIGN.md section 14) ---
   //
-  // An online rebuild replaces the quiescent RebuildDisk stop-the-world
-  // window with a per-group "pending" bitmap: BeginOnlineRebuild installs
+  // Every media rebuild runs as a session with a per-group "pending"
+  // bitmap instead of a stop-the-world window: BeginOnlineRebuild installs
   // the fresh medium and marks every group with a member on the disk as
   // pending; from then on EVERY group-scoped entry point first ensures the
   // group is rebuilt (on-demand reconstruct-and-persist under the group
@@ -202,8 +202,7 @@ class TwinParityManager {
     uint32_t groups_total = 0;    // Groups with a member on the disk.
     uint32_t groups_pending = 0;  // == groups_total at Begin time.
     // Dirty groups whose valid (before-image) twin lived on the disk: their
-    // in-flight unlogged updates lose undo coverage, exactly like the
-    // quiescent rebuild reports.
+    // in-flight unlogged updates lose undo coverage.
     std::vector<TxnId> undo_coverage_lost;
   };
 
@@ -220,14 +219,19 @@ class TwinParityManager {
   Result<GroupRebuildOutcome> RebuildGroupIfPending(GroupId group,
                                                     bool* did_work);
 
-  // Ends the session. Fails with kFailedPrecondition while groups are still
-  // pending; on success clears the array's rebuilding flag.
+  // Ends the session and clears the array's rebuilding flag. Fails with
+  // kFailedPrecondition while groups are still pending. When two sweeps of
+  // one session both drain it, exactly one ends it; for the other (and
+  // whenever no session is active) this is a no-op returning Ok.
   Status EndOnlineRebuild();
 
   bool OnlineRebuildActive() const {
     return rebuild_active_.load(std::memory_order_acquire);
   }
-  DiskId online_rebuild_disk() const { return rebuild_disk_; }
+  // The disk of the current (or, after End, the last) session.
+  DiskId online_rebuild_disk() const {
+    return rebuild_disk_.load(std::memory_order_relaxed);
+  }
   uint32_t OnlineRebuildGroupsTotal() const {
     return rebuild_groups_total_.load(std::memory_order_relaxed);
   }
@@ -374,8 +378,9 @@ class TwinParityManager {
   void MarkClean(GroupId group, uint32_t valid_twin);
 
   // On-demand arm of the online rebuild: if a session is active and `group`
-  // is still pending, rebuilds it under the group latch before the caller
-  // touches any of its pages. Clears the pending bit BEFORE rebuilding (the
+  // is still pending, rebuilds it before the caller touches any of its
+  // pages. The caller holds the group latch, so the bit it reads cannot
+  // change under it. Clears the pending bit BEFORE rebuilding (the
   // latch is recursive and RebuildGroupMember re-enters the healed readers,
   // which re-enter this hook); restores it if the rebuild fails. No-op when
   // the rebuilding disk is (still or again) failed — the degraded-mode
@@ -467,7 +472,8 @@ class TwinParityManager {
   // happens under the owning group's latch. rebuild_active_ is published
   // with release order after the bitmap and disk id are in place.
   std::atomic<bool> rebuild_active_{false};
-  DiskId rebuild_disk_ = kInvalidDiskId;
+  // Atomic because progress polls read it while a sweep ends the session.
+  std::atomic<DiskId> rebuild_disk_{kInvalidDiskId};
   std::unique_ptr<std::atomic<uint8_t>[]> rebuild_pending_;
   std::atomic<uint32_t> rebuild_groups_total_{0};
   std::atomic<uint32_t> rebuild_groups_remaining_{0};

@@ -31,11 +31,12 @@ struct MediaRecoveryReport {
   // Cost of the rebuild as a single kMediaRebuild phase (page transfers +
   // wall clock). Always filled, whether or not observability is attached.
   std::vector<obs::PhaseCost> phases;
-  // --- online-rebuild extras (zero for the quiescent path) ---
-  // Groups the background sweep reconstructed itself.
+  // --- session accounting ---
+  // Groups this call's sweep reconstructed itself.
   uint32_t groups_background = 0;
   // Groups foreground traffic had already repaired on demand / promoted by
-  // the time the sweep reached them (totals over the whole session).
+  // the time the sweep reached them (totals over the whole session; zero
+  // when no transaction touched the array during the rebuild).
   uint64_t groups_on_demand = 0;
   uint64_t write_promotions = 0;
   // False when the sweep returned early (cancelled) with groups still
@@ -43,16 +44,17 @@ struct MediaRecoveryReport {
   bool completed = true;
 };
 
-// Knobs of the online (non-quiescent) rebuild sweep. All optional; null
-// means unlimited rate / never cancelled / never paused.
+// Knobs of the rebuild sweep. All optional; null means unlimited rate /
+// never cancelled / never paused.
 struct OnlineRebuildOptions {
-  // Token bucket charged data_pages_per_group + 1 tokens per group band, so
+  // Token bucket charged data_pages_per_group + 1 tokens per group, so
   // rebuild I/O can be capped in pages/sec without starving foreground
-  // commits. Not owned.
+  // commits. A throttled sweep runs serially. Not owned.
   exec::TokenBucket* throttle = nullptr;
-  // Checked between groups; true stops the sweep (report.completed=false).
+  // Checked before each group; true skips the rest of the sweep
+  // (report.completed=false).
   const std::atomic<bool>* cancel = nullptr;
-  // While true the sweep naps between groups (cancel still honoured).
+  // While true the sweep naps before each group (cancel still honoured).
   const std::atomic<bool>* pause = nullptr;
 };
 
@@ -62,11 +64,11 @@ struct OnlineRebuildOptions {
 // parity); lost parity twins are recomputed from data.
 class MediaRecovery {
  public:
-  // With a pool, the rebuild is striped: each worker owns a contiguous
-  // band of parity groups (WorkerPool's block partition), and groups are
-  // rebuilt independently under their group latches through ScratchPool
-  // buffers — no shared mutable state per band. A null pool (the default)
-  // keeps the serial ascending-group loop.
+  // With a pool, an unthrottled sweep is striped: each worker owns a
+  // contiguous band of parity groups (WorkerPool's block partition), and
+  // groups are rebuilt independently under their group latches through
+  // ScratchPool buffers. A null pool (the default) sweeps the groups
+  // serially in ascending order.
   explicit MediaRecovery(TwinParityManager* parity,
                          exec::WorkerPool* pool = nullptr)
       : parity_(parity), pool_(pool) {}
@@ -75,16 +77,18 @@ class MediaRecovery {
   MediaRecovery& operator=(const MediaRecovery&) = delete;
 
   // Replaces `disk` with a fresh medium and reconstructs every page it
-  // held. Requires that no other disk is failed (single-failure model).
-  Result<MediaRecoveryReport> RebuildDisk(DiskId disk);
-
-  // Online rebuild: begins (or resumes) a TwinParityManager online-rebuild
-  // session for `disk` and sweeps the pending groups serially while
-  // foreground transactions keep committing — every group is reconstructed
-  // under its own latch, and foreground accesses repair not-yet-swept
-  // groups on demand. Ends the session when the bitmap drains; a cancel
-  // leaves it active for a later resume (report.completed = false).
-  Result<MediaRecoveryReport> RebuildDiskOnline(
+  // held, through a TwinParityManager online-rebuild session: Begin
+  // installs the medium and the pending bitmap, the sweep drains it group
+  // by group under the group latches, and End clears the rebuilding flag.
+  // Transactions may run concurrently — a foreground access to a group the
+  // sweep has not reached repairs it on demand. Requires that `disk` is the
+  // only failed disk (kInvalidArgument when it has not failed,
+  // kFailedPrecondition when another disk is down too), unless a cancelled
+  // session of `disk` is still active: then the call resumes and finishes
+  // it. A session of another disk makes it kFailedPrecondition. A cancel
+  // leaves the session active (report.completed = false); so does a failed
+  // sweep, whose disk keeps its persistent rebuilding flag.
+  Result<MediaRecoveryReport> RebuildDisk(
       DiskId disk, const OnlineRebuildOptions& options = {});
 
   // Hooks rebuilds into the observability hub (kMediaRebuild phase cost

@@ -92,8 +92,9 @@ class OnlineRebuildTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Tentpole: the online rebuild converges to the same committed state as the
-// quiescent one, for every algorithm class in the paper's taxonomy.
+// One rebuild path: the session a quiesced database runs and the one an
+// online caller runs converge to the same committed state, for every
+// algorithm class in the paper's taxonomy.
 // ---------------------------------------------------------------------------
 
 struct AlgoConfig {
@@ -149,7 +150,7 @@ TEST(OnlineVsQuiesced, EndStateMatchesForAllAlgorithmClasses) {
 
     auto quiesced_report = quiesced->RebuildDisk(victim);
     ASSERT_TRUE(quiesced_report.ok()) << quiesced_report.status().ToString();
-    auto online_report = online->RebuildDiskOnline(victim);
+    auto online_report = online->RebuildDisk(victim);
     ASSERT_TRUE(online_report.ok()) << online_report.status().ToString();
     EXPECT_TRUE(online_report->completed);
     EXPECT_FALSE(online->parity()->OnlineRebuildActive());
@@ -222,7 +223,7 @@ TEST_F(OnlineRebuildTest, ForegroundTrafficServedAndPromotedDuringSession) {
 
   // The background sweep finishes whatever the foreground did not touch;
   // every group is accounted for exactly once.
-  auto report = db_->RebuildDiskOnline(victim);
+  auto report = db_->RebuildDisk(victim);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->completed);
   const uint64_t cleared = report->groups_background +
@@ -258,7 +259,7 @@ TEST_F(OnlineRebuildTest, OnDemandRepairIsIdempotentAgainstTheSweep) {
   EXPECT_EQ(db_->parity()->OnlineRebuildGroupsRemaining(), 0u);
   EXPECT_EQ(db_->parity()->OnlineOnDemandRepairs(), info->groups_pending);
 
-  auto report = db_->RebuildDiskOnline(victim);
+  auto report = db_->RebuildDisk(victim);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->completed);
   EXPECT_EQ(report->groups_background, 0u);
@@ -279,7 +280,7 @@ TEST_F(OnlineRebuildTest, SessionCountersCountOnlyTheirOwnSession) {
   auto first = db_->parity()->BeginOnlineRebuild(1);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   VerifyAllPages();
-  auto report = db_->RebuildDiskOnline(1);
+  auto report = db_->RebuildDisk(1);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->completed);
   const uint64_t first_on_demand = db_->parity()->OnlineOnDemandRepairs();
@@ -309,7 +310,7 @@ TEST_F(OnlineRebuildTest, SessionCountersCountOnlyTheirOwnSession) {
   ASSERT_TRUE(
       WriteTxn(promoted, static_cast<uint8_t>(promoted + 1)).ok());
   EXPECT_EQ(DiskByte(repaired), static_cast<uint8_t>(repaired + 1));
-  report = db_->RebuildDiskOnline(victim);
+  report = db_->RebuildDisk(victim);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->completed);
   const uint64_t second_on_demand = db_->parity()->OnlineOnDemandRepairs();
@@ -385,7 +386,7 @@ TEST_F(OnlineRebuildTest, SecondFailureDuringOnlineRebuildIsDataLoss) {
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   ASSERT_TRUE(db_->FailDisk(second).ok());
 
-  auto report = db_->RebuildDiskOnline(first);
+  auto report = db_->RebuildDisk(first);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsDataLoss()) << report.status().ToString();
 
@@ -536,6 +537,12 @@ TEST_F(OnlineRebuildTest, EscalationAutoTriggersBackgroundRebuild) {
   // healthy shows up as kHealthChange trace events.
   const std::string trace = obs::TraceToJson(*db_->obs()->trace());
   EXPECT_NE(trace.find("health_change"), std::string::npos);
+  // The background rebuild reports its phase cost and progress like a
+  // foreground one.
+  EXPECT_EQ(db_->SnapshotMetrics().CounterValue(
+                "recovery.phase.media_rebuild.runs"),
+            1u);
+  EXPECT_NE(trace.find("rebuild_progress"), std::string::npos);
 }
 
 TEST_F(OnlineRebuildTest, PauseCancelAndResumeBackgroundRebuild) {
@@ -576,6 +583,138 @@ TEST_F(OnlineRebuildTest, PauseCancelAndResumeBackgroundRebuild) {
     return db_->maintenance()->health() == HealthState::kHealthy;
   }));
   EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
+// ---------------------------------------------------------------------------
+// One rebuild path: RebuildDisk begins, resumes or refuses a session.
+// ---------------------------------------------------------------------------
+
+TEST_F(OnlineRebuildTest, RebuildDiskFinishesACancelledSessionOfItsDisk) {
+  Open();
+  Populate();
+  const DiskId victim = 1;
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  const std::atomic<bool> cancel{true};
+  OnlineRebuildOptions options;
+  options.cancel = &cancel;
+  auto cancelled = db_->RebuildDisk(victim, options);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_FALSE(cancelled->completed);
+  ASSERT_TRUE(db_->parity()->OnlineRebuildActive());
+  // The replacement medium is installed, so the disk no longer reads as
+  // failed: the call resumes the session instead of refusing it.
+  EXPECT_FALSE(db_->array()->DiskFailed(victim));
+
+  auto report = db_->RebuildDisk(victim);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->completed);
+  EXPECT_EQ(report->groups_background,
+            db_->parity()->OnlineRebuildGroupsTotal());
+  EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
+  EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
+TEST_F(OnlineRebuildTest, RebuildDiskRefusesWhileAnotherDisksSessionIsActive) {
+  Open();
+  Populate();
+  const DiskId active = 1;
+  const DiskId other = 3;
+  ASSERT_TRUE(db_->FailDisk(active).ok());
+  ASSERT_TRUE(db_->parity()->BeginOnlineRebuild(active).ok());
+
+  auto refused = db_->RebuildDisk(other);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsFailedPrecondition())
+      << refused.status().ToString();
+  EXPECT_EQ(db_->parity()->online_rebuild_disk(), active);
+
+  auto report = db_->RebuildDisk(active);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->completed);
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
+// Two sweeps of one session: the first parks (paused) right after Begin,
+// a second finishes the session under it, and the first then resumes to
+// find nothing left. Exactly one of them ends the session; the other
+// returns a completed report instead of failing on the ended session.
+TEST_F(OnlineRebuildTest, SecondSweepOfASessionEndsItWithoutFailingTheFirst) {
+  Open();
+  Populate();
+  const DiskId victim = 1;
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  std::atomic<bool> pause{true};
+  OnlineRebuildOptions options;
+  options.pause = &pause;
+  Result<MediaRecoveryReport> parked = Status::Aborted("not run");
+  std::thread first([&] { parked = db_->RebuildDisk(victim, options); });
+  const bool began = WaitFor([&] {
+    return db_->parity()->OnlineRebuildActive() &&
+           !db_->array()->DiskFailed(victim);
+  });
+  Result<MediaRecoveryReport> second =
+      began ? db_->RebuildDisk(victim) : Status::Aborted("no session");
+  pause.store(false, std::memory_order_release);
+  first.join();
+  ASSERT_TRUE(began);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->completed);
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  EXPECT_TRUE(parked->completed);
+  EXPECT_EQ(parked->groups_background, 0u);
+  EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
+  EXPECT_EQ(db_->array()->NumFailedDisks(), 0u);
+  EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
+// At four recovery threads the unthrottled sweep is sharded; a cancel
+// still leaves the session active and a later call finishes it.
+TEST_F(OnlineRebuildTest, CancelledShardedSweepIsFinishedByALaterRebuild) {
+  DatabaseOptions options = BaseOptions();
+  options.recovery.recovery_threads = 4;
+  Open(options);
+  Populate();
+  const DiskId victim = 2;
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  std::atomic<bool> pause{true};
+  std::atomic<bool> cancel{false};
+  OnlineRebuildOptions sweep;
+  sweep.pause = &pause;
+  sweep.cancel = &cancel;
+  Result<MediaRecoveryReport> cancelled = Status::Aborted("not run");
+  std::thread worker([&] { cancelled = db_->RebuildDisk(victim, sweep); });
+  const bool began = WaitFor([&] {
+    return db_->parity()->OnlineRebuildActive() &&
+           !db_->array()->DiskFailed(victim);
+  });
+  // Foreground reads repair a group on demand while the bands nap.
+  if (began) {
+    EXPECT_EQ(DiskByte(0), 1u);
+  }
+  cancel.store(true, std::memory_order_release);
+  worker.join();
+  ASSERT_TRUE(began);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_FALSE(cancelled->completed);
+  EXPECT_EQ(cancelled->groups_background, 0u);
+  ASSERT_TRUE(db_->parity()->OnlineRebuildActive());
+  EXPECT_GT(db_->parity()->OnlineRebuildGroupsRemaining(), 0u);
+
+  auto report = db_->RebuildDisk(victim);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->completed);
+  EXPECT_EQ(report->groups_background + report->groups_on_demand +
+                report->write_promotions,
+            db_->parity()->OnlineRebuildGroupsTotal());
+  EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
+  EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
   VerifyAllPages();
   ExpectParityConsistent();
 }
