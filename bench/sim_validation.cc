@@ -3,8 +3,9 @@
 // and compares the measured RDA gain in page transfers per committed
 // transaction against the analytical model evaluated at the same
 // parameters (sim/validation.h). Absolute transfer counts differ (the sim
-// pays integer I/Os and cold caches); the page FORCE/TOC gains agree
-// within a few points at every communality, which sim_test pins.
+// pays integer I/Os and cold caches), so the comparison is also split by
+// currency: the array transfers RDA adds per commit against the model's
+// f_u 2 p_l s p_u, which sim_test pins, and the log transfers it saves.
 #include <iomanip>
 #include <iostream>
 
@@ -33,6 +34,24 @@ int main() {
   }
   std::cout << "\n(sim gain = reduction in page transfers per committed "
                "transaction when RDA is on)\n";
+
+  std::cout << "\n=== Per currency, per committed transaction ===\n\n"
+            << std::setw(6) << "C" << std::setw(14) << "array added"
+            << std::setw(14) << "model" << std::setw(14) << "log saved"
+            << std::setw(14) << "model" << "\n";
+  for (const double c : {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}) {
+    auto gain = rda::sim::MeasureRdaGain(c, 42);
+    if (!gain.ok()) {
+      std::cerr << "simulation failed: " << gain.status().ToString() << "\n";
+      return 1;
+    }
+    std::cout << std::fixed << std::setprecision(2) << std::setw(6) << c
+              << std::setw(14) << gain->array_on - gain->array_off
+              << std::setw(14) << rda::sim::ModelPageForceTocRdaArrayCost(c)
+              << std::setw(14) << gain->log_off - gain->log_on
+              << std::setw(14) << rda::sim::ModelPageForceTocRdaLogSaving(c)
+              << "\n";
+  }
 
   // The other three algorithm classes at C = 0.5: the sim must agree with
   // the model about WHERE the RDA gain is large and where it is small.

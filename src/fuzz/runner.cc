@@ -135,6 +135,15 @@ class Runner {
   // transaction when its undo coverage was lost.
   void ApplyFault(const FaultEvent& fault, const TxnId* cur,
                   bool* must_commit);
+  // Persistent sector damage (latent / flip / torn, data or twin): XOR
+  // parity is a single-erasure code per group, so two unhealed scripted
+  // faults in ONE group would be unrecoverable by design — found the hard
+  // way by the first soak sweep. Probes forward from `page` to a page of a
+  // group this schedule has not damaged yet and claims that group;
+  // deterministic, so replays are unchanged.
+  PageId ClaimUndamagedGroup(PageId page);
+  // TakeArchive with log truncation (the archive@ event).
+  void TakeArchive();
   // A failed disk removes one member from EVERY group, so an unhealed
   // scripted sector fault anywhere else would turn into a double erasure —
   // outside the single-fault coverage the array promises. Heal them first
@@ -170,6 +179,8 @@ class Runner {
   // Groups that carry an unscrubbed scripted persistent fault; sized in
   // Run(). Coordinator-only (faults fire at quiesced points).
   std::vector<bool> faulted_groups_;
+  // An archive@ event met an active transaction: archive when it ends.
+  bool archive_pending_ = false;
 
   // Multi-threaded machinery.
   std::vector<std::unique_ptr<sim::WorkloadGenerator>> generators_;
@@ -253,18 +264,7 @@ void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
       PageId page = fault.a % db_->num_pages();
       if (fault.kind != FaultEvent::Kind::kTransientRead &&
           fault.kind != FaultEvent::Kind::kTransientWrite) {
-        // Persistent sector damage (latent / flip / torn): XOR parity is
-        // single-erasure code per group, so two unhealed scripted faults in
-        // ONE group would be unrecoverable by design — found the hard way
-        // by the first soak sweep. Probe forward to a group this schedule
-        // has not damaged yet; deterministic, so replays are unchanged.
-        for (PageId probe = 0; probe < db_->num_pages(); ++probe) {
-          if (!faulted_groups_[layout.GroupOf(page)]) {
-            break;
-          }
-          page = (page + 1) % db_->num_pages();
-        }
-        faulted_groups_[layout.GroupOf(page)] = true;
+        page = ClaimUndamagedGroup(page);
       }
       const PhysicalLocation loc = layout.DataLocation(page);
       FaultInjector* injector = array->injector(loc.disk);
@@ -297,6 +297,30 @@ void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
       }
       return;
     }
+    case FaultEvent::Kind::kTornTwin: {
+      // The non-valid twin is the one the group's next unlogged steal
+      // writes; a fault on the valid (before-image) twin of a dirty group
+      // is kDataLoss by design, so it is not scripted.
+      const GroupId group =
+          layout.GroupOf(ClaimUndamagedGroup(fault.a % db_->num_pages()));
+      const uint32_t twin =
+          1 - db_->parity()->directory().Get(group).valid_twin;
+      const PhysicalLocation loc = layout.ParityLocation(group, twin);
+      FaultInjector* injector = array->injector(loc.disk);
+      if (injector == nullptr) {
+        RecordViolation("fault injection unavailable (injectors disarmed)");
+        return;
+      }
+      injector->ScheduleTornWrite(loc.slot);
+      return;
+    }
+    case FaultEvent::Kind::kArchive:
+      if (cur != nullptr && *cur != kInvalidTxnId) {
+        archive_pending_ = true;
+      } else {
+        TakeArchive();
+      }
+      return;
     case FaultEvent::Kind::kDiskFailRebuild:
     case FaultEvent::Kind::kDiskFailOnlineRebuild: {
       const DiskId disk = fault.a % layout.num_disks();
@@ -327,6 +351,26 @@ void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
       }
       return;
     }
+  }
+}
+
+PageId Runner::ClaimUndamagedGroup(PageId page) {
+  const Layout& layout = db_->array()->layout();
+  for (PageId probe = 0; probe < db_->num_pages(); ++probe) {
+    if (!faulted_groups_[layout.GroupOf(page)]) {
+      break;
+    }
+    page = (page + 1) % db_->num_pages();
+  }
+  faulted_groups_[layout.GroupOf(page)] = true;
+  return page;
+}
+
+void Runner::TakeArchive() {
+  archive_pending_ = false;
+  Status archive = db_->TakeArchive(/*truncate_log=*/true);
+  if (!archive.ok()) {
+    RecordViolation("archive failed: " + archive.ToString());
   }
 }
 
@@ -415,6 +459,9 @@ void Runner::RunSingleThreaded() {
       pending.clear();
       must_commit = false;
       skipping = true;
+    }
+    if (archive_pending_ && cur == kInvalidTxnId && !Violated()) {
+      TakeArchive();
     }
     if (Violated() || idx == end_step) {
       continue;

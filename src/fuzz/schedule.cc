@@ -24,6 +24,10 @@ const char* FaultName(FaultEvent::Kind kind) {
       return "fail";
     case FaultEvent::Kind::kDiskFailOnlineRebuild:
       return "failon";
+    case FaultEvent::Kind::kArchive:
+      return "archive";
+    case FaultEvent::Kind::kTornTwin:
+      return "torntwin";
   }
   return "?";
 }
@@ -40,6 +44,8 @@ bool FaultKindFromName(const std::string& name, FaultEvent::Kind* out) {
       {"torn", FaultEvent::Kind::kTornWrite},
       {"fail", FaultEvent::Kind::kDiskFailRebuild},
       {"failon", FaultEvent::Kind::kDiskFailOnlineRebuild},
+      {"archive", FaultEvent::Kind::kArchive},
+      {"torntwin", FaultEvent::Kind::kTornTwin},
   };
   for (const auto& entry : kTable) {
     if (name == entry.name) {
@@ -112,9 +118,12 @@ std::string Schedule::ToString() const {
         out << ',';
       }
       const FaultEvent& f = faults[i];
-      out << FaultName(f.kind) << '@' << f.step << ':' << f.a;
-      if (f.b != 0) {
-        out << ':' << f.b;
+      out << FaultName(f.kind) << '@' << f.step;
+      if (f.kind != FaultEvent::Kind::kArchive) {  // archive has no operand.
+        out << ':' << f.a;
+        if (f.b != 0) {
+          out << ':' << f.b;
+        }
       }
     }
   }
@@ -202,8 +211,11 @@ Result<Schedule> Schedule::Parse(const std::string& text) {
         }
         const std::vector<std::string> parts =
             SplitOn(entry.substr(at + 1), ':');
-        if (parts.size() < 2 || parts.size() > 3 ||
-            !ParseU32(parts[0], &fault.step) || !ParseU32(parts[1], &fault.a)) {
+        const bool archive = fault.kind == FaultEvent::Kind::kArchive;
+        const bool shape_ok = archive ? parts.size() == 1
+                                      : parts.size() == 2 || parts.size() == 3;
+        if (!shape_ok || !ParseU32(parts[0], &fault.step) ||
+            (!archive && !ParseU32(parts[1], &fault.a))) {
           return Status::InvalidArgument("bad fault operands: " + entry);
         }
         if (parts.size() == 3 && !ParseU32(parts[2], &fault.b)) {

@@ -29,6 +29,12 @@ struct FaultEvent {
     // Same, but via the online (group-by-group, concurrent with traffic in
     // multi-threaded runs) rebuild path.
     kDiskFailOnlineRebuild = 6,
+    // TakeArchive with log truncation at the next point with no active
+    // transaction. No operand.
+    kArchive = 7,
+    // a = page; the next write of the non-valid (working-to-be) parity twin
+    // of its group is torn.
+    kTornTwin = 8,
   };
   Kind kind = Kind::kLatentSector;
   uint32_t step = 0;
@@ -59,7 +65,7 @@ struct CrashPoint {
 //
 // algo = {force|noforce},{rda|norda},{page|record}; crash entries are
 // step:recovery_faults; fault entries are kind@step:a[:b] with kind in
-// {latent,tread,twrite,flip,torn,fail,failon}.
+// {latent,tread,twrite,flip,torn,fail,failon,torntwin}, or archive@step.
 struct Schedule {
   uint64_t seed = 1;
   bool force = true;

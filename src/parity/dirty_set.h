@@ -30,6 +30,10 @@ struct GroupState {
   PageId dirty_page = kInvalidPageId;
   // The transaction whose update dirtied the group. Meaningful iff dirty.
   TxnId dirty_txn = kInvalidTxnId;
+  // The valid twin's on-disk header still says kWorking: a commit made it
+  // valid without a write, and the log's commit record vouches for it until
+  // its next write (or a log truncation) stamps it kCommitted.
+  bool stamp_pending = false;
 };
 
 class DirtySet {
@@ -48,16 +52,21 @@ class DirtySet {
   }
 
   // Cleans `group`; the committed parity now lives in `new_valid_twin`.
+  // A pending stamp belongs to the old valid twin, so it survives only when
+  // the valid twin stays (a parity undo).
   void MarkClean(GroupId group, uint32_t new_valid_twin) {
     GroupState& g = groups_[group];
     g.dirty = false;
     g.dirty_page = kInvalidPageId;
     g.dirty_txn = kInvalidTxnId;
+    if (g.valid_twin != new_valid_twin) {
+      g.stamp_pending = false;
+    }
     g.valid_twin = new_valid_twin;
   }
 
-  void SetValidTwin(GroupId group, uint32_t twin) {
-    groups_[group].valid_twin = twin;
+  void SetStampPending(GroupId group, bool pending) {
+    groups_[group].stamp_pending = pending;
   }
 
   uint32_t num_groups() const { return static_cast<uint32_t>(groups_.size()); }

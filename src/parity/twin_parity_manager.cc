@@ -16,8 +16,7 @@ TwinParityManager::TwinParityManager(DiskArray* array)
       scratch_(array->page_size()),
       twin_shadow_(array->num_groups(),
                    {static_cast<uint8_t>(ParityState::kCommitted),
-                    static_cast<uint8_t>(ParityState::kObsolete)}),
-      held_working_(array->num_groups()) {}
+                    static_cast<uint8_t>(ParityState::kObsolete)}) {}
 
 std::unique_lock<std::recursive_mutex> TwinParityManager::LockGroup(
     GroupId group) {
@@ -44,6 +43,7 @@ ParityStats TwinParityManager::stats() const {
   s.parity_undos = parity_undos_.value();
   s.logged_undos = logged_undos_.value();
   s.commits_finalized = commits_finalized_.value();
+  s.deferred_stamps = deferred_stamps_.value();
   s.latent_repairs = latent_repairs_.value();
   s.corruption_repairs = corruption_repairs_.value();
   return s;
@@ -57,6 +57,7 @@ void TwinParityManager::ResetStats() {
   parity_undos_.Reset();
   logged_undos_.Reset();
   commits_finalized_.Reset();
+  deferred_stamps_.Reset();
   latent_repairs_.Reset();
   corruption_repairs_.Reset();
 }
@@ -69,19 +70,26 @@ void TwinParityManager::XorPage(std::vector<uint8_t>* dst,
 
 Status TwinParityManager::WriteTwin(GroupId group, uint32_t twin,
                                     const PageImage& image) {
-  std::optional<PageImage>& held = held_working_[group];
-  held.reset();
   RDA_RETURN_IF_ERROR(array_->WriteParity(group, twin, image));
-  if (image.header.parity_state == ParityState::kWorking) {
-    held = image;
+  if (twin == directory_.Get(group).valid_twin &&
+      image.header.parity_state == ParityState::kCommitted) {
+    directory_.SetStampPending(group, false);
   }
   return Status::Ok();
 }
 
-void TwinParityManager::MarkClean(GroupId group, uint32_t valid_twin) {
-  held_working_[group].reset();
-  directory_.MarkClean(group, valid_twin);
+namespace {
+
+// The free stamp: a write of the valid twin commits its on-disk header,
+// which a deferred commit may have left kWorking. The timestamp stays, so
+// a newer working twin still outranks it at Current_Parity selection.
+void StampCommitted(PageHeader* header) {
+  header->parity_state = ParityState::kCommitted;
+  header->txn_id = kInvalidTxnId;
+  header->dirty_page = kInvalidPageId;
 }
+
+}  // namespace
 
 void TwinParityManager::SyncTwinShadow(GroupId group, uint32_t twin,
                                        uint8_t state) {
@@ -139,6 +147,7 @@ void TwinParityManager::AttachObs(obs::ObsHub* hub) {
   parity_undos_.Bind(obs::GetCounter(hub, "parity.parity_undos"));
   logged_undos_.Bind(obs::GetCounter(hub, "parity.logged_undos"));
   commits_finalized_.Bind(obs::GetCounter(hub, "parity.commits_finalized"));
+  deferred_stamps_.Bind(obs::GetCounter(hub, "parity.deferred_stamps"));
   latent_repairs_.Bind(obs::GetCounter(hub, "parity.latent_repairs"));
   corruption_repairs_.Bind(obs::GetCounter(hub, "parity.corruption_repairs"));
   degraded_reads_counter_ = obs::GetCounter(hub, "parity.degraded_reads");
@@ -306,7 +315,7 @@ Status TwinParityManager::FormatArray() {
       RDA_RETURN_IF_ERROR(WriteTwin(g, 1, obsolete));
       SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
     }
-    MarkClean(g, 0);
+    directory_.MarkClean(g, 0);
   }
   directory_valid_.store(true, std::memory_order_release);
   return Status::Ok();
@@ -500,12 +509,14 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       for (const uint32_t twin : {state.valid_twin, state.working_twin}) {
         if (!LocationHealthy(
                 array_->layout().ParityLocation(group, twin))) {
-          held_working_[group].reset();  // The held twin image goes stale.
           continue;
         }
         ScratchPool::ScratchImage parity = scratch_.Acquire();
         RDA_RETURN_IF_ERROR(ReadParityHealed(group, twin, &*parity));
         XorPage(&parity->payload, delta.payload());
+        if (twin == state.valid_twin) {
+          StampCommitted(&parity->header);
+        }
         RDA_RETURN_IF_ERROR(WriteTwin(group, twin, *parity));
       }
       break;
@@ -518,6 +529,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
         RDA_RETURN_IF_ERROR(
             ReadParityHealed(group, state.valid_twin, &*parity));
         XorPage(&parity->payload, delta.payload());
+        StampCommitted(&parity->header);
         RDA_RETURN_IF_ERROR(
             WriteTwin(group, state.valid_twin, *parity));
       }
@@ -564,40 +576,10 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
     return Status::FailedPrecondition(
         "group " + std::to_string(group) + " dirty by another transaction");
   }
-  if (!LocationHealthy(
-          array_->layout().ParityLocation(group, state.working_twin))) {
-    // Degraded finalize: the working twin's disk is down. The commit record
-    // is already stable (winners are rolled forward by recovery) and the
-    // rebuild recomputes the consistent twin from data, so the in-memory
-    // transition suffices.
-    TraceTwinTransition(group, state.working_twin,
-                        static_cast<uint8_t>(ParityState::kCommitted),
-                        state.dirty_page, txn);
-    TraceTwinTransition(group, state.valid_twin,
-                        static_cast<uint8_t>(ParityState::kObsolete),
-                        state.dirty_page, txn);
-    TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-    MarkClean(group, state.working_twin);
-    commits_finalized_.Add();
-    return Status::Ok();
-  }
-  // The working image is still held from the write that produced it, so
-  // committing it is a single write. Only the restart roll-forward, whose
-  // held images the crash lost, reads the twin back.
-  ScratchPool::ScratchImage parity = scratch_.Acquire();
-  std::optional<PageImage>& held = held_working_[group];
-  if (held.has_value()) {
-    std::swap(*parity, *held);
-  } else {
-    RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &*parity));
-  }
-  parity->header.parity_state = ParityState::kCommitted;
-  parity->header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(WriteTwin(group, state.working_twin, *parity));
-  // The freshly committed twin supersedes the old valid twin, which becomes
-  // logically obsolete without a write (timestamps disambiguate after a
-  // crash).
+  // The commit record is durable, so the working twin already holds the
+  // group's committed parity: swap the twin roles in memory and write
+  // nothing. The twin's header keeps saying kWorking(txn) until a stamp
+  // point commits it; until then the commit record decides at restart.
   TraceTwinTransition(group, state.working_twin,
                       static_cast<uint8_t>(ParityState::kCommitted),
                       state.dirty_page, txn);
@@ -605,8 +587,33 @@ Status TwinParityManager::FinalizeCommit(GroupId group, TxnId txn) {
                       static_cast<uint8_t>(ParityState::kObsolete),
                       state.dirty_page, txn);
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-  MarkClean(group, state.working_twin);
+  directory_.MarkClean(group, state.working_twin);
+  directory_.SetStampPending(group, true);
   commits_finalized_.Add();
+  return Status::Ok();
+}
+
+Status TwinParityManager::StampPendingTwins() {
+  if (!directory_valid()) {
+    return Status::FailedPrecondition("parity directory not available");
+  }
+  for (GroupId g = 0; g < array_->num_groups(); ++g) {
+    auto latch = LockGroup(g);
+    const GroupState state = directory_.Get(g);
+    if (!state.stamp_pending ||
+        !LocationHealthy(
+            array_->layout().ParityLocation(g, state.valid_twin))) {
+      continue;
+    }
+    ScratchPool::ScratchImage parity = scratch_.Acquire();
+    RDA_RETURN_IF_ERROR(ReadParityHealed(g, state.valid_twin, &*parity));
+    if (parity->header.parity_state == ParityState::kCommitted) {
+      continue;  // The healed read rewrote it committed.
+    }
+    StampCommitted(&parity->header);
+    RDA_RETURN_IF_ERROR(WriteTwin(g, state.valid_twin, *parity));
+    deferred_stamps_.Add();
+  }
   return Status::Ok();
 }
 
@@ -661,7 +668,7 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
                         static_cast<uint8_t>(ParityState::kInvalid),
                         state.dirty_page, txn);
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-    MarkClean(group, state.valid_twin);
+    directory_.MarkClean(group, state.valid_twin);
     RDA_ASSIGN_OR_RETURN(result.restored_payload,
                          ReconstructDataPayload(state.dirty_page));
     result.payload_restored = true;
@@ -745,7 +752,7 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
                       static_cast<uint8_t>(ParityState::kInvalid),
                       state.dirty_page, txn);
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-  MarkClean(group, state.valid_twin);
+  directory_.MarkClean(group, state.valid_twin);
   return result;
 }
 
@@ -906,7 +913,7 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
     SyncTwinShadow(group, t, static_cast<uint8_t>(ParityState::kObsolete));
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page,
                          state.dirty_txn);
-    MarkClean(group, state.working_twin);
+    directory_.MarkClean(group, state.working_twin);
     ++outcome.parity_rebuilt;
     return outcome;
   }
@@ -918,8 +925,16 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
   if (!directory_valid()) {
     return Status::FailedPrecondition("parity directory not available");
   }
+  std::lock_guard<std::mutex> begin_lock(rebuild_begin_mu_);
   if (rebuild_active_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("an online rebuild is already active");
+    if (rebuild_disk_ != disk) {
+      return Status::FailedPrecondition(
+          "an online rebuild of disk " + std::to_string(rebuild_disk_) +
+          " is already active");
+    }
+    OnlineRebuildInfo info;
+    info.resumed = true;
+    return info;
   }
   if (!array_->DiskFailed(disk)) {
     return Status::FailedPrecondition("disk " + std::to_string(disk) +
@@ -1214,7 +1229,7 @@ Status TwinParityManager::ReinitializeParityFromData(exec::WorkerPool* pool) {
           RDA_RETURN_IF_ERROR(WriteTwin(g, 1, *data));
           SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
         }
-        MarkClean(g, 0);
+        directory_.MarkClean(g, 0);
         return Status::Ok();
       }));
   directory_valid_.store(true, std::memory_order_release);
@@ -1271,11 +1286,10 @@ Status TwinParityManager::RebuildDirectory() {
         return read;
       }
       max_seen = std::max(max_seen, twins[t].header.timestamp);
-      SyncTwinShadow(g, t,
-                     static_cast<uint8_t>(twins[t].header.parity_state));
     }
     if (copies == 1) {
-      MarkClean(g, 0);
+      directory_.MarkClean(g, 0);
+      SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
       continue;
     }
     if (faulted[0] && faulted[1]) {
@@ -1285,64 +1299,79 @@ Status TwinParityManager::RebuildDirectory() {
     if (faulted[0] || faulted[1]) {
       const uint32_t bad = faulted[0] ? 0 : 1;
       const uint32_t good = 1 - bad;
-      if (twins[good].header.parity_state != ParityState::kCommitted) {
-        // The survivor is not committed parity, so the unreadable twin held
-        // the group's only committed copy. A single-disk failure leaves all
-        // of the group's data pages readable (members sit on distinct
-        // disks), so committed parity is still derivable: recompute it from
-        // data into the surviving slot. Only when a data page is ALSO
-        // unreadable (a second fault) is the group genuinely lost.
+      // The unreadable twin may have held the group's newest parity: the
+      // only committed copy, or a winner's working twin (a torn write no
+      // commit rewrites), which leaves a committed survivor stale. Members
+      // sit on distinct disks, so the data pages are readable: recompute
+      // committed parity from them into the surviving slot, before the
+      // reset below erases the evidence. With a disk down a committed
+      // survivor is kept (the rebuild recomputes it); without one, an
+      // unreadable data page too (a second fault) loses the group.
+      const bool survivor_committed =
+          twins[good].header.parity_state == ParityState::kCommitted;
+      if (!survivor_committed || array_->NumFailedDisks() == 0) {
         const ParityTimestamp floor =
             std::max(max_seen, twins[good].header.timestamp);
         const Status recomputed =
             RecomputeCommittedTwin(g, good, floor, &twins[good]);
-        if (!recomputed.ok()) {
+        if (recomputed.ok()) {
+          max_seen = std::max(max_seen, twins[good].header.timestamp);
+        } else if (!survivor_committed) {
           return Status::DataLoss("committed parity twin of group " +
                                   std::to_string(g) + " unreadable (" +
                                   recomputed.ToString() + ")");
         }
-        max_seen = std::max(max_seen, twins[good].header.timestamp);
-        SyncTwinShadow(g, good,
-                       static_cast<uint8_t>(ParityState::kCommitted));
       }
       // The survivor is committed: treat the unreadable twin as obsolete
-      // and reset it. If it was in fact a working twin, the in-flight
-      // unlogged update it covered can no longer be undone in parity space
-      // — log-based undo and the post-recovery scrub restore consistency.
+      // and reset it. If it was in fact a loser's working twin, the
+      // in-flight unlogged update it covered can no longer be undone in
+      // parity space.
       PageImage obsolete(array_->page_size());
       obsolete.header.parity_state = ParityState::kObsolete;
       if (WriteTwin(g, bad, obsolete).ok()) {
         NoteSectorRepair(fault_cause[bad], kInvalidPageId, g);
       }
       twins[bad] = std::move(obsolete);
-      SyncTwinShadow(g, bad, static_cast<uint8_t>(ParityState::kObsolete));
     }
-    // Current_Parity (paper Figure 7): the committed twin with the highest
-    // timestamp is valid. A WORKING twin marks the group dirty; its header
-    // tells which page and transaction it covers.
-    uint32_t valid = 0;
-    bool have_valid = false;
+    // Current_Parity (paper Figure 7): the highest-timestamp committed,
+    // obsolete or working twin decides. A deciding WORKING twin leaves the
+    // group dirty by its header's owner over the before-image in the other
+    // twin, for the log to decide; an older one was superseded.
+    uint32_t decider = 0;
+    bool have_decider = false;
     for (uint32_t t = 0; t < 2; ++t) {
       const ParityState st = twins[t].header.parity_state;
-      if (st != ParityState::kCommitted && st != ParityState::kObsolete) {
+      if (st != ParityState::kCommitted && st != ParityState::kObsolete &&
+          st != ParityState::kWorking) {
         continue;
       }
-      if (!have_valid ||
-          twins[t].header.timestamp > twins[valid].header.timestamp) {
-        valid = t;
-        have_valid = true;
+      if (!have_decider ||
+          twins[t].header.timestamp > twins[decider].header.timestamp) {
+        decider = t;
+        have_decider = true;
       }
     }
-    if (!have_valid) {
+    if (!have_decider) {
       return Status::Corruption("group " + std::to_string(g) +
-                                " has no committed parity twin");
+                                " has no committed or working parity twin");
     }
-    MarkClean(g, valid);
-    for (uint32_t t = 0; t < 2; ++t) {
-      if (twins[t].header.parity_state == ParityState::kWorking) {
-        directory_.MarkDirty(g, twins[t].header.dirty_page,
-                             twins[t].header.txn_id, t);
-      }
+    const uint32_t other = OtherTwin(decider);
+    if (twins[decider].header.parity_state == ParityState::kWorking) {
+      directory_.MarkClean(g, other);
+      // A before-image twin that still says kWorking was itself committed
+      // by a deferred commit whose stamp is pending.
+      directory_.SetStampPending(
+          g, twins[other].header.parity_state == ParityState::kWorking);
+      directory_.MarkDirty(g, twins[decider].header.dirty_page,
+                           twins[decider].header.txn_id, decider);
+      SyncTwinShadow(g, decider, static_cast<uint8_t>(ParityState::kWorking));
+      SyncTwinShadow(g, other, static_cast<uint8_t>(ParityState::kCommitted));
+    } else {
+      directory_.MarkClean(g, decider);
+      directory_.SetStampPending(g, false);
+      SyncTwinShadow(g, decider,
+                     static_cast<uint8_t>(ParityState::kCommitted));
+      SyncTwinShadow(g, other, static_cast<uint8_t>(ParityState::kObsolete));
     }
   }
   // Seed the timestamp counter from the highest twin-header timestamp seen,
@@ -1401,12 +1430,28 @@ Status TwinParityManager::CheckInvariants() {
                                 " ahead of the in-memory counter " +
                                 std::to_string(counter));
       }
-      if (static_cast<uint8_t>(h.parity_state) != twin_shadow_[g][t]) {
+      // The shadow holds the logical Figure 8 state. A pending stamp lets
+      // the valid twin still read kWorking, and an obsolete twin keeps
+      // whatever header its last write left.
+      const auto logical = static_cast<ParityState>(twin_shadow_[g][t]);
+      const bool pending_stamp = logical == ParityState::kCommitted &&
+                                 h.parity_state == ParityState::kWorking &&
+                                 t == state.valid_twin && state.stamp_pending;
+      const bool obsolete = logical == ParityState::kObsolete &&
+                            h.parity_state != ParityState::kFree;
+      if (h.parity_state != logical && !pending_stamp && !obsolete) {
         return violation(
             g, "twin " + std::to_string(t) + " on-disk state " +
                    std::to_string(static_cast<int>(h.parity_state)) +
-                   " != volatile shadow " +
+                   " not allowed by volatile shadow " +
                    std::to_string(static_cast<int>(twin_shadow_[g][t])));
+      }
+    }
+    if (readable[state.valid_twin]) {
+      const ParityState v = twins[state.valid_twin].header.parity_state;
+      if (v != ParityState::kCommitted &&
+          !(v == ParityState::kWorking && state.stamp_pending)) {
+        return violation(g, "valid twin not committed");
       }
     }
     if (state.dirty) {
@@ -1435,29 +1480,20 @@ Status TwinParityManager::CheckInvariants() {
                                   std::to_string(state.dirty_txn) + ")");
         }
       }
-      if (readable[state.valid_twin] &&
-          twins[state.valid_twin].header.parity_state !=
-              ParityState::kCommitted) {
-        return violation(g, "dirty group's before-image twin not committed");
+      // Figure 7: the working twin must decide a restart's selection.
+      if (readable[state.valid_twin] && readable[state.working_twin] &&
+          twins[state.working_twin].header.timestamp <=
+              twins[state.valid_twin].header.timestamp) {
+        return violation(g, "working twin does not outrank the valid twin");
       }
     } else {
-      if (readable[state.valid_twin] &&
-          twins[state.valid_twin].header.parity_state !=
-              ParityState::kCommitted) {
-        return violation(g, "clean group's valid twin not committed");
-      }
       if (copies == 2) {
         const uint32_t other = OtherTwin(state.valid_twin);
-        if (readable[other]) {
+        if (readable[other] && readable[state.valid_twin]) {
+          // Figure 7: a committed, obsolete or working sibling must not
+          // outrank the valid twin (an older working twin was superseded).
           const PageHeader& o = twins[other].header;
-          if (o.parity_state == ParityState::kWorking) {
-            return violation(
-                g, "directory says clean but a twin header is kWorking");
-          }
-          // Figure 7: when both twins are committed, the directory must
-          // have selected the one with the winning timestamp.
-          if (readable[state.valid_twin] &&
-              o.parity_state == ParityState::kCommitted &&
+          if (o.parity_state != ParityState::kInvalid &&
               o.timestamp > twins[state.valid_twin].header.timestamp) {
             return violation(g, "valid twin lost Current_Parity selection");
           }
@@ -1484,9 +1520,6 @@ Status TwinParityManager::CheckInvariants() {
 void TwinParityManager::LoseVolatileState() {
   directory_ = DirtySet(array_->num_groups());
   directory_valid_.store(false, std::memory_order_release);
-  for (std::optional<PageImage>& held : held_working_) {
-    held.reset();
-  }
   timestamp_.store(0, std::memory_order_relaxed);
   // The progress bitmap is volatile too: an interrupted online rebuild is
   // detected after restart through the array's persistent rebuilding flag

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -68,6 +67,8 @@ struct ParityStats {
   uint64_t parity_undos = 0;
   uint64_t logged_undos = 0;
   uint64_t commits_finalized = 0;  // Groups finalized at EOT.
+  // kCommitted stamps written by StampPendingTwins (log truncation).
+  uint64_t deferred_stamps = 0;
   // Repair-on-read outcomes (DESIGN.md section 10): sticky kIoError sectors
   // healed by reconstruct + rewrite, and checksum-mismatch pages rebuilt.
   uint64_t latent_repairs = 0;
@@ -84,9 +85,9 @@ struct ParityStats {
 // Atomicity model: one call (e.g. Propagate) performs up to ~5 page I/Os;
 // the simulator treats a call as crash-atomic. Crash injection happens
 // between calls — the windows the paper's protocol actually has to handle
-// (between propagation and EOT, between EOT and twin finalization, during
-// multi-group abort/commit). Real controllers close the intra-operation
-// window with NVRAM write journaling; see DESIGN.md.
+// (between propagation and EOT, between EOT and a twin's kCommitted stamp,
+// during multi-group abort/commit). Real controllers close the
+// intra-operation window with NVRAM write journaling; see DESIGN.md.
 //
 // Concurrency model (DESIGN.md section 11): a latch table with one
 // RECURSIVE mutex per parity group serializes all group-state machinery —
@@ -146,14 +147,21 @@ class TwinParityManager {
                    const std::vector<uint8_t>* old_payload,
                    const PageImage& new_image);
 
-  // EOT finalization for one group dirtied by `txn`: the working twin is
-  // committed (header state -> kCommitted, fresh timestamp) and becomes the
-  // valid twin; the group becomes clean. One parity-page write, with no
-  // read: the manager still holds the working image it last wrote (see
-  // WriteTwin). Only the restart roll-forward, whose held images the crash
-  // lost, reads the twin back first. Idempotent: finalizing a clean group
-  // whose valid twin already committed is a no-op.
+  // EOT finalization for one group dirtied by `txn`, called once the
+  // commit record is durable: the working twin becomes the valid twin and
+  // the group becomes clean. No I/O — the twin's on-disk header stays
+  // kWorking(txn) and the commit record vouches for it (Current_Parity in
+  // RebuildDirectory) until a stamp point writes kCommitted onto it: its
+  // next write, or StampPendingTwins before a log truncation. Idempotent:
+  // finalizing a clean group is a no-op.
   Status FinalizeCommit(GroupId group, TxnId txn);
+
+  // Writes kCommitted (timestamp kept) onto every valid twin whose header
+  // still says kWorking, so that no clean group depends on a commit record
+  // any more. Must run before the log drops commit records
+  // (LogManager::Truncate). A twin on a failed disk is skipped: its rebuild
+  // writes it kCommitted. Caller must be quiesced.
+  Status StampPendingTwins();
 
   // Parity-based UNDO of the unlogged update covering `group` (must be
   // dirty by `txn`): restores D_old = P_valid xor P_working xor D_current
@@ -204,12 +212,18 @@ class TwinParityManager {
     // Dirty groups whose valid (before-image) twin lived on the disk: their
     // in-flight unlogged updates lose undo coverage.
     std::vector<TxnId> undo_coverage_lost;
+    // A session of `disk` was already active (a concurrent Begin won, or an
+    // earlier sweep was cancelled): nothing was begun, the other fields are
+    // empty, and the caller sweeps that session.
+    bool resumed = false;
   };
 
   // Starts an online rebuild of `disk` (must be the only failed disk):
   // builds the pending bitmap, replaces the disk, flags it as rebuilding on
   // the array and activates the on-demand hook. Foreground traffic may run
-  // concurrently from the moment this returns.
+  // concurrently from the moment this returns. Calls are serialized; one
+  // that finds a session of the same disk active returns it as `resumed`,
+  // and one that finds another disk's session fails.
   Result<OnlineRebuildInfo> BeginOnlineRebuild(DiskId disk);
 
   // Rebuilds `group` if it is still pending (the background sweep's unit of
@@ -313,25 +327,34 @@ class TwinParityManager {
 
   // Deep structural self-check of the twin/parity machinery, used by the
   // fuzzer's invariant oracle (and available to tests). For every group it
-  // cross-checks the on-disk twin headers against the volatile directory
-  // and the twin-state shadow: a clean group's valid twin must be committed
-  // with the winning (Figure 7) timestamp and its sibling must not be
-  // working; a dirty group's working twin header must name exactly the
-  // (dirty_page, dirty_txn) the directory caches over a committed valid
-  // twin; no header timestamp may exceed the in-memory counter. It also
-  // checks online-rebuild bitmap conservation (set bits ==
+  // cross-checks the on-disk twin headers against the volatile directory and
+  // the twin-state shadow, which holds the logical Figure 8 state: a logically
+  // committed twin reads kCommitted, or kWorking on the valid twin of a group
+  // with a pending stamp; a logically obsolete twin reads kObsolete,
+  // kCommitted, kInvalid or kWorking; a working or invalid twin reads exactly
+  // that (DESIGN.md section 4.3). The valid twin must win the Figure 7
+  // selection against its sibling; a dirty group's working twin header must
+  // name exactly the (dirty_page, dirty_txn) the directory caches and outrank
+  // the valid twin; no header timestamp may exceed the in-memory counter. It
+  // also checks online-rebuild bitmap conservation (set bits ==
   // groups_remaining <= groups_total). Twins on failed disks, groups still
   // pending in an active rebuild session, and sector-faulted twin reads are
-  // skipped (they are healable, not inconsistent). Read-only — never
-  // repairs. Caller must be quiesced; returns the first violation found as
-  // kCorruption (kFailedPrecondition if the directory is invalid).
+  // skipped (they are healable, not inconsistent). Read-only — never repairs.
+  // Caller must be quiesced; returns the first violation found as kCorruption
+  // (kFailedPrecondition if the directory is invalid).
   Status CheckInvariants();
 
   // Rebuilds the volatile directory after a crash by reading both twin
-  // headers of every group (the S/N-term of the paper's c'_s): valid twin =
-  // committed twin with the highest timestamp; a working twin marks the
-  // group dirty by (header.dirty_page, header.txn_id). Also restores the
-  // timestamp counter.
+  // headers of every group (the S/N-term of the paper's c'_s). Current_Parity
+  // (paper Figure 7): among the kCommitted, kObsolete and kWorking twins,
+  // the one with the highest timestamp decides. A deciding kWorking twin
+  // marks the group dirty by (header.dirty_page, header.txn_id) over the
+  // other twin; the log then decides — a winner's group is finalized by
+  // the restart roll-forward, a loser's is parity-undone. An older kWorking
+  // twin was superseded and is ignored. Also restores the timestamp
+  // counter. A group with an unreadable twin gets committed parity
+  // recomputed from its data pages (unless a disk is down and a committed
+  // twin survives).
   Status RebuildDirectory();
 
   // Drops all volatile state (simulates the crash itself). The directory
@@ -367,15 +390,10 @@ class TwinParityManager {
   Status ReadOldPayload(PageId page, const std::vector<uint8_t>* hint,
                         std::vector<uint8_t>* out);
 
-  // Every parity-page write of the manager goes through here. A write in
-  // state kWorking becomes the group's held working image: the exact bytes
-  // now on that twin, which FinalizeCommit commits without reading them
-  // back. Any other write to the group drops the held image, and so does
-  // a failed write. Caller holds the group latch (or runs quiesced).
+  // Every parity-page write of the manager goes through here. A kCommitted
+  // write of the valid twin clears the group's pending stamp. Caller holds
+  // the group latch (or runs quiesced).
   Status WriteTwin(GroupId group, uint32_t twin, const PageImage& image);
-  // Marks `group` clean with `valid_twin` valid and drops its held working
-  // image: a held image exists only while its group is dirty.
-  void MarkClean(GroupId group, uint32_t valid_twin);
 
   // On-demand arm of the online rebuild: if a session is active and `group`
   // is still pending, rebuilds it before the caller touches any of its
@@ -392,14 +410,14 @@ class TwinParityManager {
   // trace event to emit.
   void NotePendingCleared(GroupId group, bool on_demand);
 
-  // Directory-rebuild fallback for a group whose only committed twin is
-  // unreadable: recompute committed parity as the XOR of the group's data
-  // pages and install it in twin slot `twin` (which must be on a live
-  // disk). Sound because group members live on distinct disks, so a
-  // single-disk failure leaves every data page of the group readable; if
-  // any data read fails anyway (second fault), the caller's data-loss
-  // verdict stands. `floor` is a timestamp the new twin must exceed so
-  // Current_Parity selection picks it over the stale survivor.
+  // Directory-rebuild fallback for a group whose newest twin is unreadable:
+  // recompute committed parity as the XOR of the group's data pages and install
+  // it in twin slot `twin` (which must be on a live disk); `*out` is set only
+  // on success. Sound because group members live on distinct disks, so a
+  // single-disk failure leaves every data page of the group readable; if any
+  // data read fails anyway (second fault), the caller's data-loss verdict
+  // stands. `floor` is a timestamp the new twin must exceed so Current_Parity
+  // selection picks it over the stale survivor.
   Status RecomputeCommittedTwin(GroupId group, uint32_t twin,
                                 ParityTimestamp floor, PageImage* out);
 
@@ -416,6 +434,8 @@ class TwinParityManager {
 
   // Silently records twin `state` (ParityState numeric value) in the
   // volatile shadow — used when (re)initializing, not for transitions.
+  // The shadow is the logical Figure 8 state, which a pending stamp lets
+  // run ahead of the on-disk header.
   void SyncTwinShadow(GroupId group, uint32_t twin, uint8_t state);
 
   // Records a Figure 8 twin transition: emits a kTwinTransition event with
@@ -444,6 +464,7 @@ class TwinParityManager {
   obs::StatCounter parity_undos_;
   obs::StatCounter logged_undos_;
   obs::StatCounter commits_finalized_;
+  obs::StatCounter deferred_stamps_;
   obs::StatCounter latent_repairs_;
   obs::StatCounter corruption_repairs_;
 
@@ -461,17 +482,14 @@ class TwinParityManager {
   // maintained whether or not observability is attached.
   std::vector<std::array<uint8_t, 2>> twin_shadow_;
 
-  // The last image WriteTwin wrote in state kWorking, per dirty group: the
-  // working twin's bytes. Each entry is touched only under its group's
-  // latch.
-  std::vector<std::optional<PageImage>> held_working_;
-
   // Online-rebuild session state. The bitmap entries are atomic so the
   // background sweep can peek without latches (TSan-clean); every logical
   // transition — pending set at Begin, cleared by rebuild/promotion —
   // happens under the owning group's latch. rebuild_active_ is published
   // with release order after the bitmap and disk id are in place.
   std::atomic<bool> rebuild_active_{false};
+  // Serializes BeginOnlineRebuild from its session check to the publish.
+  std::mutex rebuild_begin_mu_;
   // Atomic because progress polls read it while a sweep ends the session.
   std::atomic<DiskId> rebuild_disk_{kInvalidDiskId};
   std::unique_ptr<std::atomic<uint8_t>[]> rebuild_pending_;

@@ -39,7 +39,9 @@ Status ArchiveManager::TakeArchive(bool truncate_log) {
   if (truncate_log) {
     // Everything before the archive point is now recoverable from the
     // archive alone: all earlier transactions are finished and their pages
-    // were just propagated.
+    // were just propagated. But a valid twin whose stamp is still pending
+    // is committed only by its owner's commit record: stamp it first.
+    RDA_RETURN_IF_ERROR(parity_->StampPendingTwins());
     RDA_RETURN_IF_ERROR(log_->Truncate(archive_lsn_));
   }
   obs::Inc(archives_counter_);

@@ -268,8 +268,10 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     std::sort(report.losers.begin(), report.losers.end());
   }
 
-  // Phase 3: roll forward twin finalization for winners (crash landed
-  // between the commit record and FinalizeCommit).
+  // Phase 3: roll forward twin finalization for winners. Every winner's
+  // group whose valid twin still says kWorking comes back dirty, whether
+  // the crash landed before or after its FinalizeCommit; finalizing it is
+  // an in-memory flip, so this phase costs no I/O.
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kRollForward,
                            transfers_now, &report.phases);

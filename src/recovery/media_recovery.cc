@@ -50,6 +50,7 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(
 
   MediaRecoveryReport report;
   report.disk = disk;
+  report.resumed = resume;
   bool cancelled = false;
   {  // Closed before any return, so the phase lands in report.phases.
     obs::ScopedPhase phase(
@@ -59,9 +60,12 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(
       // Begin flags the disk as rebuilding before it installs the fresh
       // medium: if the sweep is interrupted (crash, second failure) the
       // persistent flag tells recovery the medium cannot be trusted yet.
+      // A concurrent call may have begun this disk's session since the
+      // check above; Begin then hands it back for this call to sweep.
       RDA_ASSIGN_OR_RETURN(TwinParityManager::OnlineRebuildInfo info,
                            parity_->BeginOnlineRebuild(disk));
       report.undo_coverage_lost = std::move(info.undo_coverage_lost);
+      report.resumed = info.resumed;
     }
 
     obs::TraceBuffer* trace = obs::TraceOf(hub_);

@@ -42,6 +42,9 @@ struct MediaRecoveryReport {
   // False when the sweep returned early (cancelled) with groups still
   // pending; the session stays active and a later sweep resumes it.
   bool completed = true;
+  // True when this call swept a session it did not begin: a cancelled one,
+  // or one a concurrent call began first.
+  bool resumed = false;
 };
 
 // Knobs of the rebuild sweep. All optional; null means unlimited rate /

@@ -1,5 +1,7 @@
 #include "sim/validation.h"
 
+#include <algorithm>
+
 #include "model/algorithms.h"
 
 namespace rda::sim {
@@ -60,6 +62,12 @@ Result<RdaGain> MeasureRdaGain(double c, uint64_t seed, bool force,
     RDA_ASSIGN_OR_RETURN(const SimResult result, sim.Run());
     (rda_on ? gain.transfers_on : gain.transfers_off) =
         result.transfers_per_commit;
+    const double commits =
+        static_cast<double>(std::max<uint64_t>(result.committed, 1));
+    (rda_on ? gain.array_on : gain.array_off) =
+        static_cast<double>(result.array_transfers) / commits;
+    (rda_on ? gain.log_on : gain.log_off) =
+        static_cast<double>(result.log_transfers) / commits;
   }
   gain.percent =
       100.0 * (gain.transfers_off - gain.transfers_on) / gain.transfers_on;
@@ -71,6 +79,19 @@ double ModelPageForceTocGain(double c) {
   const double base = model::EvalPageForceToc(params, c, false).throughput;
   const double with = model::EvalPageForceToc(params, c, true).throughput;
   return 100.0 * (with - base) / base;
+}
+
+double ModelPageForceTocRdaArrayCost(double c) {
+  const model::ModelParams params = ValidationModelParams();
+  const double p_log = model::EvalPageForceToc(params, c, true).p_log;
+  return params.f_u * 2.0 * p_log * params.s * params.p_u;
+}
+
+double ModelPageForceTocRdaLogSaving(double c) {
+  const model::ModelParams params = ValidationModelParams();
+  const double off = model::EvalPageForceToc(params, c, false).c_l;
+  const double on = model::EvalPageForceToc(params, c, true).c_l;
+  return params.f_u * (off - on) + ModelPageForceTocRdaArrayCost(c);
 }
 
 }  // namespace rda::sim

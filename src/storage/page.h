@@ -12,7 +12,9 @@ namespace rda {
 //  - kCommitted: holds the parity of the last committed state of its group
 //    (the "valid" twin when its timestamp is the higher committed one);
 //  - kObsolete:  holds an old committed parity (the other twin);
-//  - kWorking:   holds parity that includes updates of an active transaction;
+//  - kWorking:   holds parity that includes updates of the transaction in
+//    its header; after that transaction commits the header may stay
+//    kWorking until a later write stamps it (the commit record decides);
 //  - kInvalid:   the last transaction that updated it aborted.
 // kFree marks a never-written page (also used for data pages, which do not
 // use parity states).

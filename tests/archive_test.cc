@@ -227,6 +227,32 @@ TEST_F(ForceArchiveTest, RestartAfterInterruptedRestoreReplaysCommits) {
   }
 }
 
+// A FORCE commit writes no parity: the committed group's valid twin keeps
+// its kWorking(txn) header and the commit record vouches for it. Truncating
+// the log must stamp that twin first, or the restart would find a working
+// twin with no commit record, call its owner a loser and undo committed
+// data.
+TEST_F(ForceArchiveTest, TruncationStampsDeferredCommitTwins) {
+  DatabaseOptions options = BaseOptions();
+  options.txn.force = true;
+  Open(options);
+  const GroupId group = db_->array()->layout().GroupOf(0);
+  ASSERT_TRUE(WriteTxn(0, 0x5a).ok());
+  EXPECT_TRUE(db_->parity()->directory().Get(group).stamp_pending);
+  ASSERT_TRUE(db_->TakeArchive(/*truncate_log=*/true).ok());
+  EXPECT_FALSE(db_->parity()->directory().Get(group).stamp_pending);
+  EXPECT_EQ(db_->parity()->stats().deferred_stamps, 1u);
+
+  db_->Crash();
+  auto report = db_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->losers.empty());
+  EXPECT_EQ(DiskByte(0), 0x5a);
+  auto ok = db_->VerifyAllParity();
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
 // ---------------------------------------------------------------------------
 // Scrubber.
 // ---------------------------------------------------------------------------

@@ -299,6 +299,76 @@ TEST_F(DegradedTest, FaultedParityTwinHealedInsidePropagation) {
   EXPECT_TRUE(*ok);
 }
 
+// A torn write of the working twin, then a commit (which writes no parity)
+// and a crash: restart cannot read the winner's twin, and the older
+// committed survivor is stale. Current_Parity recomputes the parity of a
+// group with an unreadable twin from its data, so a later loss of the data
+// disk still rebuilds the committed page.
+TEST_F(DegradedTest, TornWorkingTwinOfCommittedGroupRepairedAtRestart) {
+  DatabaseOptions options = BaseOptions();
+  options.fault.enabled = true;
+  Open(options);
+  const GroupId group = db_->array()->layout().GroupOf(0);
+  const uint32_t working =
+      1 - db_->parity()->directory().Get(group).valid_twin;
+  const PhysicalLocation loc =
+      db_->array()->layout().ParityLocation(group, working);
+  db_->array()->injector(loc.disk)->ScheduleTornWrite(loc.slot);
+  ASSERT_TRUE(WriteTxn(0, 0x5a).ok());
+  ASSERT_EQ(db_->array()->injector(loc.disk)->stats().torn_writes, 1u);
+
+  db_->Crash();
+  auto report = db_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto ok = db_->parity()->VerifyGroupParity(group);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+
+  const DiskId disk = DataDiskOf(0);
+  ASSERT_TRUE(db_->FailDisk(disk).ok());
+  ASSERT_TRUE(db_->RebuildDisk(disk).ok());
+  EXPECT_EQ(DiskByte(0), 0x5a);
+}
+
+// The same tear, but the first restart crashes once it is past
+// Current_Parity, which has already reset the unreadable twin. The second
+// restart finds both twins readable, so the repair cannot wait for the end
+// of the first one. Page 4 (another group) gives the roll-forward a step
+// to crash in.
+TEST_F(DegradedTest, TornWorkingTwinRepairSurvivesACrashedRestart) {
+  DatabaseOptions options = BaseOptions();
+  options.fault.enabled = true;
+  Open(options);
+  const Layout& layout = db_->array()->layout();
+  const GroupId group = layout.GroupOf(0);
+  ASSERT_NE(layout.GroupOf(4), group);
+  const uint32_t working =
+      1 - db_->parity()->directory().Get(group).valid_twin;
+  const PhysicalLocation loc = layout.ParityLocation(group, working);
+  db_->array()->injector(loc.disk)->ScheduleTornWrite(loc.slot);
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  for (const PageId page : {PageId{0}, PageId{4}}) {
+    ASSERT_TRUE(db_->WritePage(*txn, page,
+                               std::vector<uint8_t>(db_->user_page_size(),
+                                                    0x5a))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  ASSERT_EQ(db_->array()->injector(loc.disk)->stats().torn_writes, 1u);
+
+  db_->Crash();
+  auto interrupted = db_->RecoverWithInjectedFault(0);
+  ASSERT_FALSE(interrupted.ok());
+  ASSERT_TRUE(interrupted.status().IsAborted());
+  db_->Crash();
+  auto report = db_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto ok = db_->parity()->VerifyGroupParity(group);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+}
+
 TEST_F(DegradedTest, DirtyGroupValidTwinFaultIsDataLoss) {
   DatabaseOptions options = BaseOptions();
   options.fault.enabled = true;

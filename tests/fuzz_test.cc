@@ -34,6 +34,8 @@ TEST(ScheduleText, RoundTripsThroughToStringAndParse) {
       {FaultEvent::Kind::kTransientRead, 8, 3, 2});
   schedule.faults.push_back(
       {FaultEvent::Kind::kDiskFailOnlineRebuild, 20, 1, 1500});
+  schedule.faults.push_back({FaultEvent::Kind::kArchive, 24, 0, 0});
+  schedule.faults.push_back({FaultEvent::Kind::kTornTwin, 26, 9, 0});
 
   const std::string text = schedule.ToString();
   Result<Schedule> parsed = Schedule::Parse(text);
@@ -63,6 +65,8 @@ TEST(ScheduleText, RejectsMalformedInput) {
       "rda-sched v1 steps=3 crash=5",             // missing recovery_faults
       "rda-sched v1 steps=3 fault=latent:5",      // missing '@'
       "rda-sched v1 steps=3 fault=gremlin@5:1",
+      "rda-sched v1 steps=3 fault=archive@5:1",   // archive takes no operand
+      "rda-sched v1 steps=3 fault=torntwin@5",    // torntwin needs a page
       "rda-sched v1 steps=3 wat=7",
   };
   for (const char* text : kBad) {

@@ -587,6 +587,8 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
   ASSERT_TRUE(winner.ok());
   ASSERT_TRUE(d->WritePage(*winner, 0, bytes).ok());
   ASSERT_TRUE(d->Commit(*winner).ok());
+  // The commit left group 0's valid twin unstamped; truncation stamps it.
+  ASSERT_TRUE(d->TakeArchive(/*truncate_log=*/true).ok());
   ASSERT_TRUE(d->Checkpoint().ok());
   auto loser = d->Begin();
   ASSERT_TRUE(loser.ok());
@@ -604,6 +606,7 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
   EXPECT_EQ(stats.txn.aborted, 1u);
   EXPECT_GT(stats.parity.parity_undos, 0u);
   EXPECT_EQ(stats.parity.latent_repairs, 1u);
+  EXPECT_EQ(stats.parity.deferred_stamps, 1u);
   EXPECT_GT(policy.sector_errors, 0u);
   EXPECT_GT(io.purged_writes, 0u);
 
@@ -625,6 +628,7 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
       {"parity.parity_undos", stats.parity.parity_undos},
       {"parity.logged_undos", stats.parity.logged_undos},
       {"parity.commits_finalized", stats.parity.commits_finalized},
+      {"parity.deferred_stamps", stats.parity.deferred_stamps},
       {"parity.latent_repairs", stats.parity.latent_repairs},
       {"parity.corruption_repairs", stats.parity.corruption_repairs},
       {"recovery.checkpoints", stats.checkpoints},

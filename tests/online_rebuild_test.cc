@@ -10,9 +10,11 @@
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
+#include "exec/token_bucket.h"
 #include "fuzz/runner.h"
 #include "fuzz/schedule.h"
 
@@ -667,6 +669,49 @@ TEST_F(OnlineRebuildTest, SecondSweepOfASessionEndsItWithoutFailingTheFirst) {
   ASSERT_TRUE(parked.ok()) << parked.status().ToString();
   EXPECT_TRUE(parked->completed);
   EXPECT_EQ(parked->groups_background, 0u);
+  EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
+  EXPECT_EQ(db_->array()->NumFailedDisks(), 0u);
+  EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
+  VerifyAllPages();
+  ExpectParityConsistent();
+}
+
+// Two RebuildDisk calls that both find no session race into Begin (say,
+// RepairEscalations and a maintenance job on one escalated disk). Begin is
+// serialized: exactly one call begins the session, the other resumes it,
+// and both return Ok. The throttle keeps the session open long enough for
+// the second call to arrive while it is active. Run under TSan in CI.
+TEST_F(OnlineRebuildTest, ConcurrentRebuildsOfOneDiskBeginOneSession) {
+  Open();
+  Populate();
+  const DiskId victim = 1;
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  exec::TokenBucket throttle(/*tokens_per_sec=*/300);
+  OnlineRebuildOptions options;
+  options.throttle = &throttle;
+  std::atomic<bool> go{false};
+  Result<MediaRecoveryReport> reports[2] = {Status::Aborted("not run"),
+                                            Status::Aborted("not run")};
+  std::vector<std::thread> callers;
+  for (auto& report : reports) {
+    callers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      report = db_->RebuildDisk(victim, options);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  int begun = 0;
+  for (const auto& report : reports) {
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->completed);
+    begun += report->resumed ? 0 : 1;
+  }
+  EXPECT_EQ(begun, 1);
   EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
   EXPECT_EQ(db_->array()->NumFailedDisks(), 0u);
   EXPECT_TRUE(db_->array()->RebuildingDisks().empty());

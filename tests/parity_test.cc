@@ -148,16 +148,19 @@ TEST_F(TwinParityTest, CommitFinalizesWorkingTwin) {
   const GroupState& state = parity_->directory().Get(0);
   EXPECT_FALSE(state.dirty);
   EXPECT_EQ(state.valid_twin, working);
+  // The commit writes nothing: the new valid twin still says kWorking(3)
+  // on disk, and its stamp is pending.
+  EXPECT_TRUE(state.stamp_pending);
   PageImage twin;
   ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
-  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  EXPECT_EQ(twin.header.parity_state, ParityState::kWorking);
+  EXPECT_EQ(twin.header.txn_id, 3u);
   // Idempotent re-run (recovery path).
   EXPECT_TRUE(parity_->FinalizeCommit(0, 3).ok());
 }
 
-// The commit writes the working image the manager still holds: a steal
-// with the old payload at hand reads only the valid twin, and the commit
-// adds one write and no read.
+// A steal with the old payload at hand reads only the valid twin, and the
+// commit adds no I/O at all: it flips the twin roles in memory.
 TEST_F(TwinParityTest, FinalizeCommitWritesHeldWorkingImageWithoutRead) {
   const std::vector<uint8_t> old = ReadPayload(0);
   PageImage image(0);
@@ -171,19 +174,18 @@ TEST_F(TwinParityTest, FinalizeCommitWritesHeldWorkingImageWithoutRead) {
   ASSERT_TRUE(parity_->FinalizeCommit(0, 7).ok());
   const IoCounters io = array_->counters();
   EXPECT_EQ(io.page_reads, 1u);   // The valid twin.
-  EXPECT_EQ(io.page_writes, 3u);  // Working twin, data page, commit.
+  EXPECT_EQ(io.page_writes, 2u);  // Working twin, data page.
   PageImage twin;
   ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
-  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  EXPECT_EQ(twin.header.parity_state, ParityState::kWorking);
   EXPECT_EQ(parity_->directory().Get(0).valid_twin, working);
   auto ok = parity_->VerifyGroupParity(0);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
 }
 
-// A logged write into the dirty group rewrites the working twin, and the
-// held image follows it: the commit still reads nothing and installs
-// parity that covers both pages.
+// A logged write into the dirty group rewrites both twins; the commit does
+// no I/O and leaves valid parity that covers both pages.
 TEST_F(TwinParityTest, FinalizeAfterLoggedDirtyGroupWriteStaysCoherent) {
   ASSERT_TRUE(Propagate(1, 2, PropagationKind::kUnloggedFirst,
                         MakePayload(0x11, 2))
@@ -194,14 +196,14 @@ TEST_F(TwinParityTest, FinalizeAfterLoggedDirtyGroupWriteStaysCoherent) {
   array_->ResetCounters();
   ASSERT_TRUE(parity_->FinalizeCommit(0, 2).ok());
   EXPECT_EQ(array_->counters().page_reads, 0u);
-  EXPECT_EQ(array_->counters().page_writes, 1u);
+  EXPECT_EQ(array_->counters().page_writes, 0u);
   auto ok = parity_->VerifyGroupParity(0);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
 }
 
-// A crash loses the held image, so the restart roll-forward reads the
-// working twin back before committing it.
+// After a crash the rebuilt directory finds the group dirty by its
+// working twin's owner; the restart roll-forward finalizes it with no I/O.
 TEST_F(TwinParityTest, FinalizeAfterCrashReadsTheWorkingTwin) {
   const GroupId group = array_->layout().GroupOf(9);
   ASSERT_TRUE(Propagate(9, 11, PropagationKind::kUnloggedFirst,
@@ -212,8 +214,8 @@ TEST_F(TwinParityTest, FinalizeAfterCrashReadsTheWorkingTwin) {
   ASSERT_TRUE(parity_->directory().Get(group).dirty);
   array_->ResetCounters();
   ASSERT_TRUE(parity_->FinalizeCommit(group, 11).ok());
-  EXPECT_EQ(array_->counters().page_reads, 1u);
-  EXPECT_EQ(array_->counters().page_writes, 1u);
+  EXPECT_EQ(array_->counters().page_reads, 0u);
+  EXPECT_EQ(array_->counters().page_writes, 0u);
   EXPECT_FALSE(parity_->directory().Get(group).dirty);
   auto ok = parity_->VerifyGroupParity(group);
   ASSERT_TRUE(ok.ok());
@@ -221,7 +223,7 @@ TEST_F(TwinParityTest, FinalizeAfterCrashReadsTheWorkingTwin) {
 }
 
 // An online rebuild of the working twin's disk recomputes that twin from
-// data; the commit then writes the rebuilt image, not a stale one.
+// data; the commit then adopts the rebuilt twin without any I/O.
 TEST_F(TwinParityTest, FinalizeAfterOnlineRebuildOfWorkingTwinDisk) {
   const std::vector<uint8_t> payload = MakePayload(0x3c, 4);
   ASSERT_TRUE(Propagate(0, 4, PropagationKind::kUnloggedFirst, payload)
@@ -236,7 +238,7 @@ TEST_F(TwinParityTest, FinalizeAfterOnlineRebuildOfWorkingTwinDisk) {
   array_->ResetCounters();
   ASSERT_TRUE(parity_->FinalizeCommit(0, 4).ok());
   EXPECT_EQ(array_->counters().page_reads, 0u);
-  EXPECT_EQ(array_->counters().page_writes, 1u);
+  EXPECT_EQ(array_->counters().page_writes, 0u);
   for (GroupId g = 0; g < array_->num_groups(); ++g) {
     ASSERT_TRUE(parity_->RebuildGroupIfPending(g, &did_work).ok());
   }
@@ -250,8 +252,9 @@ TEST_F(TwinParityTest, FinalizeAfterOnlineRebuildOfWorkingTwinDisk) {
 }
 
 // A torn write of the working twin reports success and leaves a slot that
-// fails its checksum. The commit writes the whole held image over it, so
-// the committed twin reads back clean and covers the data.
+// fails its checksum. The commit writes nothing, so the tear survives it;
+// the next healed read of the now-valid twin recomputes it from data and
+// stamps it committed. (After a crash, the restart scrub heals it.)
 TEST_F(TwinParityTest, FinalizeOverwritesTornWorkingTwin) {
   FaultConfig faults;
   faults.enabled = true;  // Scripted faults only.
@@ -268,12 +271,15 @@ TEST_F(TwinParityTest, FinalizeOverwritesTornWorkingTwin) {
   array_->ResetCounters();
   ASSERT_TRUE(parity_->FinalizeCommit(0, 6).ok());
   EXPECT_EQ(array_->counters().page_reads, 0u);
-  PageImage twin;
-  ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
-  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  EXPECT_EQ(array_->counters().page_writes, 0u);
+  EXPECT_FALSE(array_->ReadParity(0, working, &torn).ok());
   auto ok = parity_->VerifyGroupParity(0);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
+  PageImage twin;
+  ASSERT_TRUE(array_->ReadParity(0, working, &twin).ok());
+  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  EXPECT_FALSE(parity_->directory().Get(0).stamp_pending);
 }
 
 // Committers on different threads steal and commit pages that share
@@ -392,13 +398,22 @@ TEST_F(TwinParityTest, RebuildDirectoryAfterCrashFindsDirtyGroups) {
   EXPECT_TRUE(dirty.dirty);
   EXPECT_EQ(dirty.dirty_page, 2u);
   EXPECT_EQ(dirty.dirty_txn, 11u);
-  const GroupState& clean = parity_->directory().Get(2);
-  EXPECT_FALSE(clean.dirty);
-  // The finalized group's valid twin must be the committed one with the
-  // highest timestamp.
+  // The finalized group's twin still says kWorking(12) and outranks the
+  // committed one, so without a log the group reads dirty by txn 12 until
+  // the roll-forward finalizes it, with no I/O.
+  const GroupState& committed = parity_->directory().Get(2);
+  EXPECT_TRUE(committed.dirty);
+  EXPECT_EQ(committed.dirty_page, 8u);
+  EXPECT_EQ(committed.dirty_txn, 12u);
+  array_->ResetCounters();
+  ASSERT_TRUE(parity_->FinalizeCommit(2, 12).ok());
+  EXPECT_EQ(array_->counters().total(), 0u);
+  EXPECT_FALSE(committed.dirty);
+  EXPECT_TRUE(committed.stamp_pending);
   PageImage twin;
-  ASSERT_TRUE(array_->ReadParity(2, clean.valid_twin, &twin).ok());
-  EXPECT_EQ(twin.header.parity_state, ParityState::kCommitted);
+  ASSERT_TRUE(array_->ReadParity(2, committed.valid_twin, &twin).ok());
+  EXPECT_EQ(twin.header.parity_state, ParityState::kWorking);
+  EXPECT_EQ(twin.header.txn_id, 12u);
 }
 
 TEST_F(TwinParityTest, UndoAfterRebuildStillExact) {
