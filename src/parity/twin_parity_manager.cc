@@ -78,6 +78,67 @@ Status TwinParityManager::WriteTwin(GroupId group, uint32_t twin,
   return Status::Ok();
 }
 
+Status TwinParityManager::InstallTwin(GroupId group, uint32_t twin,
+                                      ParityState state, PageImage* image,
+                                      bool traced) {
+  const GroupState& g = directory_.Get(group);
+  PageHeader& header = image->header;
+  const ParityTimestamp kept = header.timestamp;
+  header = PageHeader();
+  header.parity_state = state;
+  if (state == ParityState::kWorking) {
+    header.txn_id = g.dirty_txn;
+    header.dirty_page = g.dirty_page;
+  }
+  if (state == ParityState::kObsolete) {
+    image->payload.assign(array_->page_size(), 0);
+  } else {
+    header.timestamp =
+        state == ParityState::kInvalid ? kept : NextTimestamp();
+  }
+  RDA_RETURN_IF_ERROR(WriteTwin(group, twin, *image));
+  if (traced) {
+    TraceTwinTransition(group, twin, static_cast<uint8_t>(state),
+                        g.dirty_page, g.dirty_txn);
+  } else {
+    SyncTwinShadow(group, twin, static_cast<uint8_t>(state));
+  }
+  return Status::Ok();
+}
+
+Status TwinParityManager::InstallCleanParity(GroupId group, uint32_t twin,
+                                             PageImage* image) {
+  RDA_RETURN_IF_ERROR(InstallTwin(group, twin, ParityState::kCommitted, image));
+  if (array_->layout().parity_copies() == 2) {
+    RDA_RETURN_IF_ERROR(
+        InstallTwin(group, OtherTwin(twin), ParityState::kObsolete, image));
+  }
+  directory_.MarkClean(group, twin);
+  return Status::Ok();
+}
+
+Status TwinParityManager::XorGroupData(GroupId group, bool healed,
+                                       PageImage* parity,
+                                       PageId* failed_page) {
+  const Layout& layout = array_->layout();
+  parity->header = PageHeader();
+  parity->payload.assign(array_->page_size(), 0);
+  ScratchPool::ScratchImage data = scratch_.Acquire();
+  for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
+    const PageId page = layout.PageAt(group, i);
+    const Status read = healed ? ReadDataHealed(page, &*data)
+                               : array_->ReadData(page, &*data);
+    if (!read.ok()) {
+      if (failed_page != nullptr) {
+        *failed_page = page;
+      }
+      return read;
+    }
+    XorPage(&parity->payload, data->payload);
+  }
+  return Status::Ok();
+}
+
 namespace {
 
 // The free stamp: a write of the valid twin commits its on-disk header,
@@ -264,58 +325,34 @@ Status TwinParityManager::ReadParityHealed(GroupId group, uint32_t twin,
                             std::to_string(group) +
                             " unreadable: parity undo coverage lost");
   }
-  PageImage repaired(array_->page_size());
+  // An obsolete twin's content is dead weight: a reset is a full repair.
+  PageImage repaired;
+  ParityState repaired_state = ParityState::kObsolete;
   if (state.dirty || twin == state.valid_twin) {
     // The consistent twin (working twin of a dirty group, valid twin of a
     // clean one) equals XOR of the current data pages — the running
-    // invariant of parity-first propagation.
-    const Layout& layout = array_->layout();
-    ScratchPool::ScratchImage data = scratch_.Acquire();
-    for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-      RDA_RETURN_IF_ERROR(array_->ReadData(layout.PageAt(group, i), &*data));
-      XorPage(&repaired.payload, data->payload);
-    }
-    if (state.dirty) {
-      repaired.header.parity_state = ParityState::kWorking;
-      repaired.header.txn_id = state.dirty_txn;
-      repaired.header.dirty_page = state.dirty_page;
-    } else {
-      repaired.header.parity_state = ParityState::kCommitted;
-    }
-    repaired.header.timestamp = NextTimestamp();
-  } else {
-    // Obsolete twin: its content is dead weight; a reset is a full repair.
-    repaired.header.parity_state = ParityState::kObsolete;
-    repaired.header.timestamp = 0;
+    // invariant of parity-first propagation. Raw reads: this twin is what a
+    // heal would XOR from.
+    RDA_RETURN_IF_ERROR(XorGroupData(group, /*healed=*/false, &repaired));
+    repaired_state =
+        state.dirty ? ParityState::kWorking : ParityState::kCommitted;
   }
   if (crash_before_writeback_.exchange(false, std::memory_order_relaxed)) {
     return Status::Aborted("injected crash before repair write-back");
   }
-  *out = repaired;
-  if (!array_->DiskFailed(disk)) {
-    if (WriteTwin(group, twin, repaired).ok()) {
-      NoteSectorRepair(status, kInvalidPageId, group);
-    }
+  // If the charge above escalated the disk, the write fails and the
+  // repaired image is served without a write-back.
+  if (InstallTwin(group, twin, repaired_state, &repaired).ok()) {
+    NoteSectorRepair(status, kInvalidPageId, group);
   }
+  *out = std::move(repaired);
   return Status::Ok();
 }
 
 Status TwinParityManager::FormatArray() {
-  const size_t page_size = array_->page_size();
+  PageImage parity(array_->page_size());  // An all-zero group's parity.
   for (GroupId g = 0; g < array_->num_groups(); ++g) {
-    PageImage committed(page_size);  // Parity of an all-zero group is zero.
-    committed.header.parity_state = ParityState::kCommitted;
-    committed.header.timestamp = NextTimestamp();
-    RDA_RETURN_IF_ERROR(WriteTwin(g, 0, committed));
-    SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
-    if (array_->layout().parity_copies() == 2) {
-      PageImage obsolete(page_size);
-      obsolete.header.parity_state = ParityState::kObsolete;
-      obsolete.header.timestamp = 0;
-      RDA_RETURN_IF_ERROR(WriteTwin(g, 1, obsolete));
-      SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
-    }
-    directory_.MarkClean(g, 0);
+    RDA_RETURN_IF_ERROR(InstallCleanParity(g, 0, &parity));
   }
   directory_valid_.store(true, std::memory_order_release);
   return Status::Ok();
@@ -410,23 +447,19 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
     }
   } promotion;
   std::vector<uint8_t> old_from_parity;
-  if (rebuild_active_.load(std::memory_order_acquire) &&
-      rebuild_pending_ != nullptr &&
-      rebuild_pending_[group].load(std::memory_order_relaxed) != 0 &&
-      !array_->DiskFailed(rebuild_disk_)) {
-    if (array_->layout().DataLocation(page).disk == rebuild_disk_) {
-      rebuild_pending_[group].store(0, std::memory_order_relaxed);
-      promotion.slot = &rebuild_pending_[group];
-      if (old_payload == nullptr) {
-        // The fresh medium holds stale zeros; the logical old content lives
-        // only in parity space. (The reconstruction's raw reads never touch
-        // `page` itself — group members sit on distinct disks.)
-        RDA_ASSIGN_OR_RETURN(old_from_parity, ReconstructDataPayload(page));
-        old_payload = &old_from_parity;
-      }
-    } else {
-      RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(group));
+  if (OnlineGroupPending(group) && !array_->DiskFailed(rebuild_disk_) &&
+      array_->layout().DataLocation(page).disk == rebuild_disk_) {
+    rebuild_pending_[group].store(0, std::memory_order_relaxed);
+    promotion.slot = &rebuild_pending_[group];
+    if (old_payload == nullptr) {
+      // The fresh medium holds stale zeros; the logical old content lives
+      // only in parity space. (The reconstruction's raw reads never touch
+      // `page` itself — group members sit on distinct disks.)
+      RDA_ASSIGN_OR_RETURN(old_from_parity, ReconstructDataPayload(page));
+      old_payload = &old_from_parity;
     }
+  } else {
+    RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(group));
   }
   const GroupState& state = directory_.Get(group);
 
@@ -557,6 +590,7 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
     // The new image is durable on the replaced medium: the group needs no
     // background rebuild. Disarm the guard and account the promotion.
     promotion.slot = nullptr;
+    rebuild_groups_remaining_.fetch_sub(1, std::memory_order_relaxed);
     NotePendingCleared(group, /*on_demand=*/false);
   }
   return write;
@@ -655,31 +689,11 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
   result.page = state.dirty_page;
   result.overwritten_meta = LoadDataMeta(data.payload);
 
-  if (data_disk_down) {
-    ScratchPool::ScratchImage working = scratch_.Acquire();
-    RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &*working));
-    working->header.parity_state = ParityState::kInvalid;
-    working->header.txn_id = kInvalidTxnId;
-    working->header.dirty_page = kInvalidPageId;
-    RDA_RETURN_IF_ERROR(
-        WriteTwin(group, state.working_twin, *working));
-    TraceTwinTransition(group, state.working_twin,
-                        static_cast<uint8_t>(ParityState::kInvalid),
-                        state.dirty_page, txn);
-    TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
-    directory_.MarkClean(group, state.valid_twin);
-    RDA_ASSIGN_OR_RETURN(result.restored_payload,
-                         ReconstructDataPayload(state.dirty_page));
-    result.payload_restored = true;
-    return result;
-  }
-
-  if (result.overwritten_meta.txn_id == txn) {
+  ScratchPool::ScratchImage working = scratch_.Acquire();
+  if (!data_disk_down && result.overwritten_meta.txn_id == txn) {
     // D_old = (P xor P') xor D_new (paper Figure 6). The embedded metadata
     // (pageLSN, chain link) of the old image comes back byte-exactly.
     ScratchPool::ScratchImage restored = scratch_.Acquire();
-    ScratchPool::ScratchImage working = scratch_.Acquire();
     RDA_RETURN_IF_ERROR(
         ReadParityHealed(group, state.valid_twin, &*restored));
     RDA_RETURN_IF_ERROR(
@@ -690,16 +704,12 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
     RDA_RETURN_IF_ERROR(array_->WriteData(state.dirty_page, *restored));
     result.payload_restored = true;
     result.restored_payload = restored.TakePayload();
-
-    working->header.parity_state = ParityState::kInvalid;
-    working->header.txn_id = kInvalidTxnId;
-    working->header.dirty_page = kInvalidPageId;
-    RDA_RETURN_IF_ERROR(
-        WriteTwin(group, state.working_twin, *working));
   } else {
-    // The data page no longer carries the transaction's stamp: its content
-    // was already restored. Two distinct histories lead here and they leave
-    // OPPOSITE twins covering the on-disk group:
+    // Degraded (the covered page's disk is down: the undo happens in
+    // parity space below), or the data page no longer carries the
+    // transaction's stamp: its content was already restored. Two distinct
+    // histories lead to the latter and they leave OPPOSITE twins covering
+    // the on-disk group:
     //  - a crash interrupted a previous parity undo after its data write —
     //    the VALID twin covers the restored group;
     //  - a logged before-image undo rewrote the dirty page while the group
@@ -709,50 +719,37 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
     //    the group and the valid twin is stale by (committed xor restored).
     // The stamp alone cannot distinguish them: audit the group's data XOR
     // and refresh the valid twin if it no longer covers the data, or the
-    // group would be marked clean around permanently corrupt parity.
-    ScratchPool::ScratchImage actual = scratch_.Acquire();
-    ScratchPool::ScratchImage member = scratch_.Acquire();
-    bool xor_known = true;
+    // group would be marked clean around permanently corrupt parity. A
+    // group with a member on a failed disk has nothing to audit against.
+    bool degraded = false;
     for (uint32_t i = 0; i < array_->layout().data_pages_per_group(); ++i) {
-      const PageId member_page = array_->layout().PageAt(group, i);
-      if (!LocationHealthy(array_->layout().DataLocation(member_page)) ||
-          !ReadDataHealed(member_page, &*member).ok()) {
-        xor_known = false;  // Degraded member: nothing to audit against.
-        break;
-      }
-      XorPage(&actual->payload, member->payload);
+      degraded |= !LocationHealthy(
+          array_->layout().DataLocation(array_->layout().PageAt(group, i)));
     }
-    if (xor_known) {
+    ScratchPool::ScratchImage actual = scratch_.Acquire();
+    if (!degraded && XorGroupData(group, /*healed=*/true, &*actual).ok()) {
       ScratchPool::ScratchImage valid = scratch_.Acquire();
       RDA_RETURN_IF_ERROR(
           ReadParityHealed(group, state.valid_twin, &*valid));
       if (valid->payload != actual->payload) {
-        actual->header.parity_state = ParityState::kCommitted;
-        actual->header.txn_id = kInvalidTxnId;
-        actual->header.dirty_page = kInvalidPageId;
-        actual->header.timestamp = NextTimestamp();
-        RDA_RETURN_IF_ERROR(
-            WriteTwin(group, state.valid_twin, *actual));
-        TraceTwinTransition(group, state.valid_twin,
-                            static_cast<uint8_t>(ParityState::kCommitted),
-                            state.dirty_page, txn);
+        RDA_RETURN_IF_ERROR(InstallTwin(group, state.valid_twin,
+                                        ParityState::kCommitted, &*actual,
+                                        /*traced=*/true));
       }
     }
-    ScratchPool::ScratchImage working = scratch_.Acquire();
     RDA_RETURN_IF_ERROR(
         ReadParityHealed(group, state.working_twin, &*working));
-    working->header.parity_state = ParityState::kInvalid;
-    working->header.txn_id = kInvalidTxnId;
-    working->header.dirty_page = kInvalidPageId;
-    RDA_RETURN_IF_ERROR(
-        WriteTwin(group, state.working_twin, *working));
   }
-
-  TraceTwinTransition(group, state.working_twin,
-                      static_cast<uint8_t>(ParityState::kInvalid),
-                      state.dirty_page, txn);
+  RDA_RETURN_IF_ERROR(InstallTwin(group, state.working_twin,
+                                  ParityState::kInvalid, &*working,
+                                  /*traced=*/true));
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
   directory_.MarkClean(group, state.valid_twin);
+  if (data_disk_down) {
+    RDA_ASSIGN_OR_RETURN(result.restored_payload,
+                         ReconstructDataPayload(state.dirty_page));
+    result.payload_restored = true;
+  }
   return result;
 }
 
@@ -859,58 +856,54 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
     if (layout.ParityLocation(group, t).disk != disk) {
       continue;
     }
+    ScratchPool::ScratchImage parity = scratch_.Acquire();
     if (t == consistent_twin) {
-      // Recompute the consistent parity from the (surviving) data pages.
-      ScratchPool::ScratchImage parity = scratch_.Acquire();
-      ScratchPool::ScratchImage data = scratch_.Acquire();
-      for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-        RDA_RETURN_IF_ERROR(
-            ReadDataHealed(layout.PageAt(group, i), &*data));
-        XorPage(&parity->payload, data->payload);
+      // Recompute the consistent parity from the surviving data pages. Raw
+      // reads: a heal would XOR from this very twin, still zeroed on the
+      // fresh medium. A faulted data page is charged to its disk (which may
+      // escalate) and the group is lost — single parity cannot cover both.
+      PageId unreadable = kInvalidPageId;
+      const Status xored =
+          XorGroupData(group, /*healed=*/false, &*parity, &unreadable);
+      if (!xored.ok()) {
+        const DiskId bad = layout.DataLocation(unreadable).disk;
+        if (HealableFault(xored, bad)) {
+          array_->RecordSectorError(bad);
+        }
+        return Status::DataLoss(
+            "group " + std::to_string(group) + " lost: data page " +
+            std::to_string(unreadable) + " unreadable while its parity twin " +
+            "is rebuilt (" + xored.ToString() + ")");
       }
-      if (state.dirty) {
-        parity->header.parity_state = ParityState::kWorking;
-        parity->header.txn_id = state.dirty_txn;
-        parity->header.dirty_page = state.dirty_page;
-      } else {
-        parity->header.parity_state = ParityState::kCommitted;
-      }
-      parity->header.timestamp = NextTimestamp();
-      RDA_RETURN_IF_ERROR(WriteTwin(group, t, *parity));
-      SyncTwinShadow(group, t,
-                     static_cast<uint8_t>(parity->header.parity_state));
+      RDA_RETURN_IF_ERROR(InstallTwin(
+          group, t,
+          state.dirty ? ParityState::kWorking : ParityState::kCommitted,
+          &*parity));
       ++outcome.parity_rebuilt;
       return outcome;
     }
     if (!state.dirty) {
       // Stale obsolete twin: its content is not needed; reset it.
-      ScratchPool::ScratchImage obsolete = scratch_.Acquire();
-      obsolete->header.parity_state = ParityState::kObsolete;
-      RDA_RETURN_IF_ERROR(WriteTwin(group, t, *obsolete));
-      SyncTwinShadow(group, t, static_cast<uint8_t>(ParityState::kObsolete));
+      RDA_RETURN_IF_ERROR(
+          InstallTwin(group, t, ParityState::kObsolete, &*parity));
       ++outcome.obsolete_reset;
       return outcome;
     }
     // Worst case: the OLD (valid) twin of a dirty group is gone — the
     // before-state of the in-flight unlogged update is unrecoverable.
     // Finalize the working twin so the group stays internally consistent
-    // and report the affected transaction to the caller.
+    // and report the affected transaction to the caller. The twins trade
+    // roles as at a commit (Figure 8), so the trace says so.
     outcome.undo_lost = true;
     outcome.lost_txn = state.dirty_txn;
-    PageImage working;
+    ScratchPool::ScratchImage working = scratch_.Acquire();
     RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &working));
-    working.header.parity_state = ParityState::kCommitted;
-    working.header.timestamp = NextTimestamp();
-    RDA_RETURN_IF_ERROR(
-        WriteTwin(group, state.working_twin, working));
-    PageImage obsolete(array_->page_size());
-    obsolete.header.parity_state = ParityState::kObsolete;
-    RDA_RETURN_IF_ERROR(WriteTwin(group, t, obsolete));
-    TraceTwinTransition(group, state.working_twin,
-                        static_cast<uint8_t>(ParityState::kCommitted),
-                        state.dirty_page, state.dirty_txn);
-    SyncTwinShadow(group, t, static_cast<uint8_t>(ParityState::kObsolete));
+        ReadParityHealed(group, state.working_twin, &*working));
+    RDA_RETURN_IF_ERROR(InstallTwin(group, state.working_twin,
+                                    ParityState::kCommitted, &*working,
+                                    /*traced=*/true));
+    RDA_RETURN_IF_ERROR(InstallTwin(group, t, ParityState::kObsolete,
+                                    &*parity, /*traced=*/true));
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page,
                          state.dirty_txn);
     directory_.MarkClean(group, state.working_twin);
@@ -1012,28 +1005,19 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
 Result<TwinParityManager::GroupRebuildOutcome>
 TwinParityManager::RebuildGroupIfPending(GroupId group, bool* did_work) {
   *did_work = false;
-  GroupRebuildOutcome none;
-  if (!rebuild_active_.load(std::memory_order_acquire) ||
-      rebuild_pending_ == nullptr ||
-      rebuild_pending_[group].load(std::memory_order_relaxed) == 0) {
-    return none;  // Lock-free skip: someone already handled this group.
+  if (!OnlineGroupPending(group)) {
+    // Lock-free skip: someone already handled this group.
+    return GroupRebuildOutcome{};
   }
   auto latch = LockGroup(group);
-  if (rebuild_pending_[group].load(std::memory_order_relaxed) == 0) {
-    return none;  // Lost the race under the latch.
+  if (!OnlineGroupPending(group)) {
+    return GroupRebuildOutcome{};  // Lost the race under the latch.
   }
   if (array_->DiskFailed(rebuild_disk_)) {
     return Status::IoError("disk " + std::to_string(rebuild_disk_) +
                            " failed during its online rebuild");
   }
-  rebuild_pending_[group].store(0, std::memory_order_relaxed);
-  Result<GroupRebuildOutcome> outcome = RebuildGroupMember(group,
-                                                           rebuild_disk_);
-  if (!outcome.ok()) {
-    rebuild_pending_[group].store(1, std::memory_order_relaxed);
-    return outcome.status();
-  }
-  rebuild_groups_remaining_.fetch_sub(1, std::memory_order_relaxed);
+  RDA_ASSIGN_OR_RETURN(GroupRebuildOutcome outcome, ClaimPendingGroup(group));
   *did_work = true;
   return outcome;
 }
@@ -1066,33 +1050,30 @@ bool TwinParityManager::OnlineGroupPending(GroupId group) const {
 }
 
 Status TwinParityManager::EnsureGroupRebuilt(GroupId group) {
-  if (!rebuild_active_.load(std::memory_order_acquire) ||
-      rebuild_pending_ == nullptr ||
-      rebuild_pending_[group].load(std::memory_order_relaxed) == 0) {
+  // A failed rebuilding disk (pre-replace window, or the new medium failed
+  // again) leaves the group pending: degraded mode serves the access.
+  if (!OnlineGroupPending(group) || array_->DiskFailed(rebuild_disk_)) {
     return Status::Ok();
   }
-  if (array_->DiskFailed(rebuild_disk_)) {
-    // Pre-replace window, or the new medium failed again: the group stays
-    // pending and the degraded-mode machinery serves the access.
-    return Status::Ok();
-  }
-  // Clear the bit BEFORE rebuilding: the latch is recursive and
-  // RebuildGroupMember re-enters the healed readers, which re-enter this
-  // hook — the bit is the recursion brake. Restored on failure so the
-  // stale zeroed medium is never silently trusted.
-  rebuild_pending_[group].store(0, std::memory_order_relaxed);
-  Result<GroupRebuildOutcome> outcome = RebuildGroupMember(group,
-                                                           rebuild_disk_);
-  if (!outcome.ok()) {
-    rebuild_pending_[group].store(1, std::memory_order_relaxed);
-    return outcome.status();
-  }
+  RDA_RETURN_IF_ERROR(ClaimPendingGroup(group).status());
   NotePendingCleared(group, /*on_demand=*/true);
   return Status::Ok();
 }
 
+Result<TwinParityManager::GroupRebuildOutcome>
+TwinParityManager::ClaimPendingGroup(GroupId group) {
+  rebuild_pending_[group].store(0, std::memory_order_relaxed);
+  Result<GroupRebuildOutcome> outcome =
+      RebuildGroupMember(group, rebuild_disk_);
+  if (outcome.ok()) {
+    rebuild_groups_remaining_.fetch_sub(1, std::memory_order_relaxed);
+  } else {
+    rebuild_pending_[group].store(1, std::memory_order_relaxed);
+  }
+  return outcome;
+}
+
 void TwinParityManager::NotePendingCleared(GroupId group, bool on_demand) {
-  rebuild_groups_remaining_.fetch_sub(1, std::memory_order_relaxed);
   if (on_demand) {
     online_on_demand_.Add();
   } else {
@@ -1133,11 +1114,8 @@ Status TwinParityManager::WriteFullGroup(
     XorPage(&parity.payload, payloads[i]);
   }
   // Parity first (consistent with the small-write ordering), then data.
-  parity.header.parity_state = ParityState::kCommitted;
-  parity.header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(WriteTwin(group, state.valid_twin, parity));
-  SyncTwinShadow(group, state.valid_twin,
-                 static_cast<uint8_t>(ParityState::kCommitted));
+  RDA_RETURN_IF_ERROR(InstallTwin(group, state.valid_twin,
+                                  ParityState::kCommitted, &parity));
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
     PageImage image(0);
     image.payload = payloads[i];
@@ -1157,30 +1135,12 @@ Status TwinParityManager::ScrubGroup(GroupId group) {
   if (state.dirty) {
     return Status::FailedPrecondition("cannot scrub a dirty group");
   }
-  PageImage parity(array_->page_size());
-  const Layout& layout = array_->layout();
-  ScratchPool::ScratchImage data = scratch_.Acquire();
-  for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-    // Healed reads make the scrub a read-verify pass over the data pages
-    // too: a latent or corrupt data sector found here is repaired in place
-    // before its content goes into the fresh parity.
-    RDA_RETURN_IF_ERROR(ReadDataHealed(layout.PageAt(group, i), &*data));
-    XorPage(&parity.payload, data->payload);
-  }
-  parity.header.parity_state = ParityState::kCommitted;
-  parity.header.timestamp = NextTimestamp();
-  RDA_RETURN_IF_ERROR(WriteTwin(group, state.valid_twin, parity));
-  SyncTwinShadow(group, state.valid_twin,
-                 static_cast<uint8_t>(ParityState::kCommitted));
-  if (array_->layout().parity_copies() == 2) {
-    PageImage obsolete(array_->page_size());
-    obsolete.header.parity_state = ParityState::kObsolete;
-    RDA_RETURN_IF_ERROR(
-        WriteTwin(group, OtherTwin(state.valid_twin), obsolete));
-    SyncTwinShadow(group, OtherTwin(state.valid_twin),
-                   static_cast<uint8_t>(ParityState::kObsolete));
-  }
-  return Status::Ok();
+  // Healed reads make the scrub a read-verify pass over the data pages too:
+  // a latent or corrupt data sector found here is repaired in place before
+  // its content goes into the fresh parity.
+  PageImage parity;
+  RDA_RETURN_IF_ERROR(XorGroupData(group, /*healed=*/true, &parity));
+  return InstallCleanParity(group, state.valid_twin, &parity);
 }
 
 Result<bool> TwinParityManager::VerifyGroupParity(GroupId group) {
@@ -1191,69 +1151,26 @@ Result<bool> TwinParityManager::VerifyGroupParity(GroupId group) {
   RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(group));
   const GroupState& state = directory_.Get(group);
   const uint32_t twin = state.dirty ? state.working_twin : state.valid_twin;
-  PageImage expected(array_->page_size());
-  const Layout& layout = array_->layout();
-  ScratchPool::ScratchImage data = scratch_.Acquire();
-  for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-    RDA_RETURN_IF_ERROR(ReadDataHealed(layout.PageAt(group, i), &*data));
-    XorPage(&expected.payload, data->payload);
-  }
+  PageImage expected;
+  RDA_RETURN_IF_ERROR(XorGroupData(group, /*healed=*/true, &expected));
   PageImage parity;
   RDA_RETURN_IF_ERROR(ReadParityHealed(group, twin, &parity));
   return expected.payload == parity.payload;
 }
 
 Status TwinParityManager::ReinitializeParityFromData(exec::WorkerPool* pool) {
-  const Layout& layout = array_->layout();
   // Groups touch disjoint parity slots, directory entries and twin-shadow
   // elements, so the reinitialization fans out group-by-group with no shared
   // mutable state beyond the (thread-safe) scratch pool and disk mutexes.
+  // Raw reads: the parity a heal would use is the untrusted parity.
   RDA_RETURN_IF_ERROR(exec::RunSharded(
       pool, array_->num_groups(), [&](uint64_t index) -> Status {
         const GroupId g = static_cast<GroupId>(index);
-        ScratchPool::ScratchImage data = scratch_.Acquire();
         ScratchPool::ScratchImage parity = scratch_.Acquire();
-        for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-          RDA_RETURN_IF_ERROR(array_->ReadData(layout.PageAt(g, i), &*data));
-          XorPage(&parity->payload, data->payload);
-        }
-        parity->header.parity_state = ParityState::kCommitted;
-        parity->header.timestamp = NextTimestamp();
-        RDA_RETURN_IF_ERROR(WriteTwin(g, 0, *parity));
-        SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
-        if (layout.parity_copies() == 2) {
-          // Reuse the data scratch as the zeroed obsolete image.
-          std::fill(data->payload.begin(), data->payload.end(), 0);
-          data->header = PageHeader{};
-          data->header.parity_state = ParityState::kObsolete;
-          RDA_RETURN_IF_ERROR(WriteTwin(g, 1, *data));
-          SyncTwinShadow(g, 1, static_cast<uint8_t>(ParityState::kObsolete));
-        }
-        directory_.MarkClean(g, 0);
-        return Status::Ok();
+        RDA_RETURN_IF_ERROR(XorGroupData(g, /*healed=*/false, &*parity));
+        return InstallCleanParity(g, 0, &*parity);
       }));
   directory_valid_.store(true, std::memory_order_release);
-  return Status::Ok();
-}
-
-Status TwinParityManager::RecomputeCommittedTwin(GroupId group, uint32_t twin,
-                                                 ParityTimestamp floor,
-                                                 PageImage* out) {
-  const Layout& layout = array_->layout();
-  PageImage parity(array_->page_size());
-  ScratchPool::ScratchImage data = scratch_.Acquire();
-  for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-    // Plain (non-degraded) reads on purpose: reconstructing a missing data
-    // page would need exactly the committed parity being recomputed here,
-    // so an unreadable member means the group really is lost — propagate
-    // the error and let the caller declare data loss.
-    RDA_RETURN_IF_ERROR(array_->ReadData(layout.PageAt(group, i), &*data));
-    XorPage(&parity.payload, data->payload);
-  }
-  parity.header.parity_state = ParityState::kCommitted;
-  parity.header.timestamp = floor + 1;
-  RDA_RETURN_IF_ERROR(WriteTwin(group, twin, parity));
-  *out = std::move(parity);
   return Status::Ok();
 }
 
@@ -1303,18 +1220,27 @@ Status TwinParityManager::RebuildDirectory() {
       // only committed copy, or a winner's working twin (a torn write no
       // commit rewrites), which leaves a committed survivor stale. Members
       // sit on distinct disks, so the data pages are readable: recompute
-      // committed parity from them into the surviving slot, before the
-      // reset below erases the evidence. With a disk down a committed
-      // survivor is kept (the rebuild recomputes it); without one, an
-      // unreadable data page too (a second fault) loses the group.
+      // committed parity from them (raw: nothing can heal without a
+      // directory) into the surviving slot, before the reset below erases
+      // the evidence. With a disk down a committed survivor is kept (the
+      // rebuild recomputes it); without one, an unreadable data page too (a
+      // second fault) loses the group.
       const bool survivor_committed =
           twins[good].header.parity_state == ParityState::kCommitted;
       if (!survivor_committed || array_->NumFailedDisks() == 0) {
-        const ParityTimestamp floor =
-            std::max(max_seen, twins[good].header.timestamp);
-        const Status recomputed =
-            RecomputeCommittedTwin(g, good, floor, &twins[good]);
+        // The counter is restored only below: lift it past every timestamp
+        // seen so far, so the recomputed twin outranks the stale survivor.
+        timestamp_.store(
+            std::max(timestamp_.load(std::memory_order_relaxed), max_seen),
+            std::memory_order_relaxed);
+        PageImage parity;
+        Status recomputed = XorGroupData(g, /*healed=*/false, &parity);
         if (recomputed.ok()) {
+          recomputed =
+              InstallTwin(g, good, ParityState::kCommitted, &parity);
+        }
+        if (recomputed.ok()) {
+          twins[good] = std::move(parity);
           max_seen = std::max(max_seen, twins[good].header.timestamp);
         } else if (!survivor_committed) {
           return Status::DataLoss("committed parity twin of group " +
@@ -1326,12 +1252,9 @@ Status TwinParityManager::RebuildDirectory() {
       // and reset it. If it was in fact a loser's working twin, the
       // in-flight unlogged update it covered can no longer be undone in
       // parity space.
-      PageImage obsolete(array_->page_size());
-      obsolete.header.parity_state = ParityState::kObsolete;
-      if (WriteTwin(g, bad, obsolete).ok()) {
+      if (InstallTwin(g, bad, ParityState::kObsolete, &twins[bad]).ok()) {
         NoteSectorRepair(fault_cause[bad], kInvalidPageId, g);
       }
-      twins[bad] = std::move(obsolete);
     }
     // Current_Parity (paper Figure 7): the highest-timestamp committed,
     // obsolete or working twin decides. A deciding WORKING twin leaves the

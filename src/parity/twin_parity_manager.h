@@ -79,8 +79,11 @@ struct ParityStats {
 // XOR maintenance on every data write, the group state machine (Figure 3),
 // the parity-page state machine (Figure 8), Current_Parity selection after
 // a crash (Figure 7), parity-based UNDO (Figure 6: D_old = (P xor P') xor
-// D_new) and parity recomputation ("scrub") utilities used by tests and
-// media recovery.
+// D_new), degraded reads, repair on read, and the online media rebuild.
+// Every path that needs a group's parity as the XOR of its data pages —
+// twin repair, media rebuild, scrub, verification, the valid-twin audit of
+// a parity undo, directory rebuild and archive restore — goes through one
+// recompute (XorGroupData) and one twin install (InstallTwin).
 //
 // Atomicity model: one call (e.g. Propagate) performs up to ~5 page I/Os;
 // the simulator treats a call as crash-atomic. Crash injection happens
@@ -191,8 +194,9 @@ class TwinParityManager {
   // Rebuilds the (at most one — group members sit on distinct disks) page
   // of `group` that lived on `disk`, which must already have been replaced
   // with a fresh medium. Data pages come back as XOR(siblings, consistent
-  // twin); a lost consistent twin is recomputed from data; a lost obsolete
-  // twin is reset.
+  // twin); a lost consistent twin is recomputed from data (a faulted data
+  // page then loses the group: kDataLoss, the fault charged to its disk); a
+  // lost obsolete twin is reset.
   Result<GroupRebuildOutcome> RebuildGroupMember(GroupId group, DiskId disk);
 
   // --- online rebuild session (DESIGN.md section 14) ---
@@ -309,8 +313,8 @@ class TwinParityManager {
 
   // Recomputes the parity of `group` from its data pages and installs it as
   // the committed parity in the current valid twin slot (other twin becomes
-  // obsolete). Used by tests, media recovery and post-crash scrubbing.
-  // Precondition: group must be clean.
+  // obsolete). Used by the background parity scrubber (ParityScrubber) and
+  // tests. Precondition: group must be clean.
   Status ScrubGroup(GroupId group);
 
   // Reads all data pages and the valid parity of `group` and reports whether
@@ -398,28 +402,44 @@ class TwinParityManager {
   // On-demand arm of the online rebuild: if a session is active and `group`
   // is still pending, rebuilds it before the caller touches any of its
   // pages. The caller holds the group latch, so the bit it reads cannot
-  // change under it. Clears the pending bit BEFORE rebuilding (the
-  // latch is recursive and RebuildGroupMember re-enters the healed readers,
-  // which re-enter this hook); restores it if the rebuild fails. No-op when
-  // the rebuilding disk is (still or again) failed — the degraded-mode
-  // machinery serves then.
+  // change under it. No-op when the rebuilding disk is (still or again)
+  // failed — the degraded-mode machinery serves then.
   Status EnsureGroupRebuilt(GroupId group);
-  // Shared by EnsureGroupRebuilt and the foreground write promotion: marks
-  // `group` no longer pending. Caller holds the group latch and has
-  // verified the bit was set. `on_demand` picks which session counter and
-  // trace event to emit.
+  // The claim on a pending group, shared by EnsureGroupRebuilt and the
+  // background sweep: clears the bit BEFORE rebuilding (the latch is
+  // recursive and RebuildGroupMember re-enters the healed readers, which
+  // re-enter EnsureGroupRebuilt — the bit is the recursion brake), restores
+  // it if the rebuild fails so the stale zeroed medium is never silently
+  // trusted, and counts the group done. Caller holds the group latch and has
+  // seen the bit set and the rebuilding disk alive.
+  Result<GroupRebuildOutcome> ClaimPendingGroup(GroupId group);
+  // A foreground path took `group` off the pending list: `on_demand` picks
+  // the session counter and trace event (repair on access, or a write
+  // promotion).
   void NotePendingCleared(GroupId group, bool on_demand);
 
-  // Directory-rebuild fallback for a group whose newest twin is unreadable:
-  // recompute committed parity as the XOR of the group's data pages and install
-  // it in twin slot `twin` (which must be on a live disk); `*out` is set only
-  // on success. Sound because group members live on distinct disks, so a
-  // single-disk failure leaves every data page of the group readable; if any
-  // data read fails anyway (second fault), the caller's data-loss verdict
-  // stands. `floor` is a timestamp the new twin must exceed so Current_Parity
-  // selection picks it over the stale survivor.
-  Status RecomputeCommittedTwin(GroupId group, uint32_t twin,
-                                ParityTimestamp floor, PageImage* out);
+  // The group-parity recompute: resets `*parity` to a zeroed page and XORs
+  // the group's data pages into it, one accounted XorPage per page. The
+  // rule for reading them: `healed` (ReadDataHealed) only when the parity a
+  // heal falls back on — the group's consistent twin — still holds its
+  // content; a path that recomputes that twin because it is lost,
+  // unreadable or untrusted reads raw, and a faulted page fails it. On a
+  // failed read `*failed_page` (if given) names the page.
+  Status XorGroupData(GroupId group, bool healed, PageImage* parity,
+                      PageId* failed_page = nullptr);
+
+  // The one twin install: gives `*image` a `state` header and writes it as
+  // twin `twin` of `group`. kCommitted and kWorking take a fresh timestamp
+  // (kWorking names the group's dirty page and transaction); kObsolete is a
+  // reset — zeroed payload, timestamp 0; kInvalid keeps the image's
+  // timestamp. Once written, the shadow follows — silently, or with
+  // `traced` as a Figure 8 transition of the group's dirty page and
+  // transaction. Caller holds the group latch (or runs quiesced).
+  Status InstallTwin(GroupId group, uint32_t twin, ParityState state,
+                     PageImage* image, bool traced = false);
+  // `*image` becomes the committed parity in `twin`, the other twin (if
+  // any) is reset obsolete, and the group is clean on `twin`.
+  Status InstallCleanParity(GroupId group, uint32_t twin, PageImage* image);
 
   // True when `status` is the class of error repair-on-read can heal: a
   // persistent sector fault on a disk that is still alive.

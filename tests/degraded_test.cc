@@ -472,6 +472,39 @@ TEST_F(DegradedTest, SecondDiskFailureMidRebuildIsDataLoss) {
   EXPECT_TRUE(db_->array()->DiskFailed(data_loc.disk));
 }
 
+// Rebuilding a lost consistent twin needs every data page of its group, and
+// a latent data sector cannot be healed then: the parity a heal would XOR
+// from is the twin being rebuilt, still zeroed on the fresh medium. The
+// rebuild reports the group as lost instead of writing that garbage over a
+// committed page. (The error budget is 0, so the disk never escalates.)
+TEST_F(DegradedTest, LatentDataSectorUnderTwinRebuildIsDataLoss) {
+  DatabaseOptions options = BaseOptions();
+  options.fault.enabled = true;
+  Open(options);
+  const uint8_t fills[] = {0xA5, 0x22, 0x44, 0x88};
+  for (PageId page = 0; page < 4; ++page) {
+    ASSERT_TRUE(WriteTxn(page, fills[page]).ok());
+  }
+  const Layout& layout = db_->array()->layout();
+  const GroupState& state = db_->parity()->directory().Get(0);
+  const DiskId victim = layout.ParityLocation(0, state.valid_twin).disk;
+  const PhysicalLocation data_loc = layout.DataLocation(0);
+  ASSERT_NE(victim, data_loc.disk);
+  db_->array()->injector(data_loc.disk)->InjectLatentSector(data_loc.slot);
+
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+  auto report = db_->RebuildDisk(victim);
+  ASSERT_FALSE(report.ok()) << "page 0 reads "
+                            << static_cast<int>(DiskByte(0));
+  EXPECT_TRUE(report.status().IsDataLoss()) << report.status().ToString();
+  EXPECT_FALSE(db_->array()->DiskFailed(data_loc.disk));
+  // The group stays pending, and nothing was written over the committed
+  // page: its slot still holds the latent sector, not a "repair".
+  EXPECT_TRUE(db_->parity()->OnlineGroupPending(0));
+  PageImage image;
+  EXPECT_TRUE(db_->array()->ReadData(0, &image).IsIoError());
+}
+
 // ---------------------------------------------------------------------------
 // Crash during recovery.
 // ---------------------------------------------------------------------------

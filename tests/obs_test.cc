@@ -422,6 +422,55 @@ TEST(ObsWiringTest, Figure8TwinTransitionsTracedThroughCommit) {
   EXPECT_EQ(twins[2].to_state, static_cast<uint8_t>(ParityState::kObsolete));
 }
 
+// A rebuild that loses the valid twin of a dirty group finalizes the
+// working twin: the twins trade roles as at a commit, so the trace shows
+// both halves of the Figure 8 swap and the Figure 3 DIRTY -> CLEAN step.
+TEST(ObsWiringTest, Figure8TwinTransitionsTracedThroughUndoLostRebuild) {
+  auto db = Database::Open(SmallDb());
+  ASSERT_TRUE(db.ok());
+  auto txn = (*db)->Begin();
+  ASSERT_TRUE(txn.ok());
+  std::vector<uint8_t> bytes((*db)->user_page_size(), 0x2b);
+  ASSERT_TRUE((*db)->WritePage(*txn, 0, bytes).ok());
+  Frame* frame = (*db)->txn_manager()->pool()->Lookup(0);
+  ASSERT_TRUE((*db)->txn_manager()->pool()->PropagateFrame(frame).ok());
+  const GroupState state = (*db)->parity()->directory().Get(0);
+  ASSERT_TRUE(state.dirty);
+  const DiskId victim =
+      (*db)->array()->layout().ParityLocation(0, state.valid_twin).disk;
+  ASSERT_TRUE((*db)->FailDisk(victim).ok());
+  auto report = (*db)->RebuildDisk(victim);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->undo_coverage_lost, std::vector<TxnId>{*txn});
+
+  std::vector<TraceEvent> twins;
+  for (const TraceEvent& event :
+       ParityEvents(db->get(), EventKind::kTwinTransition)) {
+    if (event.group == 0) {
+      twins.push_back(event);
+    }
+  }
+  ASSERT_EQ(twins.size(), 3u);  // The steal, then the swap.
+  EXPECT_EQ(twins[1].detail, static_cast<int64_t>(state.working_twin));
+  EXPECT_EQ(twins[1].from_state, static_cast<uint8_t>(ParityState::kWorking));
+  EXPECT_EQ(twins[1].to_state, static_cast<uint8_t>(ParityState::kCommitted));
+  EXPECT_EQ(twins[2].detail, static_cast<int64_t>(state.valid_twin));
+  EXPECT_EQ(twins[2].from_state,
+            static_cast<uint8_t>(ParityState::kCommitted));
+  EXPECT_EQ(twins[2].to_state, static_cast<uint8_t>(ParityState::kObsolete));
+  for (const TraceEvent& twin : {twins[1], twins[2]}) {
+    EXPECT_EQ(twin.txn, *txn);
+    EXPECT_EQ(twin.page, 0u);
+  }
+  const auto groups = ParityEvents(db->get(), EventKind::kGroupTransition);
+  ASSERT_FALSE(groups.empty());
+  EXPECT_EQ(groups.back().group, 0u);
+  EXPECT_EQ(groups.back().from_state,
+            static_cast<uint8_t>(GroupFigState::kDirty));
+  EXPECT_EQ(groups.back().to_state,
+            static_cast<uint8_t>(GroupFigState::kClean));
+}
+
 TEST(ObsWiringTest, CountersFollowTheWorkload) {
   auto db = Database::Open(SmallDb());
   ASSERT_TRUE(db.ok());

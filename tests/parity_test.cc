@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -657,6 +658,166 @@ TEST_F(TwinParityTest, RebuildGroupMemberRestoresEachRole) {
     ASSERT_TRUE(parity_->RebuildGroupMember(g, victim).ok());
   }
   EXPECT_EQ(ReadPayload(4), golden);
+}
+
+// Every path that recomputes a group's parity from its data pages (or
+// installs twins around such a recompute), pinned by its exact array
+// traffic and by the twin headers it leaves behind: the state of the valid
+// twin and of its sibling, and which of the two a restart would pick. Each
+// case runs on a fresh array whose group 1 holds committed data.
+TEST_F(TwinParityTest, GroupParityRecomputePathsPinned) {
+  constexpr GroupId kGroup = 1;
+  const uint64_t groups = array_->num_groups();
+  DiskId victim = kInvalidDiskId;
+  auto twin_of = [this](bool valid) {
+    const GroupState& state = parity_->directory().Get(kGroup);
+    return valid ? state.valid_twin : 1 - state.valid_twin;
+  };
+  auto replace_disk_of_twin = [&](bool valid) {
+    victim = array_->layout().ParityLocation(kGroup, twin_of(valid)).disk;
+    ASSERT_TRUE(array_->FailDisk(victim).ok());
+    ASSERT_TRUE(array_->ReplaceDisk(victim).ok());
+  };
+  auto fault_twin = [&](bool valid, bool torn) {
+    FaultConfig faults;
+    faults.enabled = true;  // Scripted faults only.
+    array_->ArmFaultInjection(faults);
+    const PhysicalLocation loc =
+        array_->layout().ParityLocation(kGroup, twin_of(valid));
+    if (torn) {
+      array_->injector(loc.disk)->ScheduleTornWrite(loc.slot);
+    } else {
+      array_->injector(loc.disk)->InjectLatentSector(loc.slot);
+    }
+  };
+  auto steal = [this] {
+    ASSERT_TRUE(Propagate(4, 9, PropagationKind::kUnloggedFirst,
+                          MakePayload(0x3c, 9))
+                    .ok());
+  };
+  auto healed_parity_read = [&](bool valid) {
+    PageImage image;
+    return parity_->ReadParityHealed(kGroup, twin_of(valid), &image);
+  };
+  auto rebuild_member = [&] {
+    return parity_->RebuildGroupMember(kGroup, victim).status();
+  };
+
+  struct Case {
+    const char* name;
+    std::function<void()> arrange;
+    std::function<Status()> act;
+    uint64_t reads;
+    uint64_t writes;
+    uint64_t xors;
+    ParityState valid_state;
+    ParityState other_state;
+    bool valid_newer;
+  };
+  const Case cases[] = {
+      {"FormatArray", [] {}, [this] { return parity_->FormatArray(); }, 0,
+       2 * groups, 0, ParityState::kCommitted, ParityState::kObsolete, true},
+      {"ReinitializeParityFromData", steal,
+       [this] { return parity_->ReinitializeParityFromData(); }, 4 * groups,
+       2 * groups, 4 * groups, ParityState::kCommitted,
+       ParityState::kObsolete, true},
+      {"ScrubGroup", [] {}, [this] { return parity_->ScrubGroup(kGroup); }, 4,
+       2, 4, ParityState::kCommitted, ParityState::kObsolete, true},
+      {"VerifyGroupParity", [] {},
+       [this]() -> Status {
+         RDA_ASSIGN_OR_RETURN(const bool ok,
+                              parity_->VerifyGroupParity(kGroup));
+         return ok ? Status::Ok() : Status::Corruption("parity mismatch");
+       },
+       5, 0, 4, ParityState::kCommitted, ParityState::kObsolete, true},
+      {"WriteFullGroup", [] {},
+       [this] {
+         std::vector<std::vector<uint8_t>> payloads;
+         for (uint8_t i = 0; i < 4; ++i) {
+           payloads.push_back(MakePayload(static_cast<uint8_t>(0x90 + i)));
+         }
+         return parity_->WriteFullGroup(kGroup, payloads);
+       },
+       0, 5, 4, ParityState::kCommitted, ParityState::kObsolete, true},
+      {"RebuildGroupMember/data",
+       [&] {
+         victim = array_->layout().DataLocation(5).disk;
+         ASSERT_TRUE(array_->FailDisk(victim).ok());
+         ASSERT_TRUE(array_->ReplaceDisk(victim).ok());
+       },
+       rebuild_member, 4, 1, 3, ParityState::kCommitted,
+       ParityState::kObsolete, true},
+      {"RebuildGroupMember/consistent twin (clean)",
+       [&] { replace_disk_of_twin(true); }, rebuild_member, 4, 1, 4,
+       ParityState::kCommitted, ParityState::kObsolete, true},
+      {"RebuildGroupMember/consistent twin (dirty)",
+       [&] {
+         steal();
+         replace_disk_of_twin(false);
+       },
+       rebuild_member, 4, 1, 4, ParityState::kCommitted,
+       ParityState::kWorking, false},
+      {"RebuildGroupMember/obsolete twin",
+       [&] { replace_disk_of_twin(false); }, rebuild_member, 0, 1, 0,
+       ParityState::kCommitted, ParityState::kObsolete, true},
+      {"RebuildGroupMember/undo lost",
+       [&] {
+         steal();
+         replace_disk_of_twin(true);
+       },
+       rebuild_member, 1, 2, 0, ParityState::kCommitted,
+       ParityState::kObsolete, true},
+      {"ReadParityHealed/consistent twin",
+       [&] { fault_twin(true, /*torn=*/false); },
+       [&] { return healed_parity_read(true); }, 5, 1, 4,
+       ParityState::kCommitted, ParityState::kObsolete, true},
+      {"ReadParityHealed/obsolete twin",
+       [&] { fault_twin(false, /*torn=*/false); },
+       [&] { return healed_parity_read(false); }, 1, 1, 0,
+       ParityState::kCommitted, ParityState::kObsolete, true},
+      {"RebuildDirectory/unreadable twin",
+       [&] {
+         fault_twin(false, /*torn=*/true);
+         steal();
+         parity_->LoseVolatileState();
+       },
+       [this] { return parity_->RebuildDirectory(); }, 2 * groups + 4, 2, 4,
+       ParityState::kCommitted, ParityState::kObsolete, true},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SetUp();
+    victim = kInvalidDiskId;
+    for (uint8_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(Propagate(array_->layout().PageAt(kGroup, i), kInvalidTxnId,
+                            PropagationKind::kPlain,
+                            MakePayload(static_cast<uint8_t>(0x11 << i)))
+                      .ok());
+    }
+    c.arrange();
+    array_->ResetCounters();
+    ASSERT_TRUE(c.act().ok());
+    const IoCounters io = array_->counters();
+    EXPECT_EQ(io.page_reads, c.reads);
+    EXPECT_EQ(io.page_writes, c.writes);
+    EXPECT_EQ(io.xor_computations, c.xors);
+
+    PageImage valid;
+    PageImage other;
+    ASSERT_TRUE(array_->ReadParity(kGroup, twin_of(true), &valid).ok());
+    ASSERT_TRUE(array_->ReadParity(kGroup, twin_of(false), &other).ok());
+    EXPECT_EQ(valid.header.parity_state, c.valid_state);
+    EXPECT_EQ(other.header.parity_state, c.other_state);
+    EXPECT_EQ(valid.header.timestamp > other.header.timestamp,
+              c.valid_newer);
+    for (GroupId g = 0; victim != kInvalidDiskId && g < groups; ++g) {
+      if (g != kGroup) {  // The rest of the replaced disk.
+        ASSERT_TRUE(parity_->RebuildGroupMember(g, victim).ok());
+      }
+    }
+    EXPECT_TRUE(parity_->CheckInvariants().ok());
+  }
 }
 
 TEST_F(TwinParityTest, ReconstructFailsWhenTwoMembersDown) {
