@@ -32,6 +32,7 @@
 #include "fuzz/runner.h"
 #include "fuzz/schedule.h"
 #include "fuzz/shrinker.h"
+#include "harness.h"
 
 namespace {
 
@@ -121,16 +122,6 @@ int main(int argc, char** argv) {
       argc > 4 ? static_cast<uint32_t>(std::strtoul(argv[4], nullptr, 10))
                : 0;
 
-  const struct {
-    bool force;
-    rda::LoggingMode mode;
-    const char* name;
-  } kClasses[] = {
-      {true, rda::LoggingMode::kPageLogging, "force/page"},
-      {true, rda::LoggingMode::kRecordLogging, "force/record"},
-      {false, rda::LoggingMode::kPageLogging, "noforce/page"},
-      {false, rda::LoggingMode::kRecordLogging, "noforce/record"},
-  };
   const uint32_t kThreadCounts[] = {1, 4};
 
   const auto start = std::chrono::steady_clock::now();
@@ -140,12 +131,12 @@ int main(int argc, char** argv) {
   uint64_t committed = 0;
   uint64_t recoveries = 0;
 
-  for (const auto& cls : kClasses) {
+  for (const rda::bench::AlgorithmClass& cls : rda::bench::kClasses) {
     for (uint32_t threads : kThreadCounts) {
       for (uint32_t s = 0; s < seeds_per_config; ++s) {
         const uint64_t seed = 1000 + s;
         const Schedule schedule =
-            MakeSchedule(cls.force, cls.mode, threads, seed);
+            MakeSchedule(cls.force, cls.logging, threads, seed);
         distinct.insert(schedule.ToString());
         rda::Result<rda::fuzz::RunOutcome> outcome =
             rda::fuzz::RunSchedule(schedule, run_options);
@@ -215,23 +206,16 @@ int main(int argc, char** argv) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  std::ofstream json(out_path);
-  json << "{\n"
-       << "  \"io_width\": " << run_options.io_width << ",\n"
-       << "  \"schedules\": " << runs << ",\n"
-       << "  \"distinct\": " << distinct.size() << ",\n"
-       << "  \"violations\": " << violations << ",\n"
-       << "  \"committed_txns\": " << committed << ",\n"
-       << "  \"recoveries\": " << recoveries << ",\n"
-       << "  \"demo\": {\n"
-       << "    \"caught_and_shrunk\": " << (demo_ok ? "true" : "false")
-       << ",\n"
-       << "    \"minimized\": \"" << demo_min << "\",\n"
-       << "    \"step_count\": " << demo_steps << ",\n"
-       << "    \"shrink_runs\": " << demo_runs << "\n"
-       << "  },\n"
-       << "  \"seconds\": " << secs << "\n"
-       << "}\n";
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  json.Key("io_width").Uint(run_options.io_width).Key("schedules").Uint(runs);
+  json.Key("distinct").Uint(distinct.size());
+  json.Key("violations").Uint(violations);
+  json.Key("committed_txns").Uint(committed);
+  json.Key("recoveries").Uint(recoveries).Key("demo").BeginObject();
+  json.Key("caught_and_shrunk").Bool(demo_ok);
+  json.Key("minimized").String(demo_min).Key("step_count").Uint(demo_steps);
+  json.Key("shrink_runs").Uint(demo_runs).EndObject();
+  json.Key("seconds").Fixed(secs, 3);
   std::fprintf(stderr,
                "fuzz_report: %u schedules (%zu distinct), %u violations, "
                "%llu commits, %llu recoveries, %.1fs -> %s\n",
@@ -239,5 +223,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(committed),
                static_cast<unsigned long long>(recoveries), secs,
                out_path.c_str());
-  return (violations == 0 && demo_ok) ? 0 : 1;
+  const bool written = rda::bench::WriteReport(out_path, &json);
+  return (written && violations == 0 && demo_ok) ? 0 : 1;
 }

@@ -1,28 +1,39 @@
-// Multi-threaded commit-throughput report for the concurrent engine: runs
-// the paper's four algorithm classes x {RDA, no-RDA} under a closed-loop
-// multi-worker workload (TransactionManager::RunConcurrent) at 1/2/4/8
-// threads and reports commit throughput, abort/retry counts and the
-// group-commit batching the WAL achieved. The scaling comes from group
-// commit amortising the simulated flush latency (flush_delay_us) across
+// Multi-threaded commit report for the concurrent engine: runs the paper's
+// four algorithm classes x {RDA, no-RDA} under a closed-loop multi-worker
+// workload (TransactionManager::RunConcurrent) at 1/2/4/8 threads and
+// reports commit throughput, abort/retry counts and the group-commit
+// batching the WAL achieved. The scaling comes from group commit
+// amortising the simulated flush latency (flush_delay_us) across
 // concurrent committers — it is visible even on a single core, because the
 // leader sleeps out the device delay with the WAL mutex released while the
 // other workers run their transactions and append the next batch.
 //
-// Writes machine-readable JSON (BENCH_mt.json) for the README thread-
-// scaling table and the CI perf-smoke artifact.
+// The same runs feed the latency report. After each synchronous cell's
+// timed region the bench stages a crash + recovery and records the cell's
+// bucket-interpolated p50/p95/p99 from the engine's latency histograms —
+// commit, WAL flush, group-commit wait (leader vs follower), parity
+// propagate, and each recovery phase. The 4-thread RDA page_force cell
+// also exports its span timeline as a Chrome Trace Event file, loadable in
+// Perfetto / chrome://tracing.
 //
-// Usage: mt_report [output.json]   (default: BENCH_mt.json in cwd)
+// Writes BENCH_mt.json (README thread-scaling table, CI perf-smoke
+// baseline), BENCH_latency.json and BENCH_trace.json.
+//
+// Usage: mt_report [mt.json] [latency.json] [trace.json]
+//        (defaults: BENCH_mt.json, BENCH_latency.json, BENCH_trace.json)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/database.h"
+#include "harness.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using rda::bench::AlgorithmClass;
 
 // Simulated log-device flush latency. This is the quantity group commit
 // amortises; zero would measure raw CPU scheduling noise instead of the
@@ -38,6 +49,22 @@ constexpr uint32_t kTotalTxns = 240;
 constexpr uint32_t kOpsPerTxn = 4;
 constexpr uint32_t kPages = 384;  // Uniform page draws; modest contention.
 const std::vector<uint32_t> kThreadCounts = {1, 2, 4, 8};
+// The same matrix with the per-disk write journal (io.width = 2):
+// duplicate-slot writes coalesce, parity RMWs batch, and the final drain
+// is inside the timed region.
+constexpr uint32_t kAsyncWidth = 2;
+
+// The per-operation histograms every latency run reports. Group-commit
+// wait is split by role: the leader pays the device flush, followers only
+// wait.
+constexpr const char* kOperationHists[] = {
+    "txn.commit_us",
+    "wal.flush_us",
+    "wal.group_commit_wait_us",
+    "wal.group_commit_leader_flush_us",
+    "wal.group_commit_follower_wait_us",
+    "parity.propagate_us",
+};
 
 struct MtResult {
   std::string config;
@@ -50,33 +77,71 @@ struct MtResult {
   double mean_batch = 0;
   double secs = 0;
   double txns_per_sec = 0;
-  // Async-engine telemetry (zero when io_width == 0).
+  // Journal telemetry (zero when io_width == 0).
   uint64_t coalesced_writes = 0;
   uint64_t batched_parity_rmw = 0;
 };
 
-rda::DatabaseOptions MakeOptions(bool page_logging, bool force, bool rda_on) {
-  rda::DatabaseOptions options;
-  options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
-  options.array.min_data_pages = 512;
-  options.array.page_size = 512;
-  options.buffer.capacity = 512;
-  options.buffer.shards = 8;
-  options.txn.logging_mode = page_logging ? rda::LoggingMode::kPageLogging
-                                          : rda::LoggingMode::kRecordLogging;
-  options.txn.record_size = 48;
-  options.txn.force = force;
-  options.txn.rda_undo = rda_on;
-  options.log.flush_delay_us = kFlushDelayUs;
-  options.log.group_commit_window_us = kGroupCommitWindowUs;
-  options.obs.enable_metrics = true;  // For the batch-size histogram.
-  return options;
+// Latency outputs of the synchronous cells; null for the journal matrix.
+struct LatencySink {
+  rda::obs::JsonWriter* runs = nullptr;  // Positioned inside "runs": [...].
+  std::string trace_path;
+};
+
+// Staged restart after the timed region, then the cell's latency entry.
+int RecordLatency(rda::Database* db, const AlgorithmClass& cls, bool rda_on,
+                  uint32_t threads, uint64_t committed, LatencySink* sink) {
+  rda::CrashRecoveryReport recovery;
+  const rda::Status staged = rda::bench::StageCrashAndRecover(db, &recovery);
+  if (!staged.ok()) {
+    std::fprintf(stderr, "%s rda=%d t=%u: staged recovery failed: %s\n",
+                 cls.name, rda_on ? 1 : 0, threads, staged.message().c_str());
+    return 1;
+  }
+  const rda::obs::MetricsSnapshot snapshot = db->SnapshotMetrics();
+  rda::obs::JsonWriter& json = *sink->runs;
+  json.BeginObject().Key("config").String(cls.name);
+  json.Key("rda_undo").Bool(rda_on).Key("threads").Uint(threads);
+  json.Key("committed").Uint(committed).Key("operations").BeginObject();
+  for (const char* name : kOperationHists) {
+    json.Key(name);
+    rda::bench::WritePercentiles(&json, snapshot.FindHistogram(name));
+  }
+  json.EndObject().Key("recovery_phases").BeginObject();
+  for (const auto& histogram : snapshot.histograms) {
+    const std::string_view name = histogram.name;
+    constexpr std::string_view kPrefix = "recovery.phase.";
+    constexpr std::string_view kSuffix = ".wall_us";
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
+      continue;
+    }
+    json.Key(name.substr(kPrefix.size(),
+                         name.size() - kPrefix.size() - kSuffix.size()));
+    rda::bench::WritePercentiles(&json, &histogram);
+  }
+  json.EndObject().EndObject();
+
+  // One representative Chrome trace: the 4-thread RDA page_force run.
+  if (rda_on && threads == 4 && cls.name == std::string_view("page_force")) {
+    const rda::Status dumped = db->DumpChromeTrace(sink->trace_path);
+    if (!dumped.ok()) {
+      std::fprintf(stderr, "chrome trace dump failed: %s\n",
+                   dumped.message().c_str());
+      return 1;
+    }
+    std::printf("wrote %s (Chrome Trace Event format)\n",
+                sink->trace_path.c_str());
+  }
+  return 0;
 }
 
-int RunOne(bool page_logging, bool force, bool rda_on, uint32_t threads,
-           MtResult* out, uint32_t io_width = 0) {
-  rda::DatabaseOptions options = MakeOptions(page_logging, force, rda_on);
+int RunOne(const AlgorithmClass& cls, bool rda_on, uint32_t threads,
+           uint32_t io_width, MtResult* out, LatencySink* latency) {
+  rda::DatabaseOptions options = rda::bench::ClassOptions(cls, rda_on);
+  options.buffer.capacity = 512;
+  options.buffer.shards = 8;
+  options.log.flush_delay_us = kFlushDelayUs;
+  options.log.group_commit_window_us = kGroupCommitWindowUs;
   options.io.width = io_width;
   auto db_or = rda::Database::Open(options);
   if (!db_or.ok()) {
@@ -97,7 +162,7 @@ int RunOne(bool page_logging, bool force, bool rda_on, uint32_t threads,
   const auto start = Clock::now();
   auto result = db->txn_manager()->RunConcurrent(workload);
   // Deferred transfers are part of the run: drain the engine journal inside
-  // the timed region so async throughput pays for its physical writes.
+  // the timed region so journaled throughput pays for its physical writes.
   if (io_width > 0 && !db->array()->FlushIo().ok()) {
     std::fprintf(stderr, "FlushIo failed\n");
     return 1;
@@ -110,8 +175,7 @@ int RunOne(bool page_logging, bool force, bool rda_on, uint32_t threads,
     return 1;
   }
 
-  out->config = std::string(page_logging ? "page" : "record") + "_" +
-                (force ? "force" : "noforce");
+  out->config = cls.name;
   out->rda = rda_on;
   out->threads = threads;
   out->committed = result->committed;
@@ -119,8 +183,8 @@ int RunOne(bool page_logging, bool force, bool rda_on, uint32_t threads,
   out->busy_retries = result->busy_retries;
   out->secs = secs;
   out->txns_per_sec = secs > 0 ? result->committed / secs : 0;
-  const rda::obs::MetricsSnapshot metrics = db->SnapshotMetrics();
-  out->group_commit_batches = metrics.CounterValue("wal.group_commit_batches");
+  out->group_commit_batches =
+      db->SnapshotMetrics().CounterValue("wal.group_commit_batches");
   out->mean_batch = out->group_commit_batches > 0
                         ? static_cast<double>(out->committed) /
                               static_cast<double>(out->group_commit_batches)
@@ -130,49 +194,52 @@ int RunOne(bool page_logging, bool force, bool rda_on, uint32_t threads,
     out->coalesced_writes = stats.coalesced_writes;
     out->batched_parity_rmw = stats.batched_parity_rmw;
   }
+  return latency != nullptr ? RecordLatency(db, cls, rda_on, threads,
+                                            result->committed, latency)
+                            : 0;
+}
+
+// Runs the class x RDA x threads matrix at `io_width`.
+int RunMatrix(uint32_t io_width, std::vector<MtResult>* results,
+              LatencySink* latency) {
+  for (const AlgorithmClass& cls : rda::bench::kClasses) {
+    for (const bool rda_on : {false, true}) {
+      for (const uint32_t threads : kThreadCounts) {
+        MtResult r;
+        if (RunOne(cls, rda_on, threads, io_width, &r, latency) != 0) {
+          return 1;
+        }
+        results->push_back(r);
+      }
+    }
+  }
   return 0;
+}
+
+void WriteRunConfig(rda::obs::JsonWriter* json) {
+  json->Key("flush_delay_us").Uint(kFlushDelayUs);
+  json->Key("group_commit_window_us").Uint(kGroupCommitWindowUs);
+  json->Key("total_txns").Uint(kTotalTxns);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_mt.json";
+  const std::string mt_path = argc > 1 ? argv[1] : "BENCH_mt.json";
+  const std::string latency_path = argc > 2 ? argv[2] : "BENCH_latency.json";
+
+  rda::obs::JsonWriter latency_json = rda::bench::BeginReport();
+  WriteRunConfig(&latency_json);
+  latency_json.Key("runs").BeginArray();
+  LatencySink latency{&latency_json, argc > 3 ? argv[3] : "BENCH_trace.json"};
 
   std::vector<MtResult> results;
-  for (const bool page_logging : {true, false}) {
-    for (const bool force : {true, false}) {
-      for (const bool rda_on : {false, true}) {
-        for (const uint32_t threads : kThreadCounts) {
-          MtResult r;
-          if (RunOne(page_logging, force, rda_on, threads, &r) != 0) {
-            return 1;
-          }
-          results.push_back(r);
-        }
-      }
-    }
-  }
-
-  // The same matrix with the async per-disk I/O engine (io.width = 2):
-  // submissions journal into per-disk queues, duplicate-slot writes
-  // coalesce, parity RMWs batch, and the final drain is inside the timed
-  // region.
-  constexpr uint32_t kAsyncWidth = 2;
   std::vector<MtResult> async_results;
-  for (const bool page_logging : {true, false}) {
-    for (const bool force : {true, false}) {
-      for (const bool rda_on : {false, true}) {
-        for (const uint32_t threads : kThreadCounts) {
-          MtResult r;
-          if (RunOne(page_logging, force, rda_on, threads, &r, kAsyncWidth) !=
-              0) {
-            return 1;
-          }
-          async_results.push_back(r);
-        }
-      }
-    }
+  if (RunMatrix(0, &results, &latency) != 0 ||
+      RunMatrix(kAsyncWidth, &async_results, nullptr) != 0) {
+    return 1;
   }
+  latency_json.EndArray();
 
   // Per-(config, rda) speedup of 4 threads over 1 thread — the number the
   // acceptance bar cares about for the RDA classes.
@@ -233,65 +300,38 @@ int main(int argc, char** argv) {
                  "WARN: an RDA class fell below the 2.5x 4-thread bar\n");
   }
 
-  FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  WriteRunConfig(&json);
+  json.Key("ops_per_txn").Uint(kOpsPerTxn).Key("pages").Uint(kPages);
+  json.Key("results").BeginArray();
+  for (const MtResult& r : results) {
+    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
+    json.Key("threads").Uint(r.threads).Key("committed").Uint(r.committed);
+    json.Key("aborted").Uint(r.aborted);
+    json.Key("busy_retries").Uint(r.busy_retries);
+    json.Key("group_commit_batches").Uint(r.group_commit_batches);
+    json.Key("mean_batch").Fixed(r.mean_batch, 2).Key("secs").Fixed(r.secs, 4);
+    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 1).EndObject();
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"flush_delay_us\": %u,\n", kFlushDelayUs);
-  std::fprintf(out, "  \"group_commit_window_us\": %u,\n",
-               kGroupCommitWindowUs);
-  std::fprintf(out, "  \"total_txns\": %u,\n", kTotalTxns);
-  std::fprintf(out, "  \"ops_per_txn\": %u,\n", kOpsPerTxn);
-  std::fprintf(out, "  \"pages\": %u,\n", kPages);
-  std::fprintf(out, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const MtResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"config\": \"%s\", \"rda\": %s, \"threads\": %u, "
-                 "\"committed\": %llu, \"aborted\": %llu, "
-                 "\"busy_retries\": %llu, \"group_commit_batches\": %llu, "
-                 "\"mean_batch\": %.2f, \"secs\": %.4f, "
-                 "\"txns_per_sec\": %.1f}%s\n",
-                 r.config.c_str(), r.rda ? "true" : "false", r.threads,
-                 static_cast<unsigned long long>(r.committed),
-                 static_cast<unsigned long long>(r.aborted),
-                 static_cast<unsigned long long>(r.busy_retries),
-                 static_cast<unsigned long long>(r.group_commit_batches),
-                 r.mean_batch, r.secs, r.txns_per_sec,
-                 i + 1 < results.size() ? "," : "");
+  json.EndArray().Key("async_io").BeginObject();
+  json.Key("io_width").Uint(kAsyncWidth).Key("results").BeginArray();
+  for (const MtResult& r : async_results) {
+    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
+    json.Key("threads").Uint(r.threads).Key("committed").Uint(r.committed);
+    json.Key("aborted").Uint(r.aborted);
+    json.Key("coalesced_writes").Uint(r.coalesced_writes);
+    json.Key("batched_parity_rmw").Uint(r.batched_parity_rmw);
+    json.Key("secs").Fixed(r.secs, 4);
+    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 1).EndObject();
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"async_io\": {\n");
-  std::fprintf(out, "    \"io_width\": %u,\n", kAsyncWidth);
-  std::fprintf(out, "    \"results\": [\n");
-  for (size_t i = 0; i < async_results.size(); ++i) {
-    const MtResult& r = async_results[i];
-    std::fprintf(out,
-                 "      {\"config\": \"%s\", \"rda\": %s, \"threads\": %u, "
-                 "\"committed\": %llu, \"aborted\": %llu, "
-                 "\"coalesced_writes\": %llu, \"batched_parity_rmw\": %llu, "
-                 "\"secs\": %.4f, \"txns_per_sec\": %.1f}%s\n",
-                 r.config.c_str(), r.rda ? "true" : "false", r.threads,
-                 static_cast<unsigned long long>(r.committed),
-                 static_cast<unsigned long long>(r.aborted),
-                 static_cast<unsigned long long>(r.coalesced_writes),
-                 static_cast<unsigned long long>(r.batched_parity_rmw),
-                 r.secs, r.txns_per_sec,
-                 i + 1 < async_results.size() ? "," : "");
+  json.EndArray().EndObject().Key("speedup_4t_vs_1t").BeginObject();
+  for (const Speedup& s : speedups) {
+    json.Key(s.key).Fixed(s.speedup_4t, 2);
   }
-  std::fprintf(out, "    ]\n");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"speedup_4t_vs_1t\": {\n");
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    std::fprintf(out, "    \"%s\": %.2f%s\n", speedups[i].key.c_str(),
-                 speedups[i].speedup_4t,
-                 i + 1 < speedups.size() ? "," : "");
-  }
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path);
-  return 0;
+  json.EndObject();
+  std::printf("\n");
+  return rda::bench::WriteReport(mt_path, &json) &&
+                 rda::bench::WriteReport(latency_path, &latency_json)
+             ? 0
+             : 1;
 }

@@ -4,39 +4,23 @@
 // and emits BENCH_obs_report.json — per-subsystem counters and the
 // phase-by-phase recovery breakdown, all in the paper's page-transfer unit.
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "core/database.h"
+#include "harness.h"
 #include "obs/export.h"
 #include "sim/simulator.h"
 
 namespace {
 
-struct Config {
-  const char* name;
-  rda::LoggingMode logging;
-  bool force;
-  uint64_t checkpoint_interval;
-};
+using rda::bench::AlgorithmClass;
 
-constexpr Config kConfigs[] = {
-    {"page_force_toc", rda::LoggingMode::kPageLogging, true, 0},
-    {"page_noforce_acc", rda::LoggingMode::kPageLogging, false, 64},
-    {"record_force_toc", rda::LoggingMode::kRecordLogging, true, 0},
-    {"record_noforce_acc", rda::LoggingMode::kRecordLogging, false, 64},
-};
-
-rda::sim::SimOptions MakeOptions(const Config& config, bool rda_on) {
+rda::sim::SimOptions MakeOptions(const AlgorithmClass& cls, bool rda_on) {
   rda::sim::SimOptions options;
-  options.db.array.data_pages_per_group = 8;
-  options.db.array.parity_copies = 2;
+  options.db = rda::bench::ClassOptions(cls, rda_on);
   options.db.array.page_size = 256;
   options.db.buffer.capacity = 48;
-  options.db.txn.logging_mode = config.logging;
-  options.db.txn.force = config.force;
-  options.db.txn.rda_undo = rda_on;
-  options.db.checkpoint_interval_updates = config.checkpoint_interval;
+  if (!cls.force) {
+    options.db.checkpoint_interval_updates = 64;
+  }
   options.workload.num_pages = 256;
   options.num_transactions = 120;
   options.concurrency = 4;
@@ -44,133 +28,63 @@ rda::sim::SimOptions MakeOptions(const Config& config, bool rda_on) {
   return options;
 }
 
-// Leaves `losers` in-flight transactions with stolen pages on disk, then
-// crashes and recovers — the report's recovery-phase section comes from
-// this staged restart.
-rda::Status StageCrashAndRecover(rda::Database* db,
-                                 rda::CrashRecoveryReport* report) {
-  const int losers = 4;
-  const int pages_each = 3;
-  const bool record_mode = db->txn_manager()->config().logging_mode ==
-                           rda::LoggingMode::kRecordLogging;
-  std::vector<uint8_t> page_bytes(db->user_page_size(), 0xA5);
-  std::vector<uint8_t> record_bytes(db->txn_manager()->config().record_size,
-                                    0xA5);
-  for (int t = 0; t < losers; ++t) {
-    RDA_ASSIGN_OR_RETURN(const rda::TxnId txn, db->Begin());
-    for (int i = 0; i < pages_each; ++i) {
-      const rda::PageId page =
-          static_cast<rda::PageId>((t * 64 + i * 8) % db->num_pages());
-      rda::Status status =
-          record_mode ? db->WriteRecord(txn, page, 0, record_bytes)
-                      : db->WritePage(txn, page, page_bytes);
-      if (status.IsBusy()) {
-        continue;  // Locked by a drained-but-unfinished sim txn; skip.
-      }
-      RDA_RETURN_IF_ERROR(status);
-      rda::Frame* frame = db->txn_manager()->pool()->Lookup(page);
-      if (frame != nullptr) {
-        RDA_RETURN_IF_ERROR(db->txn_manager()->pool()->PropagateFrame(frame));
-      }
-    }
-  }
-  db->Crash();
-  RDA_ASSIGN_OR_RETURN(*report, db->Recover());
-  return rda::Status::Ok();
-}
-
-void AppendPhases(std::string* out, const rda::CrashRecoveryReport& report) {
-  *out += "[";
-  for (size_t i = 0; i < report.phases.size(); ++i) {
-    const rda::obs::PhaseCost& cost = report.phases[i];
-    if (i > 0) {
-      *out += ",";
-    }
-    *out += "{\"phase\":\"";
-    *out += rda::obs::RecoveryPhaseName(cost.phase);
-    *out += "\",\"page_transfers\":";
-    *out += std::to_string(cost.page_transfers);
-    char wall[32];
-    std::snprintf(wall, sizeof(wall), "%.3f", cost.wall_ms);
-    *out += ",\"wall_ms\":";
-    *out += wall;
-    *out += "}";
-  }
-  *out += "]";
-}
-
 }  // namespace
 
 int main() {
-  std::string json = "{\"configs\":[";
-  bool first = true;
-  for (const Config& config : kConfigs) {
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  json.Key("configs").BeginArray();
+  for (const AlgorithmClass& cls : rda::bench::kClasses) {
     for (const bool rda_on : {true, false}) {
-      rda::sim::Simulator simulator(MakeOptions(config, rda_on));
+      rda::sim::Simulator simulator(MakeOptions(cls, rda_on));
       auto sim_result = simulator.Run();
       if (!sim_result.ok()) {
-        std::fprintf(stderr, "%s rda=%d: sim failed: %s\n", config.name,
+        std::fprintf(stderr, "%s rda=%d: sim failed: %s\n", cls.name,
                      rda_on ? 1 : 0, sim_result.status().message().c_str());
         return 1;
       }
       rda::Database* db = simulator.db();
       rda::CrashRecoveryReport recovery;
-      rda::Status staged = StageCrashAndRecover(db, &recovery);
+      rda::Status staged = rda::bench::StageCrashAndRecover(db, &recovery);
       if (!staged.ok()) {
         std::fprintf(stderr, "%s rda=%d: staged recovery failed: %s\n",
-                     config.name, rda_on ? 1 : 0, staged.message().c_str());
+                     cls.name, rda_on ? 1 : 0, staged.message().c_str());
         return 1;
       }
 
-      if (!first) {
-        json += ",";
-      }
-      first = false;
-      json += "{\"config\":\"";
-      json += config.name;
-      json += "\",\"rda_undo\":";
-      json += rda_on ? "true" : "false";
-      json += ",\"committed\":";
-      json += std::to_string(sim_result->committed);
-      json += ",\"total_transfers\":";
-      json += std::to_string(sim_result->total_transfers);
       const rda::obs::MetricsSnapshot snapshot = db->SnapshotMetrics();
+      const uint64_t trace_dropped =
+          snapshot.CounterValue("obs.trace_dropped");
+      json.BeginObject().Key("config").String(cls.name);
+      json.Key("rda_undo").Bool(rda_on);
+      json.Key("committed").Uint(sim_result->committed);
+      json.Key("total_transfers").Uint(sim_result->total_transfers);
       // Surfaced explicitly: a non-zero drop count means the retained trace
       // is a suffix of the run, not the whole story.
-      json += ",\"trace_dropped\":";
-      json += std::to_string(snapshot.CounterValue("obs.trace_dropped"));
-      json += ",\"metrics\":";
-      json += rda::obs::MetricsToJson(snapshot);
-      json += ",\"recovery_phases\":";
-      AppendPhases(&json, recovery);
-      json += ",\"recovery\":{\"parity_undos\":";
-      json += std::to_string(recovery.parity_undos);
-      json += ",\"logged_undos\":";
-      json += std::to_string(recovery.logged_undos);
-      json += ",\"redo_applied\":";
-      json += std::to_string(recovery.redo_applied);
-      json += "}}";
+      json.Key("trace_dropped").Uint(trace_dropped);
+      json.Key("metrics").Raw(rda::obs::MetricsToJson(snapshot));
+      json.Key("recovery_phases").BeginArray();
+      for (const rda::obs::PhaseCost& cost : recovery.phases) {
+        json.BeginObject();
+        json.Key("phase").String(rda::obs::RecoveryPhaseName(cost.phase));
+        json.Key("page_transfers").Uint(cost.page_transfers);
+        json.Key("wall_ms").Fixed(cost.wall_ms, 3).EndObject();
+      }
+      json.EndArray().Key("recovery").BeginObject();
+      json.Key("parity_undos").Uint(recovery.parity_undos);
+      json.Key("logged_undos").Uint(recovery.logged_undos);
+      json.Key("redo_applied").Uint(recovery.redo_applied).EndObject();
+      json.EndObject();
 
-      std::printf("%-20s rda=%d: %llu committed, %llu transfers, "
+      std::printf("%-16s rda=%d: %llu committed, %llu transfers, "
                   "%zu recovery phases, %llu trace events dropped\n",
-                  config.name, rda_on ? 1 : 0,
+                  cls.name, rda_on ? 1 : 0,
                   static_cast<unsigned long long>(sim_result->committed),
                   static_cast<unsigned long long>(sim_result->total_transfers),
                   recovery.phases.size(),
-                  static_cast<unsigned long long>(
-                      snapshot.CounterValue("obs.trace_dropped")));
+                  static_cast<unsigned long long>(trace_dropped));
     }
   }
-  json += "]}\n";
-
-  const char* path = "BENCH_obs_report.json";
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  json.EndArray();
+  std::printf("\n");
+  return rda::bench::WriteReport("BENCH_obs_report.json", &json) ? 0 : 1;
 }

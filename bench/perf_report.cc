@@ -18,12 +18,13 @@
 #include "common/crc32.h"
 #include "common/random.h"
 #include "common/xor_util.h"
-#include "core/database.h"
+#include "harness.h"
 #include "obs/span.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using rda::bench::AlgorithmClass;
 
 // The pre-overhaul CRC-32C: one table, one byte per step. Kept here as the
 // speedup reference for the dispatched implementation.
@@ -83,32 +84,18 @@ struct EndToEndResult {
   uint64_t batched_parity_rmw = 0;
 };
 
-rda::DatabaseOptions MakeOptions(bool page_logging, bool force, bool rda_on) {
-  rda::DatabaseOptions options;
-  options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
-  options.array.min_data_pages = 512;
-  options.array.page_size = 512;
-  options.buffer.capacity = 64;
-  options.txn.logging_mode = page_logging ? rda::LoggingMode::kPageLogging
-                                          : rda::LoggingMode::kRecordLogging;
-  options.txn.record_size = 48;
-  options.txn.force = force;
-  options.txn.rda_undo = rda_on;
-  if (!force) {
-    options.checkpoint_interval_updates = 256;
-  }
-  return options;
-}
-
 // Commits `txns` transactions of 4 updates each and reports throughput
 // plus the paper's metric, page transfers per transaction. `arm_faults`
 // attaches per-disk fault injectors with ALL probabilities at zero — the
 // configuration the fault_overhead section asserts is free.
-int RunEndToEnd(bool page_logging, bool force, bool rda_on, int txns,
+int RunEndToEnd(const AlgorithmClass& cls, bool rda_on, int txns,
                 EndToEndResult* out, bool arm_faults = false,
                 uint32_t io_width = 0) {
-  rda::DatabaseOptions options = MakeOptions(page_logging, force, rda_on);
+  rda::DatabaseOptions options = rda::bench::ClassOptions(cls, rda_on);
+  options.buffer.capacity = 64;
+  if (!cls.force) {
+    options.checkpoint_interval_updates = 256;
+  }
   if (arm_faults) {
     options.fault.enabled = true;  // Probabilities stay zero.
   }
@@ -132,7 +119,7 @@ int RunEndToEnd(bool page_logging, bool force, bool rda_on, int txns,
       const rda::PageId page =
           static_cast<rda::PageId>(rng.Uniform(db->num_pages()));
       rda::Status status;
-      if (page_logging) {
+      if (cls.logging == rda::LoggingMode::kPageLogging) {
         rng.FillBytes(&page_bytes);
         status = db->WritePage(*txn, page, page_bytes);
       } else {
@@ -154,8 +141,7 @@ int RunEndToEnd(bool page_logging, bool force, bool rda_on, int txns,
   }
   const double secs =
       std::chrono::duration<double>(Clock::now() - start).count();
-  out->config = std::string(page_logging ? "page" : "record") + "_" +
-                (force ? "force" : "noforce");
+  out->config = cls.name;
   out->rda = rda_on;
   out->txns_per_sec = txns / secs;
   out->total_transfers = db->TotalPageTransfers() - transfers_before;
@@ -265,16 +251,14 @@ int main(int argc, char** argv) {
 
   // --- end-to-end commit throughput ---
   std::vector<EndToEndResult> results;
-  for (const bool page_logging : {true, false}) {
-    for (const bool force : {true, false}) {
-      for (const bool rda_on : {false, true}) {
-        EndToEndResult result;
-        if (RunEndToEnd(page_logging, force, rda_on, 2000, &result) != 0) {
-          std::fprintf(stderr, "end-to-end run failed\n");
-          return 1;
-        }
-        results.push_back(result);
+  for (const AlgorithmClass& cls : rda::bench::kClasses) {
+    for (const bool rda_on : {false, true}) {
+      EndToEndResult result;
+      if (RunEndToEnd(cls, rda_on, 2000, &result) != 0) {
+        std::fprintf(stderr, "end-to-end run failed\n");
+        return 1;
       }
+      results.push_back(result);
     }
   }
 
@@ -285,17 +269,15 @@ int main(int argc, char** argv) {
   // still paid for.
   constexpr uint32_t kAsyncWidth = 2;
   std::vector<EndToEndResult> async_results;
-  for (const bool page_logging : {true, false}) {
-    for (const bool force : {true, false}) {
-      for (const bool rda_on : {false, true}) {
-        EndToEndResult result;
-        if (RunEndToEnd(page_logging, force, rda_on, 2000, &result,
-                        /*arm_faults=*/false, kAsyncWidth) != 0) {
-          std::fprintf(stderr, "async end-to-end run failed\n");
-          return 1;
-        }
-        async_results.push_back(result);
+  for (const AlgorithmClass& cls : rda::bench::kClasses) {
+    for (const bool rda_on : {false, true}) {
+      EndToEndResult result;
+      if (RunEndToEnd(cls, rda_on, 2000, &result, /*arm_faults=*/false,
+                      kAsyncWidth) != 0) {
+        std::fprintf(stderr, "async end-to-end run failed\n");
+        return 1;
       }
+      async_results.push_back(result);
     }
   }
   // The acceptance bar for the engine: record_force with RDA inside 5% of
@@ -402,9 +384,10 @@ int main(int argc, char** argv) {
   // two Bernoulli draws per access).
   EndToEndResult fault_off;
   EndToEndResult fault_zero;
-  if (RunEndToEnd(true, true, true, 2000, &fault_off,
+  const AlgorithmClass& page_force = rda::bench::kClasses[0];
+  if (RunEndToEnd(page_force, true, 2000, &fault_off,
                   /*arm_faults=*/false) != 0 ||
-      RunEndToEnd(true, true, true, 2000, &fault_zero,
+      RunEndToEnd(page_force, true, 2000, &fault_zero,
                   /*arm_faults=*/true) != 0) {
     std::fprintf(stderr, "fault overhead run failed\n");
     return 1;
@@ -459,77 +442,46 @@ int main(int argc, char** argv) {
                   ? "(within the 5% bar)"
                   : "(WARN: outside the 5% bar)");
 
-  FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  json.Key("crc32c_impl").String(rda::Crc32cImplName());
+  json.Key("micro").BeginObject();
+  json.Key("crc32c_bytewise_4096_GBps").Fixed(crc_bytewise, 3);
+  json.Key("crc32c_software_4096_GBps").Fixed(crc_software, 3);
+  json.Key("crc32c_dispatched_4096_GBps").Fixed(crc_dispatched, 3);
+  json.Key("crc32c_speedup_vs_bytewise").Fixed(crc_speedup, 2);
+  json.Key("xor_page_4096_GBps").Fixed(xor_page, 3);
+  json.Key("buffer_fetch_hit_Mops").Fixed(fetch_mops, 3);
+  json.Key("log_append_flush_512_Kops").Fixed(log_kops, 3).EndObject();
+  json.Key("end_to_end").BeginArray();
+  for (const EndToEndResult& r : results) {
+    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
+    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 0);
+    json.Key("page_transfers_per_txn").Fixed(r.transfers_per_txn, 2);
+    json.EndObject();
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"crc32c_impl\": \"%s\",\n", rda::Crc32cImplName());
-  std::fprintf(out, "  \"micro\": {\n");
-  std::fprintf(out, "    \"crc32c_bytewise_4096_GBps\": %.3f,\n",
-               crc_bytewise);
-  std::fprintf(out, "    \"crc32c_software_4096_GBps\": %.3f,\n",
-               crc_software);
-  std::fprintf(out, "    \"crc32c_dispatched_4096_GBps\": %.3f,\n",
-               crc_dispatched);
-  std::fprintf(out, "    \"crc32c_speedup_vs_bytewise\": %.2f,\n",
-               crc_speedup);
-  std::fprintf(out, "    \"xor_page_4096_GBps\": %.3f,\n", xor_page);
-  std::fprintf(out, "    \"buffer_fetch_hit_Mops\": %.3f,\n", fetch_mops);
-  std::fprintf(out, "    \"log_append_flush_512_Kops\": %.3f\n", log_kops);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"end_to_end\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const EndToEndResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"config\": \"%s\", \"rda\": %s, "
-                 "\"txns_per_sec\": %.0f, \"page_transfers_per_txn\": %.2f}%s\n",
-                 r.config.c_str(), r.rda ? "true" : "false", r.txns_per_sec,
-                 r.transfers_per_txn, i + 1 < results.size() ? "," : "");
+  json.EndArray().Key("async_io").BeginObject();
+  json.Key("io_width").Uint(kAsyncWidth);
+  json.Key("record_force_rda_gap").Fixed(async_rda_gap, 4);
+  json.Key("end_to_end").BeginArray();
+  for (const EndToEndResult& r : async_results) {
+    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
+    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 0);
+    json.Key("page_transfers_per_txn").Fixed(r.transfers_per_txn, 2);
+    json.Key("coalesced_writes").Uint(r.coalesced_writes);
+    json.Key("batched_parity_rmw").Uint(r.batched_parity_rmw).EndObject();
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"async_io\": {\n");
-  std::fprintf(out, "    \"io_width\": %u,\n", kAsyncWidth);
-  std::fprintf(out, "    \"record_force_rda_gap\": %.4f,\n", async_rda_gap);
-  std::fprintf(out, "    \"end_to_end\": [\n");
-  for (size_t i = 0; i < async_results.size(); ++i) {
-    const EndToEndResult& r = async_results[i];
-    std::fprintf(
-        out,
-        "      {\"config\": \"%s\", \"rda\": %s, \"txns_per_sec\": %.0f, "
-        "\"page_transfers_per_txn\": %.2f, \"coalesced_writes\": %llu, "
-        "\"batched_parity_rmw\": %llu}%s\n",
-        r.config.c_str(), r.rda ? "true" : "false", r.txns_per_sec,
-        r.transfers_per_txn,
-        static_cast<unsigned long long>(r.coalesced_writes),
-        static_cast<unsigned long long>(r.batched_parity_rmw),
-        i + 1 < async_results.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"fault_overhead\": {\n");
-  std::fprintf(out, "    \"transfers_disabled\": %llu,\n",
-               static_cast<unsigned long long>(fault_off.total_transfers));
-  std::fprintf(out, "    \"transfers_armed_zero\": %llu,\n",
-               static_cast<unsigned long long>(fault_zero.total_transfers));
-  std::fprintf(out, "    \"wallclock_ratio_armed_zero\": %.3f\n",
-               fault_wallclock_ratio);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"span_overhead\": {\n");
-  std::fprintf(out, "    \"disabled_ns_per_op\": %.3f,\n", span_disabled_ns);
-  std::fprintf(out, "    \"enabled_ns_per_op\": %.3f,\n", span_enabled_ns);
-  std::fprintf(out, "    \"nested_enabled_ns_per_op\": %.3f,\n",
-               span_nested_enabled_ns);
-  std::fprintf(out, "    \"nested_vs_enabled_ratio\": %.3f,\n",
-               span_nested_ratio);
-  std::fprintf(out, "    \"disabled_ceiling_ns\": %.1f,\n",
-               kSpanDisabledCeilingNs);
-  std::fprintf(out, "    \"nested_ceiling_ratio\": %.2f\n",
-               kSpanNestedCeilingRatio);
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path);
-  return 0;
+  json.EndArray().EndObject().Key("fault_overhead").BeginObject();
+  json.Key("transfers_disabled").Uint(fault_off.total_transfers);
+  json.Key("transfers_armed_zero").Uint(fault_zero.total_transfers);
+  json.Key("wallclock_ratio_armed_zero").Fixed(fault_wallclock_ratio, 3);
+  json.EndObject().Key("span_overhead").BeginObject();
+  json.Key("disabled_ns_per_op").Fixed(span_disabled_ns, 3);
+  json.Key("enabled_ns_per_op").Fixed(span_enabled_ns, 3);
+  json.Key("nested_enabled_ns_per_op").Fixed(span_nested_enabled_ns, 3);
+  json.Key("nested_vs_enabled_ratio").Fixed(span_nested_ratio, 3);
+  json.Key("disabled_ceiling_ns").Fixed(kSpanDisabledCeilingNs, 1);
+  json.Key("nested_ceiling_ratio").Fixed(kSpanNestedCeilingRatio, 2);
+  json.EndObject();
+  std::printf("\n");
+  return rda::bench::WriteReport(out_path, &json) ? 0 : 1;
 }

@@ -10,23 +10,20 @@
 // emitted as BENCH_recovery.json for CI's perf-smoke job.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/database.h"
+#include "harness.h"
 
 namespace {
 
+// Both sections run page logging under NOFORCE/ACC.
+const rda::bench::AlgorithmClass& kPageNoforce = rda::bench::kClasses[1];
+
 rda::DatabaseOptions MakeOptions(bool rda_on) {
-  rda::DatabaseOptions options;
-  options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
-  options.array.min_data_pages = 512;
+  rda::DatabaseOptions options = rda::bench::ClassOptions(kPageNoforce, rda_on);
   options.array.page_size = 256;
   options.buffer.capacity = 128;
-  options.txn.force = false;
-  options.txn.rda_undo = rda_on;
   return options;
 }
 
@@ -86,9 +83,7 @@ double WallMs(std::chrono::steady_clock::time_point start) {
 }
 
 rda::DatabaseOptions ScaleOptions(bool rda_on, uint32_t threads) {
-  rda::DatabaseOptions options;
-  options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
+  rda::DatabaseOptions options = rda::bench::ClassOptions(kPageNoforce, rda_on);
   options.array.min_data_pages = 8192;
   options.array.page_size = 2048;
   // Real per-access disk latency: wall-clock speedup then comes from
@@ -96,8 +91,6 @@ rda::DatabaseOptions ScaleOptions(bool rda_on, uint32_t threads) {
   // hardware — and it is measurable even on a single-core host.
   options.array.real_access_delay_us = 25;
   options.buffer.capacity = 256;
-  options.txn.force = false;
-  options.txn.rda_undo = rda_on;
   options.recovery.recovery_threads = threads;
   return options;
 }
@@ -204,21 +197,19 @@ int RebuildScale(bool rda_on, uint32_t threads, ScalePoint* point) {
   return 0;
 }
 
-void AppendPoints(const std::vector<ScalePoint>& points, bool rebuild,
-                  std::string* json) {
-  for (size_t i = 0; i < points.size(); ++i) {
-    const ScalePoint& p = points[i];
-    *json += "    {\"rda\": ";
-    *json += p.rda ? "true" : "false";
-    *json += ", \"threads\": " + std::to_string(p.threads);
-    *json += ", \"wall_ms\": " + std::to_string(p.wall_ms);
-    *json += rebuild ? ", \"pages_rebuilt\": " : ", \"redo_applied\": ";
-    *json += std::to_string(p.work);
+void WritePoints(const std::vector<ScalePoint>& points, bool rebuild,
+                 rda::obs::JsonWriter* json) {
+  json->BeginArray();
+  for (const ScalePoint& p : points) {
+    json->BeginObject().Key("rda").Bool(p.rda).Key("threads").Uint(p.threads);
+    json->Key("wall_ms").Fixed(p.wall_ms, 3);
+    json->Key(rebuild ? "pages_rebuilt" : "redo_applied").Uint(p.work);
     if (rebuild) {
-      *json += ", \"pages_per_sec\": " + std::to_string(p.pages_per_sec);
+      json->Key("pages_per_sec").Fixed(p.pages_per_sec, 1);
     }
-    *json += i + 1 < points.size() ? "},\n" : "}\n";
+    json->EndObject();
   }
+  json->EndArray();
 }
 
 int RunScaling(const std::string& json_path) {
@@ -247,25 +238,15 @@ int RunScaling(const std::string& json_path) {
     }
   }
 
-  std::string json = "{\n";
-  json += "  \"bench\": \"recovery_scaling\",\n";
-  json += "  \"page_size\": 2048,\n";
-  json += "  \"data_pages\": 8192,\n";
-  json += "  \"disk_access_delay_us\": 25,\n";
-  json += "  \"crash_recovery\": [\n";
-  AppendPoints(crash_points, /*rebuild=*/false, &json);
-  json += "  ],\n";
-  json += "  \"rebuild\": [\n";
-  AppendPoints(rebuild_points, /*rebuild=*/true, &json);
-  json += "  ]\n}\n";
-  std::ofstream out(json_path, std::ios::trunc);
-  out << json;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  json.Key("bench").String("recovery_scaling").Key("page_size").Uint(2048);
+  json.Key("data_pages").Uint(8192).Key("disk_access_delay_us").Uint(25);
+  json.Key("crash_recovery");
+  WritePoints(crash_points, /*rebuild=*/false, &json);
+  json.Key("rebuild");
+  WritePoints(rebuild_points, /*rebuild=*/true, &json);
+  std::printf("\n");
+  return rda::bench::WriteReport(json_path, &json) ? 0 : 1;
 }
 
 }  // namespace

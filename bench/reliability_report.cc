@@ -29,13 +29,12 @@
 #include <cstdio>
 #include <initializer_list>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
-#include "core/database.h"
 #include "exec/token_bucket.h"
+#include "harness.h"
 #include "model/reliability.h"
 
 namespace {
@@ -162,33 +161,9 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-// --- JSON helpers (same idiom as latency_report) ----------------------
-
-void AppendDouble(std::string* out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", value);
-  *out += buf;
-}
-
-void AppendCommitPercentiles(std::string* out, rda::Database* db) {
+void WriteCommitPercentiles(rda::obs::JsonWriter* json, rda::Database* db) {
   const rda::obs::MetricsSnapshot snapshot = db->SnapshotMetrics();
-  const auto* histogram = snapshot.FindHistogram("txn.commit_us");
-  *out += "{\"count\":";
-  *out += std::to_string(histogram != nullptr ? histogram->count : 0);
-  constexpr struct {
-    const char* label;
-    double q;
-  } kQuantiles[] = {{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}};
-  for (const auto& [label, q] : kQuantiles) {
-    *out += ",\"";
-    *out += label;
-    *out += "\":";
-    AppendDouble(out, histogram != nullptr ? rda::obs::Quantile(*histogram, q)
-                                           : 0.0);
-  }
-  *out += ",\"max\":";
-  AppendDouble(out, histogram != nullptr ? histogram->max : 0.0);
-  *out += "}";
+  rda::bench::WritePercentiles(json, snapshot.FindHistogram("txn.commit_us"));
 }
 
 }  // namespace
@@ -211,39 +186,33 @@ int main(int argc, char** argv) {
               MirroredPairMttdlHours(params) / hours_per_year,
               MirroringOverheadPercent());
 
-  std::string json = "{\"analytic\":{\"disk_mttf_hours\":";
-  AppendDouble(&json, params.disk_mttf_hours);
-  json += ",\"repair_hours\":";
-  AppendDouble(&json, params.repair_hours);
-  json += ",\"mirrored_pair_mttdl_years\":";
-  AppendDouble(&json, MirroredPairMttdlHours(params) / hours_per_year);
-  json += ",\"groups\":[";
+  rda::obs::JsonWriter json = rda::bench::BeginReport();
+  json.Key("analytic").BeginObject();
+  json.Key("disk_mttf_hours").Fixed(params.disk_mttf_hours, 2);
+  json.Key("repair_hours").Fixed(params.repair_hours, 2);
+  json.Key("mirrored_pair_mttdl_years")
+      .Fixed(MirroredPairMttdlHours(params) / hours_per_year, 2);
+  json.Key("groups").BeginArray();
 
   std::printf("\n%6s %18s %18s %14s %14s\n", "N", "RAID-5 group MTTDL",
               "twin group MTTDL", "RAID-5 ovh %", "twin ovh %");
-  bool first = true;
   for (const uint32_t n : {4u, 8u, 10u, 16u, 32u}) {
     std::printf("%6u %16.0f y %16.0f y %14.1f %14.1f\n", n,
                 Raid5GroupMttdlHours(params, n) / hours_per_year,
                 TwinGroupMttdlHours(params, n) / hours_per_year,
                 Raid5OverheadPercent(n), TwinOverheadPercent(n));
-    if (!first) {
-      json += ",";
-    }
-    first = false;
-    json += "{\"n\":" + std::to_string(n) + ",\"raid5_mttdl_years\":";
-    AppendDouble(&json, Raid5GroupMttdlHours(params, n) / hours_per_year);
-    json += ",\"twin_mttdl_years\":";
-    AppendDouble(&json, TwinGroupMttdlHours(params, n) / hours_per_year);
-    json += ",\"twin_overhead_pct\":";
-    AppendDouble(&json, TwinOverheadPercent(n));
-    json += "}";
+    json.BeginObject().Key("n").Uint(n);
+    json.Key("raid5_mttdl_years")
+        .Fixed(Raid5GroupMttdlHours(params, n) / hours_per_year, 2);
+    json.Key("twin_mttdl_years")
+        .Fixed(TwinGroupMttdlHours(params, n) / hours_per_year, 2);
+    json.Key("twin_overhead_pct").Fixed(TwinOverheadPercent(n), 2);
+    json.EndObject();
   }
-  json += "],\"rotated_array_mttdl_years\":";
   const double array_years =
       RotatedArrayMttdlHours(params, 12) / hours_per_year;
-  AppendDouble(&json, array_years);
-  json += "}";
+  json.EndArray().Key("rotated_array_mttdl_years").Fixed(array_years, 2);
+  json.EndObject();
 
   std::printf("\nwhole rotated array (N = 10 -> 12 disks holding all 500 "
               "groups):\n");
@@ -276,14 +245,14 @@ int main(int argc, char** argv) {
   const uint64_t tokens_total =
       static_cast<uint64_t>(num_groups) * (kDataPagesPerGroup + 1);
 
-  json += ",\"live\":{\"config\":{\"data_pages\":" +
-          std::to_string((*first_db_or)->num_pages()) +
-          ",\"groups\":" + std::to_string(num_groups) +
-          ",\"data_pages_per_group\":" + std::to_string(kDataPagesPerGroup) +
-          ",\"access_delay_us\":" + std::to_string(kAccessDelayUs) +
-          ",\"writer_threads\":" + std::to_string(kWriterThreads) +
-          ",\"writer_pages\":" + std::to_string(kWriterPages) +
-          ",\"rebuild_tokens_total\":" + std::to_string(tokens_total) + "}";
+  json.Key("live").BeginObject().Key("config").BeginObject();
+  json.Key("data_pages").Uint((*first_db_or)->num_pages());
+  json.Key("groups").Uint(num_groups);
+  json.Key("data_pages_per_group").Uint(kDataPagesPerGroup);
+  json.Key("access_delay_us").Uint(kAccessDelayUs);
+  json.Key("writer_threads").Uint(kWriterThreads);
+  json.Key("writer_pages").Uint(kWriterPages);
+  json.Key("rebuild_tokens_total").Uint(tokens_total).EndObject();
 
   std::printf("\n=== Live availability (%u groups, %u us/access, %u writer "
               "threads) ===\n\n",
@@ -306,14 +275,11 @@ int main(int argc, char** argv) {
     std::printf("healthy baseline:    %6llu commits in %7.1f ms "
                 "(%7.0f /s)\n",
                 static_cast<unsigned long long>(commits), wall_ms, per_sec);
-    json += ",\"healthy\":{\"wall_ms\":";
-    AppendDouble(&json, wall_ms);
-    json += ",\"commits\":" + std::to_string(commits) +
-            ",\"commits_per_sec\":";
-    AppendDouble(&json, per_sec);
-    json += ",\"commit_us\":";
-    AppendCommitPercentiles(&json, db);
-    json += "}";
+    json.Key("healthy").BeginObject().Key("wall_ms").Fixed(wall_ms, 2);
+    json.Key("commits").Uint(commits).Key("commits_per_sec").Fixed(per_sec, 2);
+    json.Key("commit_us");
+    WriteCommitPercentiles(&json, db);
+    json.EndObject();
   }
 
   // (b) quiesced rebuild: the same path with no transactions running, as
@@ -342,9 +308,10 @@ int main(int argc, char** argv) {
     std::printf("quiesced rebuild:    unavailable for %7.1f ms "
                 "(0 commits)\n",
                 wall_ms);
-    json += ",\"quiesced_rebuild\":{\"rebuild_wall_ms\":";
-    AppendDouble(&json, wall_ms);
-    json += ",\"commits_during_rebuild\":0,\"unavailable\":true}";
+    json.Key("quiesced_rebuild").BeginObject();
+    json.Key("rebuild_wall_ms").Fixed(wall_ms, 2);
+    json.Key("commits_during_rebuild").Uint(0).Key("unavailable").Bool(true);
+    json.EndObject();
   }
 
   // (c) online rebuild at three rate limits, writers committing throughout.
@@ -357,8 +324,7 @@ int main(int argc, char** argv) {
       {"50pct", tokens_total / 2},
       {"10pct", tokens_total / 10},
   };
-  json += ",\"online_rebuild\":[";
-  bool first_rate = true;
+  json.Key("online_rebuild").BeginArray();
   std::unique_ptr<rda::Database> last_db;
   for (const RateCase& rate : kRates) {
     auto db_or = open();
@@ -410,30 +376,19 @@ int main(int argc, char** argv) {
                 report->groups_background,
                 static_cast<unsigned long long>(report->groups_on_demand),
                 static_cast<unsigned long long>(report->write_promotions));
-    if (!first_rate) {
-      json += ",";
-    }
-    first_rate = false;
-    json += "{\"rate\":\"";
-    json += rate.label;
-    json += "\",\"rate_tokens_per_sec\":" +
-            std::to_string(rate.tokens_per_sec) + ",\"rebuild_wall_ms\":";
-    AppendDouble(&json, wall_ms);
-    json += ",\"commits_during_rebuild\":" + std::to_string(commits_during) +
-            ",\"commits_per_sec\":";
-    AppendDouble(&json, per_sec);
-    json += ",\"commit_us\":";
-    AppendCommitPercentiles(&json, db);
-    json += ",\"groups_background\":" +
-            std::to_string(report->groups_background) +
-            ",\"groups_on_demand\":" +
-            std::to_string(report->groups_on_demand) +
-            ",\"write_promotions\":" +
-            std::to_string(report->write_promotions) +
-            ",\"parity_consistent\":true}";
+    json.BeginObject().Key("rate").String(rate.label);
+    json.Key("rate_tokens_per_sec").Uint(rate.tokens_per_sec);
+    json.Key("rebuild_wall_ms").Fixed(wall_ms, 2);
+    json.Key("commits_during_rebuild").Uint(commits_during);
+    json.Key("commits_per_sec").Fixed(per_sec, 2).Key("commit_us");
+    WriteCommitPercentiles(&json, db);
+    json.Key("groups_background").Uint(report->groups_background);
+    json.Key("groups_on_demand").Uint(report->groups_on_demand);
+    json.Key("write_promotions").Uint(report->write_promotions);
+    json.Key("parity_consistent").Bool(true).EndObject();
     last_db = std::move(*db_or);
   }
-  json += "]";
+  json.EndArray();
 
   // (d) a scrub pass on the last database closes the loop: the array just
   // went healthy again; the scrub verifies every group and reports what
@@ -449,24 +404,14 @@ int main(int argc, char** argv) {
                 "%llu sectors healed\n",
                 scrub->groups_checked, scrub->repaired.size(),
                 static_cast<unsigned long long>(scrub->sectors_repaired));
-    json += ",\"scrub\":{\"groups_checked\":" +
-            std::to_string(scrub->groups_checked) +
-            ",\"groups_skipped_dirty\":" +
-            std::to_string(scrub->groups_skipped_dirty) +
-            ",\"groups_repaired\":" +
-            std::to_string(scrub->repaired.size()) +
-            ",\"sectors_repaired\":" +
-            std::to_string(scrub->sectors_repaired) + "}";
+    json.Key("scrub").BeginObject();
+    json.Key("groups_checked").Uint(scrub->groups_checked);
+    json.Key("groups_skipped_dirty").Uint(scrub->groups_skipped_dirty);
+    json.Key("groups_repaired").Uint(scrub->repaired.size());
+    json.Key("sectors_repaired").Uint(scrub->sectors_repaired).EndObject();
   }
-  json += "}}\n";
+  json.EndObject();
 
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path);
-  return 0;
+  std::printf("\n");
+  return rda::bench::WriteReport(out_path, &json) ? 0 : 1;
 }

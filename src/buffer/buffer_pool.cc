@@ -111,24 +111,6 @@ Status BufferPool::WithFetchedFrame(PageId page, bool* cache_hit,
   return fn(frame);
 }
 
-Status BufferPool::Pin(PageId page) {
-  Shard& shard = ShardOf(page);
-  auto lock = LockShard(shard);
-  RDA_ASSIGN_OR_RETURN(Frame * frame,
-                       FetchLocked(shard, page, /*cache_hit=*/nullptr));
-  ++frame->pins;
-  return Status::Ok();
-}
-
-void BufferPool::Unpin(PageId page) {
-  Shard& shard = ShardOf(page);
-  auto lock = LockShard(shard);
-  auto it = shard.frames.find(page);
-  if (it != shard.frames.end() && it->second.pins > 0) {
-    --it->second.pins;
-  }
-}
-
 Status BufferPool::EvictOneLocked(Shard& shard) {
   obs::ScopedSpan evict_span(spans_, obs::SpanKind::kBufferEvict);
   // Walk the recency list from the cold end: the first evictable frame is

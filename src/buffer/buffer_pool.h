@@ -150,12 +150,6 @@ class BufferPool {
   Status WithFetchedFrame(PageId page, bool* cache_hit,
                           const std::function<Status(Frame*)>& fn);
 
-  // Thread-safe pin/unpin: a pinned frame is exempt from eviction. Pin
-  // fetches the page if needed. Pins are counted; every Pin needs a
-  // matching Unpin. Unpin of a non-resident page is a no-op.
-  Status Pin(PageId page);
-  void Unpin(PageId page);
-
   // Propagates `frame` to the database now (used by FORCE commits and
   // checkpoints); clears dirty and refreshes last_propagated. The caller
   // must hold the frame's shard latch (via WithFrame) or be single-threaded.

@@ -41,10 +41,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   }
   db->array_ = std::move(array).value();
   db->array_->SetIoPolicy(opts.io);
-  // Same-group FORCE propagations back-to-back feed the engine's
-  // coalescing; without the engine the historical order stays bit-for-bit.
-  opts.txn.elevator_force = opts.io.width > 0;
-  db->options_.txn.elevator_force = opts.txn.elevator_force;
   db->parity_ = std::make_unique<TwinParityManager>(db->array_.get());
   RDA_RETURN_IF_ERROR(db->parity_->FormatArray());
   // Formatting is not workload I/O: drain any journaled format writes
@@ -255,44 +251,51 @@ Status Database::BulkLoad(const std::vector<std::vector<uint8_t>>& user_pages) {
   if (user_pages.size() > num_pages()) {
     return Status::InvalidArgument("more pages than the array holds");
   }
-  const Layout& layout = array_->layout();
-  const uint32_t n = layout.data_pages_per_group();
-  const size_t page_size = array_->page_size();
-  PageId page = 0;
-  // Full stripes first.
-  while (page + n <= user_pages.size()) {
-    const GroupId group = layout.GroupOf(page);
-    std::vector<std::vector<uint8_t>> payloads(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const PageId target = layout.PageAt(group, i);
-      if (user_pages[target].size() != user_page_size()) {
-        return Status::InvalidArgument("user page size mismatch");
-      }
-      payloads[i].assign(page_size, 0);
-      std::copy(user_pages[target].begin(), user_pages[target].end(),
-                payloads[i].begin() + kDataRegionOffset);
-      StoreDataMeta(DataPageMeta{}, &payloads[i]);
-    }
-    RDA_RETURN_IF_ERROR(parity_->WriteFullGroup(group, payloads));
-    page += n;
-  }
-  // Tail: plain small writes.
-  for (; page < user_pages.size(); ++page) {
-    if (user_pages[page].size() != user_page_size()) {
+  for (const std::vector<uint8_t>& user_page : user_pages) {
+    if (user_page.size() != user_page_size()) {
       return Status::InvalidArgument("user page size mismatch");
     }
-    PageImage image(page_size);
-    std::copy(user_pages[page].begin(), user_pages[page].end(),
-              image.payload.begin() + kDataRegionOffset);
-    StoreDataMeta(DataPageMeta{}, &image.payload);
-    RDA_RETURN_IF_ERROR(parity_->Propagate(page, kInvalidTxnId,
-                                           PropagationKind::kPlain, nullptr,
-                                           image));
-    // Drop any stale cached copy.
-    txn_manager_->pool()->Discard(page);
   }
-  for (PageId loaded = 0; loaded + n <= user_pages.size(); ++loaded) {
-    txn_manager_->pool()->Discard(loaded);
+  const Layout& layout = array_->layout();
+  const uint32_t n = layout.data_pages_per_group();
+  auto payload_of = [&](PageId page) {
+    std::vector<uint8_t> payload(array_->page_size(), 0);
+    std::copy(user_pages[page].begin(), user_pages[page].end(),
+              payload.begin() + kDataRegionOffset);
+    StoreDataMeta(DataPageMeta{}, &payload);
+    return payload;
+  };
+  // Walk the groups, not runs of page ids: only data striping keeps a
+  // group's members consecutive. A group whose members are all loaded is
+  // one full-stripe write; a partly loaded group gets plain writes.
+  for (GroupId group = 0; group < layout.num_groups(); ++group) {
+    bool full = true;
+    for (uint32_t i = 0; i < n; ++i) {
+      full = full && layout.PageAt(group, i) < user_pages.size();
+    }
+    if (full) {
+      std::vector<std::vector<uint8_t>> payloads;
+      for (uint32_t i = 0; i < n; ++i) {
+        payloads.push_back(payload_of(layout.PageAt(group, i)));
+      }
+      RDA_RETURN_IF_ERROR(parity_->WriteFullGroup(group, payloads));
+      continue;
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      const PageId page = layout.PageAt(group, i);
+      if (page >= user_pages.size()) {
+        continue;
+      }
+      PageImage image;
+      image.payload = payload_of(page);
+      RDA_RETURN_IF_ERROR(parity_->Propagate(page, kInvalidTxnId,
+                                             PropagationKind::kPlain, nullptr,
+                                             image));
+    }
+  }
+  // Drop any stale cached copy.
+  for (PageId page = 0; page < user_pages.size(); ++page) {
+    txn_manager_->pool()->Discard(page);
   }
   return Status::Ok();
 }
@@ -353,13 +356,7 @@ Result<bool> Database::VerifyAllParity() {
 
 Result<std::vector<uint8_t>> Database::RawReadPage(PageId page) {
   PageImage image;
-  Status status = parity_->ReadDataHealed(page, &image);
-  if (status.IsIoError()) {
-    return parity_->ReconstructDataPayload(page);
-  }
-  if (!status.ok()) {
-    return status;
-  }
+  RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(page, &image));
   return std::move(image.payload);
 }
 

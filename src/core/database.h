@@ -107,9 +107,10 @@ class Database {
   Status Abort(TxnId txn);
 
   // Bulk-loads committed pages starting at page 0 using full-stripe writes
-  // for every complete parity group (the paper's Section 3.1 "large
-  // accesses": N+1 writes per group, no reads) and plain small writes for
-  // the tail. Requires a quiescent database (no active transactions).
+  // for every parity group whose members are all loaded (the paper's
+  // Section 3.1 "large accesses": N+1 writes per group, no reads) and
+  // plain small writes for the members of partly loaded groups, under
+  // either layout. Requires a quiescent database (no active transactions).
   // `user_pages[i]` covers the user region of page i.
   Status BulkLoad(const std::vector<std::vector<uint8_t>>& user_pages);
 

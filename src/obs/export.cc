@@ -1,68 +1,11 @@
 #include "obs/export.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <sstream>
 
+#include "obs/json.h"
 #include "obs/scoped.h"
 
 namespace rda::obs {
-namespace {
-
-void AppendU64(std::string* out, uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
-  *out += buffer;
-}
-
-void AppendI64(std::string* out, int64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-  *out += buffer;
-}
-
-void AppendDouble(std::string* out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  *out += buffer;
-}
-
-void AppendKey(std::string* out, std::string_view key) {
-  *out += '"';
-  AppendJsonEscaped(out, key);
-  *out += "\":";
-}
-
-}  // namespace
-
-void AppendJsonEscaped(std::string* out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          *out += buffer;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 const char* SubsystemName(Subsystem subsystem) {
   switch (subsystem) {
@@ -184,302 +127,164 @@ const char* ScopedPhase::PhaseSlug(RecoveryPhase phase) {
 }
 
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  std::string out = "{";
-  AppendKey(&out, "counters");
-  out += '{';
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, value] : snapshot.counters) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendKey(&out, name);
-    AppendU64(&out, value);
+    json.Key(name).Uint(value);
   }
-  out += "},";
-  AppendKey(&out, "gauges");
-  out += '{';
-  first = true;
+  json.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, value] : snapshot.gauges) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendKey(&out, name);
-    AppendI64(&out, value);
+    json.Key(name).Int(value);
   }
-  out += "},";
-  AppendKey(&out, "histograms");
-  out += '{';
-  first = true;
+  json.EndObject().Key("histograms").BeginObject();
   for (const auto& histogram : snapshot.histograms) {
-    if (!first) {
-      out += ',';
+    json.Key(histogram.name).BeginObject().Key("bounds").BeginArray();
+    for (const double bound : histogram.bounds) {
+      json.Significant(bound, 6);
     }
-    first = false;
-    AppendKey(&out, histogram.name);
-    out += '{';
-    AppendKey(&out, "bounds");
-    out += '[';
-    for (size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      AppendDouble(&out, histogram.bounds[i]);
+    json.EndArray().Key("buckets").BeginArray();
+    for (const uint64_t bucket : histogram.buckets) {
+      json.Uint(bucket);
     }
-    out += "],";
-    AppendKey(&out, "buckets");
-    out += '[';
-    for (size_t i = 0; i < histogram.buckets.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      AppendU64(&out, histogram.buckets[i]);
-    }
-    out += "],";
-    AppendKey(&out, "count");
-    AppendU64(&out, histogram.count);
-    out += ',';
-    AppendKey(&out, "sum");
-    AppendDouble(&out, histogram.sum);
-    out += ',';
-    AppendKey(&out, "max");
-    AppendDouble(&out, histogram.max);
-    out += '}';
+    json.EndArray().Key("count").Uint(histogram.count);
+    json.Key("sum").Significant(histogram.sum, 6);
+    json.Key("max").Significant(histogram.max, 6).EndObject();
   }
-  out += "}}";
-  return out;
+  json.EndObject().EndObject();
+  return json.str();
 }
 
 std::string MetricsToCsv(const MetricsSnapshot& snapshot) {
-  std::string out = "kind,name,value\n";
+  std::ostringstream out;  // Default stream precision: 6 significant digits.
+  out << "kind,name,value\n";
   for (const auto& [name, value] : snapshot.counters) {
-    out += "counter,";
-    out += name;
-    out += ',';
-    AppendU64(&out, value);
-    out += '\n';
+    out << "counter," << name << ',' << value << '\n';
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    out += "gauge,";
-    out += name;
-    out += ',';
-    AppendI64(&out, value);
-    out += '\n';
+    out << "gauge," << name << ',' << value << '\n';
   }
   for (const auto& histogram : snapshot.histograms) {
-    out += "histogram," + histogram.name + ".count,";
-    AppendU64(&out, histogram.count);
-    out += '\n';
-    out += "histogram," + histogram.name + ".sum,";
-    AppendDouble(&out, histogram.sum);
-    out += '\n';
-    out += "histogram," + histogram.name + ".max,";
-    AppendDouble(&out, histogram.max);
-    out += '\n';
+    const std::string row = "histogram," + histogram.name;
+    out << row << ".count," << histogram.count << '\n';
+    out << row << ".sum," << histogram.sum << '\n';
+    out << row << ".max," << histogram.max << '\n';
     for (size_t i = 0; i < histogram.buckets.size(); ++i) {
-      out += "histogram," + histogram.name + ".le_";
+      out << row << ".le_";
       if (i < histogram.bounds.size()) {
-        AppendDouble(&out, histogram.bounds[i]);
+        out << histogram.bounds[i];
       } else {
-        out += "inf";
+        out << "inf";
       }
-      out += ',';
-      AppendU64(&out, histogram.buckets[i]);
-      out += '\n';
+      out << ',' << histogram.buckets[i] << '\n';
     }
   }
-  return out;
+  return out.str();
 }
-
-namespace {
-
-void AppendMicros(std::string* out, uint64_t ns) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.3f",
-                static_cast<double>(ns) / 1000.0);
-  *out += buffer;
-}
-
-}  // namespace
 
 std::string ChromeTraceJson(const SpanCollector* spans,
                             const TraceBuffer* trace) {
-  std::string out = "{";
-  AppendKey(&out, "displayTimeUnit");
-  out += "\"ms\",";
-  AppendKey(&out, "traceEvents");
-  out += '[';
-  bool first = true;
-  auto comma = [&out, &first]() {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-  };
+  JsonWriter json;
+  json.BeginObject().Key("displayTimeUnit").String("ms");
+  json.Key("traceEvents").BeginArray();
   // One metadata event names the process for the Perfetto track header.
-  comma();
-  out +=
-      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"rda\"}}";
+  json.BeginObject().Key("ph").String("M").Key("pid").Uint(1);
+  json.Key("tid").Uint(0).Key("name").String("process_name");
+  json.Key("args").BeginObject().Key("name").String("rda").EndObject();
+  json.EndObject();
   if (spans != nullptr) {
     for (const auto& thread : spans->SnapshotAll()) {
       for (const SpanRecord& span : thread.spans) {
-        comma();
-        out += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
-        AppendU64(&out, thread.thread_index + 1);
-        out += ",\"cat\":\"span\",\"name\":\"";
-        out += SpanKindName(span.kind);
-        out += "\",\"ts\":";
-        AppendMicros(&out, span.start_ns);
-        out += ",\"dur\":";
-        AppendMicros(&out, span.duration_ns);
-        out += ",\"args\":{\"depth\":";
-        AppendU64(&out, span.depth);
+        json.BeginObject().Key("ph").String("X").Key("pid").Uint(1);
+        json.Key("tid").Uint(thread.thread_index + 1);
+        json.Key("cat").String("span");
+        json.Key("name").String(SpanKindName(span.kind));
+        json.Key("ts").Fixed(span.start_ns / 1000.0, 3);
+        json.Key("dur").Fixed(span.duration_ns / 1000.0, 3);
+        json.Key("args").BeginObject().Key("depth").Uint(span.depth);
         if (span.detail != 0) {
-          out += ",\"detail\":";
-          AppendI64(&out, span.detail);
+          json.Key("detail").Int(span.detail);
         }
-        out += "}}";
+        json.EndObject().EndObject();
       }
     }
   }
   if (trace != nullptr) {
     for (const TraceEvent& event : trace->Events()) {
-      comma();
-      out += "{\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":0,\"cat\":\"";
-      out += SubsystemName(event.subsystem);
-      out += "\",\"name\":\"";
-      out += EventKindName(event.kind);
-      out += "\",\"ts\":";
-      AppendMicros(&out, event.wall_ns);
-      out += ",\"args\":{\"tick\":";
-      AppendU64(&out, event.tick);
+      json.BeginObject().Key("ph").String("i").Key("s").String("p");
+      json.Key("pid").Uint(1).Key("tid").Uint(0);
+      json.Key("cat").String(SubsystemName(event.subsystem));
+      json.Key("name").String(EventKindName(event.kind));
+      json.Key("ts").Fixed(event.wall_ns / 1000.0, 3);
+      json.Key("args").BeginObject().Key("tick").Uint(event.tick);
       if (event.page != kInvalidPageId) {
-        out += ",\"page\":";
-        AppendU64(&out, event.page);
+        json.Key("page").Uint(event.page);
       }
       if (event.txn != kInvalidTxnId) {
-        out += ",\"txn\":";
-        AppendU64(&out, event.txn);
+        json.Key("txn").Uint(event.txn);
       }
-      out += "}}";
+      json.EndObject().EndObject();
     }
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 std::string TraceToJson(const TraceBuffer& trace) {
-  std::string out = "{";
-  AppendKey(&out, "total_recorded");
-  AppendU64(&out, trace.total_recorded());
-  out += ',';
-  AppendKey(&out, "dropped");
-  AppendU64(&out, trace.dropped());
-  out += ',';
-  AppendKey(&out, "events");
-  out += '[';
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("total_recorded").Uint(trace.total_recorded());
+  json.Key("dropped").Uint(trace.dropped());
+  json.Key("events").BeginArray();
   for (const TraceEvent& event : trace.Events()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '{';
-    AppendKey(&out, "tick");
-    AppendU64(&out, event.tick);
-    out += ',';
-    AppendKey(&out, "subsystem");
-    out += '"';
-    out += SubsystemName(event.subsystem);
-    out += "\",";
-    AppendKey(&out, "kind");
-    out += '"';
-    out += EventKindName(event.kind);
-    out += '"';
+    json.BeginObject().Key("tick").Uint(event.tick);
+    json.Key("subsystem").String(SubsystemName(event.subsystem));
+    json.Key("kind").String(EventKindName(event.kind));
     if (event.page != kInvalidPageId) {
-      out += ',';
-      AppendKey(&out, "page");
-      AppendU64(&out, event.page);
+      json.Key("page").Uint(event.page);
     }
     if (event.group != kInvalidGroupId) {
-      out += ',';
-      AppendKey(&out, "group");
-      AppendU64(&out, event.group);
+      json.Key("group").Uint(event.group);
     }
     if (event.txn != kInvalidTxnId) {
-      out += ',';
-      AppendKey(&out, "txn");
-      AppendU64(&out, event.txn);
+      json.Key("txn").Uint(event.txn);
     }
     switch (event.kind) {
       case EventKind::kGroupTransition:
-        out += ',';
-        AppendKey(&out, "from");
-        out += '"';
-        out += GroupStateName(event.from_state);
-        out += "\",";
-        AppendKey(&out, "to");
-        out += '"';
-        out += GroupStateName(event.to_state);
-        out += '"';
+        json.Key("from").String(GroupStateName(event.from_state));
+        json.Key("to").String(GroupStateName(event.to_state));
         break;
       case EventKind::kTwinTransition:
-        out += ',';
-        AppendKey(&out, "twin");
-        AppendI64(&out, event.detail);
-        out += ',';
-        AppendKey(&out, "from");
-        out += '"';
-        out += ParityStateName(event.from_state);
-        out += "\",";
-        AppendKey(&out, "to");
-        out += '"';
-        out += ParityStateName(event.to_state);
-        out += '"';
+        json.Key("twin").Int(event.detail);
+        json.Key("from").String(ParityStateName(event.from_state));
+        json.Key("to").String(ParityStateName(event.to_state));
         break;
       case EventKind::kPhaseBegin:
       case EventKind::kPhaseEnd:
-        out += ',';
-        AppendKey(&out, "phase");
-        out += '"';
-        out += RecoveryPhaseName(static_cast<RecoveryPhase>(event.detail));
-        out += '"';
+        json.Key("phase").String(
+            RecoveryPhaseName(static_cast<RecoveryPhase>(event.detail)));
         if (event.kind == EventKind::kPhaseEnd) {
-          out += ',';
-          AppendKey(&out, "transfers");
-          AppendI64(&out, event.value);
+          json.Key("transfers").Int(event.value);
         }
         break;
       case EventKind::kSteal:
-        out += ',';
-        AppendKey(&out, "modifiers");
-        AppendI64(&out, event.detail);
+        json.Key("modifiers").Int(event.detail);
         break;
       case EventKind::kTxnCommit:
       case EventKind::kTxnAbort:
-        out += ',';
-        AppendKey(&out, "transfers");
-        AppendI64(&out, event.value);
+        json.Key("transfers").Int(event.value);
         break;
       default:
         if (event.detail != 0) {
-          out += ',';
-          AppendKey(&out, "detail");
-          AppendI64(&out, event.detail);
+          json.Key("detail").Int(event.detail);
         }
         if (event.value != 0) {
-          out += ',';
-          AppendKey(&out, "value");
-          AppendI64(&out, event.value);
+          json.Key("value").Int(event.value);
         }
         break;
     }
-    out += '}';
+    json.EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 }  // namespace rda::obs

@@ -2,7 +2,6 @@
 #define RDA_OBS_EXPORT_H_
 
 #include <string>
-#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -41,9 +40,6 @@ std::string TraceToJson(const TraceBuffer& trace);
 // TraceBuffer entries on track 0. Either pointer may be null.
 std::string ChromeTraceJson(const SpanCollector* spans,
                             const TraceBuffer* trace);
-
-// Minimal JSON string escaping, exposed for bench report writers.
-void AppendJsonEscaped(std::string* out, std::string_view text);
 
 }  // namespace rda::obs
 

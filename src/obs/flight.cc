@@ -1,41 +1,12 @@
 #include "obs/flight.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace rda::obs {
-namespace {
-
-void AppendU64(std::string* out, uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
-  *out += buffer;
-}
-
-void AppendI64(std::string* out, int64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-  *out += buffer;
-}
-
-void AppendMicros(std::string* out, uint64_t ns) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.3f",
-                static_cast<double>(ns) / 1000.0);
-  *out += buffer;
-}
-
-void AppendKey(std::string* out, std::string_view key) {
-  *out += '"';
-  AppendJsonEscaped(out, key);
-  *out += "\":";
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(SpanCollector* spans, TraceBuffer* trace,
                                size_t last_n)
@@ -52,77 +23,39 @@ std::string FlightRecorder::output_path() const {
 }
 
 std::string FlightRecorder::BuildDump(std::string_view reason) const {
-  std::string out = "{";
-  AppendKey(&out, "reason");
-  out += '"';
-  AppendJsonEscaped(&out, reason);
-  out += "\",";
-  AppendKey(&out, "trigger");
-  AppendU64(&out, triggers_.load(std::memory_order_relaxed));
-  out += ',';
-  AppendKey(&out, "last_n");
-  AppendU64(&out, last_n_);
-  out += ',';
-  AppendKey(&out, "threads");
-  out += '[';
+  JsonWriter json;
+  json.BeginObject().Key("reason").String(reason);
+  json.Key("trigger").Uint(triggers_.load(std::memory_order_relaxed));
+  json.Key("last_n").Uint(last_n_).Key("threads").BeginArray();
   if (spans_ != nullptr) {
-    bool first_thread = true;
     for (const auto& thread : spans_->SnapshotAll()) {
-      if (!first_thread) {
-        out += ',';
-      }
-      first_thread = false;
-      out += '{';
-      AppendKey(&out, "thread");
-      AppendU64(&out, thread.thread_index);
-      out += ',';
-      AppendKey(&out, "recorded");
-      AppendU64(&out, thread.recorded);
-      out += ',';
-      AppendKey(&out, "dropped");
-      AppendU64(&out, thread.dropped);
-      out += ',';
-      AppendKey(&out, "spans");
-      out += '[';
+      json.BeginObject().Key("thread").Uint(thread.thread_index);
+      json.Key("recorded").Uint(thread.recorded);
+      json.Key("dropped").Uint(thread.dropped).Key("spans").BeginArray();
       const size_t begin =
           thread.spans.size() > last_n_ ? thread.spans.size() - last_n_ : 0;
       for (size_t i = begin; i < thread.spans.size(); ++i) {
         const SpanRecord& span = thread.spans[i];
-        if (i > begin) {
-          out += ',';
-        }
-        out += '{';
-        AppendKey(&out, "name");
-        out += '"';
-        out += SpanKindName(span.kind);
-        out += "\",";
-        AppendKey(&out, "start_us");
-        AppendMicros(&out, span.start_ns);
-        out += ',';
-        AppendKey(&out, "dur_us");
-        AppendMicros(&out, span.duration_ns);
-        out += ',';
-        AppendKey(&out, "depth");
-        AppendU64(&out, span.depth);
+        json.BeginObject().Key("name").String(SpanKindName(span.kind));
+        json.Key("start_us").Fixed(span.start_ns / 1000.0, 3);
+        json.Key("dur_us").Fixed(span.duration_ns / 1000.0, 3);
+        json.Key("depth").Uint(span.depth);
         if (span.detail != 0) {
-          out += ',';
-          AppendKey(&out, "detail");
-          AppendI64(&out, span.detail);
+          json.Key("detail").Int(span.detail);
         }
-        out += '}';
+        json.EndObject();
       }
-      out += "]}";
+      json.EndArray().EndObject();
     }
   }
-  out += "],";
-  AppendKey(&out, "trace");
+  json.EndArray().Key("trace");
   if (trace_ != nullptr) {
-    out += TraceToJson(*trace_);
+    json.Raw(TraceToJson(*trace_));
   } else {
-    out += "null";
+    json.Null();
   }
-  out += '}';
-  return out;
+  json.EndObject();
+  return json.str();
 }
 
 void FlightRecorder::Trigger(std::string_view reason) {

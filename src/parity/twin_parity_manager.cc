@@ -403,15 +403,9 @@ Status TwinParityManager::ReadOldPayload(PageId page,
     *out = *hint;  // The model's a=3 case: old data available in memory.
     return Status::Ok();
   }
+  // The a=4 case; degraded when the page's disk is down.
   PageImage old_image;
-  Status status = ReadDataHealed(page, &old_image);  // a=4 case.
-  if (status.IsIoError()) {
-    // Degraded mode: the page's disk is down; its content is implicit in
-    // the rest of the group.
-    RDA_ASSIGN_OR_RETURN(*out, ReconstructDataPayload(page));
-    return Status::Ok();
-  }
-  RDA_RETURN_IF_ERROR(status);
+  RDA_RETURN_IF_ERROR(ReadDataHealed(page, &old_image));
   *out = std::move(old_image.payload);
   return Status::Ok();
 }

@@ -23,22 +23,10 @@ TransactionManager::TransactionManager(const TxnConfig& config,
       pool_(
           pool_options,
           [this](PageId page, PageImage* out) {
-            // Healed read: sector faults on live disks are repaired in
-            // place; only a genuinely failed disk reaches the fallback.
-            Status status = parity_->ReadDataHealed(page, out);
-            if (status.IsIoError()) {
-              // Degraded mode: reconstruct the page from its parity group
-              // while the disk awaits rebuild.
-              Result<std::vector<uint8_t>> rebuilt =
-                  parity_->ReconstructDataPayload(page);
-              if (!rebuilt.ok()) {
-                return status;
-              }
-              out->payload = std::move(rebuilt).value();
-              out->header = PageHeader{};
-              return Status::Ok();
-            }
-            return status;
+            // Healed read: a sector fault on a live disk is repaired in
+            // place, and a page on a failed disk is reconstructed from its
+            // group while the disk awaits rebuild.
+            return parity_->ReadDataHealed(page, out);
           },
           [this](Frame* frame) { return PropagateFrame(frame); }) {}
 
@@ -637,12 +625,14 @@ Status TransactionManager::Commit(TxnId txn_id) {
     obs::ScopedSpan force_span(
         spans_, obs::SpanKind::kCommitForcePages, /*histogram=*/nullptr,
         static_cast<int64_t>(txn->modified_pages.size()));
-    if (config_.elevator_force && txn->modified_pages.size() > 1) {
+    if (parity_->array()->io_engine() != nullptr &&
+        txn->modified_pages.size() > 1) {
       // Group-then-page order: same-group propagations become back-to-back
-      // RMWs on the same parity slot, which the async engine coalesces
+      // RMWs on the same parity slot, which the write journal coalesces
       // into one physical write. Order does not affect correctness here —
       // each propagation is independent and the group latch serializes
-      // parity state — so only the async path opts in.
+      // parity state — so only a journaled array sorts; without the
+      // journal the insertion order stays bit-for-bit.
       std::vector<PageId> ordered = txn->modified_pages;
       const Layout& layout = parity_->array()->layout();
       std::sort(ordered.begin(), ordered.end(),

@@ -44,12 +44,6 @@ struct TxnConfig {
   bool log_after_images = true;
   // Record size for kRecordLogging (fixed-size slots).
   size_t record_size = 64;
-  // FORCE the commit's page propagations in (parity group, page) order so
-  // same-group writes land adjacently in the async engine's submission
-  // queues (elevator-friendly, maximizes parity-slot coalescing). Set by
-  // Database::Open when the engine is on; off keeps the insertion order the
-  // synchronous path has always used, bit-for-bit.
-  bool elevator_force = false;
 };
 
 // Outcome counters used by the simulator to report the paper's metrics.

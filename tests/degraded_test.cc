@@ -162,25 +162,55 @@ TEST_F(DegradedTest, MixedWorkloadAcrossFailureAndRebuild) {
 // Full-stripe bulk load.
 // ---------------------------------------------------------------------------
 
-TEST_F(DegradedTest, BulkLoadRoundTripsAndKeepsParity) {
-  Open();
-  std::vector<std::vector<uint8_t>> pages(db_->num_pages());
+// Loads the first `count` pages with random bytes, reads every loaded page
+// back raw and checks the whole array's parity.
+void ExpectBulkLoadRoundTrips(Database* db, size_t count) {
+  std::vector<std::vector<uint8_t>> pages(count);
   Random rng(7);
-  for (PageId page = 0; page < db_->num_pages(); ++page) {
-    pages[page].assign(db_->user_page_size(), 0);
-    rng.FillBytes(&pages[page]);
+  for (auto& page : pages) {
+    page.assign(db->user_page_size(), 0);
+    rng.FillBytes(&page);
   }
-  ASSERT_TRUE(db_->BulkLoad(pages).ok());
-  for (PageId page = 0; page < db_->num_pages(); ++page) {
-    auto payload = db_->RawReadPage(page);
+  ASSERT_TRUE(db->BulkLoad(pages).ok());
+  for (PageId page = 0; page < count; ++page) {
+    auto payload = db->RawReadPage(page);
     ASSERT_TRUE(payload.ok());
     EXPECT_TRUE(std::equal(pages[page].begin(), pages[page].end(),
                            payload->begin() + kDataRegionOffset))
         << "page " << page;
   }
-  auto ok = db_->VerifyAllParity();
+  auto ok = db->VerifyAllParity();
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
+}
+
+DatabaseOptions ParityStripingOptions() {
+  DatabaseOptions options = BaseOptions();
+  options.array.layout_kind = LayoutKind::kParityStriping;
+  return options;
+}
+
+TEST_F(DegradedTest, BulkLoadRoundTripsAndKeepsParity) {
+  Open();
+  ExpectBulkLoadRoundTrips(db_.get(), db_->num_pages());
+}
+
+// Parity striping scatters a group's members over the page space, so a
+// load that treats n consecutive pages as one group writes them into the
+// wrong groups' stripes.
+TEST_F(DegradedTest, BulkLoadRoundTripsUnderParityStriping) {
+  Open(ParityStripingOptions());
+  ExpectBulkLoadRoundTrips(db_.get(), db_->num_pages());
+}
+
+// Fewer pages than the array holds: partly loaded groups get plain writes
+// and no group member past the vector is read.
+TEST_F(DegradedTest, BulkLoadShortVectorOnBothLayouts) {
+  for (const DatabaseOptions& options :
+       {BaseOptions(), ParityStripingOptions()}) {
+    Open(options);
+    ExpectBulkLoadRoundTrips(db_.get(), db_->num_pages() / 2 + 1);
+  }
 }
 
 TEST_F(DegradedTest, BulkLoadCheaperThanTransactionalLoad) {
@@ -470,6 +500,40 @@ TEST_F(DegradedTest, SecondDiskFailureMidRebuildIsDataLoss) {
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsDataLoss()) << report.status().ToString();
   EXPECT_TRUE(db_->array()->DiskFailed(data_loc.disk));
+}
+
+// A page on a failed disk whose group also holds a latent sibling sector is
+// a second fault: nothing is left to reconstruct from. The read reports the
+// error that names the failed disk, after exactly one reconstruction
+// attempt; no caller repeats the N-page reconstruction.
+TEST_F(DegradedTest, DoubleFaultDegradedReadFailsOnceNamingTheFailedDisk) {
+  DatabaseOptions options = BaseOptions();
+  options.fault.enabled = true;
+  Open(options);
+  for (PageId page = 0; page < 4; ++page) {
+    ASSERT_TRUE(WriteTxn(page, 0x31).ok());
+  }
+  const Layout& layout = db_->array()->layout();
+  const DiskId victim = DataDiskOf(0);
+  const PhysicalLocation sibling = layout.DataLocation(1);
+  db_->array()->injector(sibling.disk)->InjectLatentSector(sibling.slot);
+  ASSERT_TRUE(db_->FailDisk(victim).ok());
+
+  uint64_t reads = db_->array()->counters().page_reads;
+  ASSERT_FALSE(db_->parity()->ReconstructDataPayload(0).ok());
+  const uint64_t one_reconstruction =
+      db_->array()->counters().page_reads - reads;
+  ASSERT_GT(one_reconstruction, 0u);
+
+  reads = db_->array()->counters().page_reads;
+  auto payload = db_->RawReadPage(0);
+  ASSERT_FALSE(payload.ok());
+  EXPECT_TRUE(payload.status().IsIoError()) << payload.status().ToString();
+  EXPECT_NE(payload.status().message().find(
+                "disk " + std::to_string(victim) + " failed"),
+            std::string::npos)
+      << payload.status().ToString();
+  EXPECT_EQ(db_->array()->counters().page_reads - reads, one_reconstruction);
 }
 
 // Rebuilding a lost consistent twin needs every data page of its group, and

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
 #include "io/io_engine.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -287,6 +289,75 @@ TEST(TraceBufferTest, RingWrapsAndCountsDropped) {
   trace.Clear();
   EXPECT_EQ(trace.size(), 0u);
   EXPECT_EQ(trace.total_recorded(), 0u);
+}
+
+// --- JSON writer ---
+
+TEST(JsonWriterTest, EscapesStringsAndKeys) {
+  obs::JsonWriter json;
+  json.BeginObject()
+      .Key("q\"b\\")
+      .String(std::string("a\"b\\c\nd\x01\x1f\0", 10))
+      .EndObject();
+  EXPECT_EQ(json.str(),
+            R"({"q\"b\\":"a\"b\\c\nd\u0001\u001f\u0000"})");
+}
+
+TEST(JsonWriterTest, PlacesCommasAcrossNestedContainers) {
+  obs::JsonWriter json;
+  json.BeginObject()
+      .Key("a")
+      .BeginArray()
+      .Uint(1)
+      .BeginObject()
+      .Key("b")
+      .BeginArray()
+      .EndArray()
+      .Key("c")
+      .BeginObject()
+      .EndObject()
+      .EndObject()
+      .BeginArray()
+      .Bool(true)
+      .Null()
+      .EndArray()
+      .EndArray()
+      .Key("d")
+      .Raw(R"({"e":2})")
+      .EndObject();
+  EXPECT_EQ(json.str(), R"({"a":[1,{"b":[],"c":{}},[true,null]],"d":{"e":2}})");
+
+  obs::JsonWriter pretty(/*indent=*/2);
+  pretty.BeginObject()
+      .Key("a")
+      .BeginArray()
+      .Int(1)
+      .Int(2)
+      .EndArray()
+      .Key("b")
+      .BeginObject()
+      .EndObject()
+      .EndObject();
+  EXPECT_EQ(pretty.str(), "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {}\n}");
+}
+
+TEST(JsonWriterTest, WritesNumbersAtTheGivenPrecisionAndNonFiniteAsNull) {
+  obs::JsonWriter json;
+  json.BeginArray()
+      .Int(-42)
+      .Uint(18446744073709551615ull)
+      .Fixed(3.14159, 2)
+      .Fixed(2.5, 0)
+      .Fixed(-0.125, 3)
+      .Significant(1234567.0, 6)
+      .Significant(2.0, 6)
+      .Fixed(std::numeric_limits<double>::infinity(), 2)
+      .Significant(-std::numeric_limits<double>::infinity(), 6)
+      .Fixed(std::numeric_limits<double>::quiet_NaN(), 2)
+      .EndArray();
+  EXPECT_EQ(json.str(),
+            "[-42,18446744073709551615,3.14,2,-0.125,1.23457e+06,2,null,"
+            "null,null]");
 }
 
 // --- exporters ---
