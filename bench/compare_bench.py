@@ -1,173 +1,189 @@
 #!/usr/bin/env python3
-"""Diff committed BENCH_*.json baselines against a fresh bench run.
+"""Gates the perf-smoke job: seeded counts exactly, wall-clock base-vs-head.
 
-Guards the perf-smoke job against silent performance regressions: commit
-throughput (BENCH_perf.json end_to_end + async_io, BENCH_mt.json results +
-async_io) and crash-recovery wall time (BENCH_recovery.json) are compared
-metric-by-metric against the numbers committed at the repo root. Any
-regression beyond --threshold (default 10%) fails the job; every comparison
-is written to the diff report for the CI artifact either way.
+Two gates, both over the BENCH_*.json files the bench/ reports write:
+
+* Seeded counts (exact). perf_report's end-to-end runs are single-threaded
+  and seeded, so their page transfers per transaction and the
+  fault_overhead transfer totals are a pure function of the code. Every
+  head run must reproduce the values committed at the repo root; a change
+  that moves them regenerates the committed BENCH_perf.json.
+* Wall clock (same runner). Commit throughput (perf + mt) and crash
+  recovery wall time depend on the host, so they are never compared with
+  committed numbers. The job runs the base tree and the head tree
+  alternately on one runner, at least three times each; a metric fails
+  when the head median is worse than the base median by more than
+  --threshold AND lies outside the base runs' min-max spread.
 
 Usage:
-  compare_bench.py --baseline-dir . --current-dir build/bench \
+  compare_bench.py --committed-dir . \\
+      --base-runs runs/base-1 runs/base-2 runs/base-3 \\
+      --head-runs runs/head-1 runs/head-2 runs/head-3 \\
       [--threshold 0.10] [--report BENCH_diff.json]
 
-Missing files or metrics are reported but only fail with --strict (a new
-bench section has no baseline on its first run — that must not block the PR
-that introduces it).
+Each run directory holds one run's BENCH_perf.json, BENCH_mt.json and
+BENCH_recovery.json. Exits 1 on any failed comparison, 2 on unusable input.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 
+MIN_RUNS = 3
 
-def load(path):
+
+def load(directory, name):
     try:
-        with open(path) as f:
+        with open(os.path.join(directory, name)) as f:
             return json.load(f)
     except FileNotFoundError:
         return None
 
 
-def perf_throughputs(doc):
-    """{key: txns_per_sec} for every end-to-end cell, sync and async."""
+def cell(row):
+    return "{}/{}".format(row["config"], "rda" if row["rda"] else "plain")
+
+
+def seeded_counts(perf):
+    """{key: count} for the deterministic transfer counts of BENCH_perf."""
     out = {}
-    if doc is None:
+    if perf is None:
         return out
-    for row in doc.get("end_to_end", []):
-        key = "perf/{}/{}".format(row["config"],
-                                  "rda" if row["rda"] else "plain")
-        out[key] = row["txns_per_sec"]
-    for row in doc.get("async_io", {}).get("end_to_end", []):
-        key = "perf/async/{}/{}".format(row["config"],
-                                        "rda" if row["rda"] else "plain")
-        out[key] = row["txns_per_sec"]
+    for row in perf.get("end_to_end", []):
+        out["perf/{}/page_transfers_per_txn".format(cell(row))] = \
+            row["page_transfers_per_txn"]
+    for key, value in perf.get("fault_overhead", {}).items():
+        if key.startswith("transfers_"):
+            out["perf/fault_overhead/" + key] = value
     return out
 
 
-def mt_throughputs(doc):
+def wall_metrics(run_dir):
+    """{key: (value, higher_is_better)} for one run directory."""
     out = {}
-    if doc is None:
-        return out
-    for row in doc.get("results", []):
-        key = "mt/{}/{}/{}t".format(row["config"],
-                                    "rda" if row["rda"] else "plain",
-                                    row["threads"])
-        out[key] = row["txns_per_sec"]
-    for row in doc.get("async_io", {}).get("results", []):
-        key = "mt/async/{}/{}/{}t".format(row["config"],
-                                          "rda" if row["rda"] else "plain",
-                                          row["threads"])
-        out[key] = row["txns_per_sec"]
-    return out
-
-
-def recovery_walls(doc):
-    """{key: wall_ms}; lower is better, unlike the throughput metrics."""
-    out = {}
-    if doc is None:
-        return out
-    for row in doc.get("crash_recovery", []):
-        key = "recovery/crash/{}/{}t".format(
+    perf = load(run_dir, "BENCH_perf.json") or {}
+    for row in perf.get("end_to_end", []):
+        out["perf/{}/txns_per_sec".format(cell(row))] = \
+            (row["txns_per_sec"], True)
+    mt = load(run_dir, "BENCH_mt.json") or {}
+    for row in mt.get("results", []):
+        out["mt/{}/{}t/txns_per_sec".format(cell(row), row["threads"])] = \
+            (row["txns_per_sec"], True)
+    recovery = load(run_dir, "BENCH_recovery.json") or {}
+    for row in recovery.get("crash_recovery", []):
+        key = "recovery/crash/{}/{}t/wall_ms".format(
             "rda" if row.get("rda") else "plain", row.get("threads"))
-        out[key] = row["wall_ms"]
+        out[key] = (row["wall_ms"], False)
     return out
 
 
-def compare(baseline, current, threshold, higher_is_better):
-    """Yields one comparison record per metric key present in either side."""
-    for key in sorted(set(baseline) | set(current)):
-        base = baseline.get(key)
-        cur = current.get(key)
-        record = {"metric": key, "baseline": base, "current": cur}
-        if base is None or cur is None:
-            record["status"] = "missing-baseline" if base is None \
-                else "missing-current"
+def check_seeded(committed, head_dirs):
+    """One record per (head run, count key); status ok/changed/missing."""
+    for head in head_dirs:
+        current = seeded_counts(load(head, "BENCH_perf.json"))
+        for key in sorted(set(committed) | set(current)):
+            record = {"gate": "seeded", "run": head, "metric": key,
+                      "committed": committed.get(key),
+                      "current": current.get(key)}
+            if record["committed"] is None or record["current"] is None:
+                record["status"] = "missing"
+            elif record["committed"] != record["current"]:
+                record["status"] = "changed"
+            else:
+                record["status"] = "ok"
+            yield record
+
+
+def check_wall(base_dirs, head_dirs, threshold):
+    """One record per wall-clock key present in the base and head runs."""
+    base_runs = [wall_metrics(d) for d in base_dirs]
+    head_runs = [wall_metrics(d) for d in head_dirs]
+    keys = set().union(*base_runs) & set().union(*head_runs)
+    for key in sorted(keys):
+        base = [run[key][0] for run in base_runs if key in run]
+        head = [run[key][0] for run in head_runs if key in run]
+        higher_is_better = next(run[key][1] for run in base_runs if key in run)
+        record = {"gate": "wall", "metric": key, "base": base, "head": head}
+        if len(base) < MIN_RUNS or len(head) < MIN_RUNS:
+            record["status"] = "missing"
             yield record
             continue
-        if base <= 0:
-            record["status"] = "skipped-zero-baseline"
+        base_median = statistics.median(base)
+        head_median = statistics.median(head)
+        if base_median <= 0:
+            record["status"] = "skipped-zero-base"
             yield record
             continue
-        change = (cur - base) / base
+        change = (head_median - base_median) / base_median
         record["change"] = round(change, 4)
-        regressed = change < -threshold if higher_is_better \
-            else change > threshold
+        if higher_is_better:
+            regressed = change < -threshold and head_median < min(base)
+        else:
+            regressed = change > threshold and head_median > max(base)
         record["status"] = "regressed" if regressed else "ok"
         yield record
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline-dir", default=".",
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--committed-dir", default=".",
                         help="directory holding the committed BENCH_*.json")
-    parser.add_argument("--current-dir", default="build/bench",
-                        help="directory holding the fresh bench outputs")
+    parser.add_argument("--base-runs", nargs="+", required=True,
+                        help="run directories of the base tree")
+    parser.add_argument("--head-runs", nargs="+", required=True,
+                        help="run directories of the head tree")
     parser.add_argument("--threshold", type=float, default=0.10,
-                        help="fractional regression that fails the job")
+                        help="fractional wall-clock regression that fails")
     parser.add_argument("--report", default="BENCH_diff.json",
                         help="where to write the machine-readable diff")
-    parser.add_argument("--strict", action="store_true",
-                        help="also fail on missing files or metrics")
     args = parser.parse_args()
 
-    def paths(name):
-        return (os.path.join(args.baseline_dir, name),
-                os.path.join(args.current_dir, name))
+    if len(args.base_runs) < MIN_RUNS or len(args.head_runs) < MIN_RUNS:
+        print("error: need at least {} base and {} head runs".format(
+            MIN_RUNS, MIN_RUNS), file=sys.stderr)
+        return 2
+    committed = seeded_counts(load(args.committed_dir, "BENCH_perf.json"))
+    if not committed:
+        print("error: no seeded counts in {}/BENCH_perf.json".format(
+            args.committed_dir), file=sys.stderr)
+        return 2
 
-    base_perf, cur_perf = (load(p) for p in paths("BENCH_perf.json"))
-    base_mt, cur_mt = (load(p) for p in paths("BENCH_mt.json"))
-    base_rec, cur_rec = (load(p) for p in paths("BENCH_recovery.json"))
+    records = list(check_seeded(committed, args.head_runs))
+    records += check_wall(args.base_runs, args.head_runs, args.threshold)
+    failed = [r for r in records if r["status"] in
+              ("changed", "missing", "regressed")]
 
-    records = []
-    records += compare(perf_throughputs(base_perf), perf_throughputs(cur_perf),
-                       args.threshold, higher_is_better=True)
-    records += compare(mt_throughputs(base_mt), mt_throughputs(cur_mt),
-                       args.threshold, higher_is_better=True)
-    records += compare(recovery_walls(base_rec), recovery_walls(cur_rec),
-                       args.threshold, higher_is_better=False)
-    records = list(records)
-
-    regressed = [r for r in records if r["status"] == "regressed"]
-    missing = [r for r in records if r["status"].startswith("missing")]
-
-    report = {
-        "threshold": args.threshold,
-        "compared": len(records),
-        "regressed": len(regressed),
-        "missing": len(missing),
-        "comparisons": records,
-    }
     with open(args.report, "w") as f:
-        json.dump(report, f, indent=2)
+        json.dump({"threshold": args.threshold, "compared": len(records),
+                   "failed": len(failed), "comparisons": records}, f,
+                  indent=2)
         f.write("\n")
 
-    for r in records:
-        if r["status"] == "ok":
-            continue
-        change = r.get("change")
-        detail = "" if change is None else " ({:+.1%})".format(change)
-        print("{:18s} {}{}".format(r["status"], r["metric"], detail))
-    print("compared {} metrics: {} regressed, {} missing (threshold {:.0%})"
-          .format(len(records), len(regressed), len(missing), args.threshold))
-
-    if not records:
-        print("error: nothing to compare — check --baseline-dir/--current-dir",
+    for r in failed:
+        if r["gate"] == "seeded":
+            print("FAIL seeded {} in {}: committed {}, current {}".format(
+                r["metric"], r["run"], r["committed"], r["current"]),
+                file=sys.stderr)
+        elif r["status"] == "missing":
+            print("FAIL wall {}: fewer than {} runs on a side".format(
+                r["metric"], MIN_RUNS), file=sys.stderr)
+        else:
+            print("FAIL wall {}: head median {:+.1%} vs base, outside the "
+                  "base spread (base {}, head {})".format(
+                      r["metric"], r["change"], r["base"], r["head"]),
+                  file=sys.stderr)
+    walls = sum(1 for r in records if r["gate"] == "wall")
+    print("compared {} seeded counts and {} wall-clock metrics: {} failed "
+          "(wall threshold {:.0%})".format(len(records) - walls, walls,
+                                           len(failed), args.threshold))
+    if walls == 0:
+        print("error: no wall-clock metric in both base and head runs",
               file=sys.stderr)
         return 2
-    if regressed:
-        for r in regressed:
-            print("FAIL: {} regressed {:+.1%} (baseline {:.1f}, current "
-                  "{:.1f})".format(r["metric"], r["change"], r["baseline"],
-                                   r["current"]), file=sys.stderr)
-        return 1
-    if args.strict and missing:
-        print("FAIL (--strict): {} metrics missing a side".format(
-            len(missing)), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

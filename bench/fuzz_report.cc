@@ -12,12 +12,7 @@
 // Writes machine-readable JSON (BENCH_fuzz.json).
 //
 // Usage: fuzz_report [output.json] [failure_dir] [seeds_per_config]
-//                    [io_width]
-//        (defaults: BENCH_fuzz.json, fuzz_failures, 63, 0)
-// io_width > 0 replays the whole sweep with the async per-disk I/O engine
-// enabled at that width — the equivalence soak for the submission-queue
-// journal (e.g. `fuzz_report async.json async_failures 250 2` is a
-// 2000-schedule async sweep).
+//        (defaults: BENCH_fuzz.json, fuzz_failures, 63)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -117,10 +112,6 @@ int main(int argc, char** argv) {
   const uint32_t seeds_per_config =
       argc > 3 ? static_cast<uint32_t>(std::strtoul(argv[3], nullptr, 10))
                : 63;
-  rda::fuzz::FuzzOptions run_options;
-  run_options.io_width =
-      argc > 4 ? static_cast<uint32_t>(std::strtoul(argv[4], nullptr, 10))
-               : 0;
 
   const uint32_t kThreadCounts[] = {1, 4};
 
@@ -139,7 +130,7 @@ int main(int argc, char** argv) {
             MakeSchedule(cls.force, cls.logging, threads, seed);
         distinct.insert(schedule.ToString());
         rda::Result<rda::fuzz::RunOutcome> outcome =
-            rda::fuzz::RunSchedule(schedule, run_options);
+            rda::fuzz::RunSchedule(schedule);
         ++runs;
         if (!outcome.ok()) {
           ++violations;
@@ -207,7 +198,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   rda::obs::JsonWriter json = rda::bench::BeginReport();
-  json.Key("io_width").Uint(run_options.io_width).Key("schedules").Uint(runs);
+  json.Key("schedules").Uint(runs);
   json.Key("distinct").Uint(distinct.size());
   json.Key("violations").Uint(violations);
   json.Key("committed_txns").Uint(committed);

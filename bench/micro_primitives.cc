@@ -97,7 +97,6 @@ void BM_BufferFetchHit(benchmark::State& state) {
   constexpr size_t kPageSize = 512;
   rda::BufferPool::Options options;
   options.capacity = static_cast<uint32_t>(state.range(0));
-  options.page_size = kPageSize;
   rda::BufferPool pool(
       options,
       [](rda::PageId, rda::PageImage* out) {
@@ -193,8 +192,7 @@ void BM_TxnCommitForceObsDisabled(benchmark::State& state) {
 BENCHMARK(BM_TxnCommitForceObsDisabled);
 
 void BM_LogAppendFlush(benchmark::State& state) {
-  rda::LogManager::Options options;
-  rda::LogManager log(options);
+  rda::LogManager log(512, {});
   rda::LogRecord record;
   record.type = rda::LogRecordType::kBeforeImage;
   record.txn = 1;

@@ -8,8 +8,8 @@
 // leader sleeps out the device delay with the WAL mutex released while the
 // other workers run their transactions and append the next batch.
 //
-// The same runs feed the latency report. After each synchronous cell's
-// timed region the bench stages a crash + recovery and records the cell's
+// The same runs feed the latency report. After each cell's timed region
+// the bench stages a crash + recovery and records the cell's
 // bucket-interpolated p50/p95/p99 from the engine's latency histograms —
 // commit, WAL flush, group-commit wait (leader vs follower), parity
 // propagate, and each recovery phase. The 4-thread RDA page_force cell
@@ -49,10 +49,6 @@ constexpr uint32_t kTotalTxns = 240;
 constexpr uint32_t kOpsPerTxn = 4;
 constexpr uint32_t kPages = 384;  // Uniform page draws; modest contention.
 const std::vector<uint32_t> kThreadCounts = {1, 2, 4, 8};
-// The same matrix with the per-disk write journal (io.width = 2):
-// duplicate-slot writes coalesce, parity RMWs batch, and the final drain
-// is inside the timed region.
-constexpr uint32_t kAsyncWidth = 2;
 
 // The per-operation histograms every latency run reports. Group-commit
 // wait is split by role: the leader pays the device flush, followers only
@@ -77,12 +73,9 @@ struct MtResult {
   double mean_batch = 0;
   double secs = 0;
   double txns_per_sec = 0;
-  // Journal telemetry (zero when io_width == 0).
-  uint64_t coalesced_writes = 0;
-  uint64_t batched_parity_rmw = 0;
 };
 
-// Latency outputs of the synchronous cells; null for the journal matrix.
+// Where each cell's latency entry and the representative trace go.
 struct LatencySink {
   rda::obs::JsonWriter* runs = nullptr;  // Positioned inside "runs": [...].
   std::string trace_path;
@@ -136,13 +129,12 @@ int RecordLatency(rda::Database* db, const AlgorithmClass& cls, bool rda_on,
 }
 
 int RunOne(const AlgorithmClass& cls, bool rda_on, uint32_t threads,
-           uint32_t io_width, MtResult* out, LatencySink* latency) {
+           MtResult* out, LatencySink* latency) {
   rda::DatabaseOptions options = rda::bench::ClassOptions(cls, rda_on);
   options.buffer.capacity = 512;
   options.buffer.shards = 8;
   options.log.flush_delay_us = kFlushDelayUs;
   options.log.group_commit_window_us = kGroupCommitWindowUs;
-  options.io.width = io_width;
   auto db_or = rda::Database::Open(options);
   if (!db_or.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
@@ -161,12 +153,6 @@ int RunOne(const AlgorithmClass& cls, bool rda_on, uint32_t threads,
 
   const auto start = Clock::now();
   auto result = db->txn_manager()->RunConcurrent(workload);
-  // Deferred transfers are part of the run: drain the engine journal inside
-  // the timed region so journaled throughput pays for its physical writes.
-  if (io_width > 0 && !db->array()->FlushIo().ok()) {
-    std::fprintf(stderr, "FlushIo failed\n");
-    return 1;
-  }
   const double secs =
       std::chrono::duration<double>(Clock::now() - start).count();
   if (!result.ok()) {
@@ -189,24 +175,16 @@ int RunOne(const AlgorithmClass& cls, bool rda_on, uint32_t threads,
                         ? static_cast<double>(out->committed) /
                               static_cast<double>(out->group_commit_batches)
                         : 0;
-  if (io_width > 0 && db->array()->io_engine() != nullptr) {
-    const auto stats = db->array()->io_engine()->stats();
-    out->coalesced_writes = stats.coalesced_writes;
-    out->batched_parity_rmw = stats.batched_parity_rmw;
-  }
-  return latency != nullptr ? RecordLatency(db, cls, rda_on, threads,
-                                            result->committed, latency)
-                            : 0;
+  return RecordLatency(db, cls, rda_on, threads, result->committed, latency);
 }
 
-// Runs the class x RDA x threads matrix at `io_width`.
-int RunMatrix(uint32_t io_width, std::vector<MtResult>* results,
-              LatencySink* latency) {
+// Runs the class x RDA x threads matrix.
+int RunMatrix(std::vector<MtResult>* results, LatencySink* latency) {
   for (const AlgorithmClass& cls : rda::bench::kClasses) {
     for (const bool rda_on : {false, true}) {
       for (const uint32_t threads : kThreadCounts) {
         MtResult r;
-        if (RunOne(cls, rda_on, threads, io_width, &r, latency) != 0) {
+        if (RunOne(cls, rda_on, threads, &r, latency) != 0) {
           return 1;
         }
         results->push_back(r);
@@ -234,9 +212,7 @@ int main(int argc, char** argv) {
   LatencySink latency{&latency_json, argc > 3 ? argv[3] : "BENCH_trace.json"};
 
   std::vector<MtResult> results;
-  std::vector<MtResult> async_results;
-  if (RunMatrix(0, &results, &latency) != 0 ||
-      RunMatrix(kAsyncWidth, &async_results, nullptr) != 0) {
+  if (RunMatrix(&results, &latency) != 0) {
     return 1;
   }
   latency_json.EndArray();
@@ -276,17 +252,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.group_commit_batches),
                 r.mean_batch);
   }
-  std::printf("\nasync engine (io.width=%u):\n", kAsyncWidth);
-  std::printf("%-16s %5s %3s %12s %10s %11s %12s\n", "config", "rda", "thr",
-              "commits/sec", "aborted", "coalesced", "parity_rmw");
-  for (const MtResult& r : async_results) {
-    std::printf("%-16s %5s %3u %12.0f %10llu %11llu %12llu\n",
-                r.config.c_str(), r.rda ? "on" : "off", r.threads,
-                r.txns_per_sec, static_cast<unsigned long long>(r.aborted),
-                static_cast<unsigned long long>(r.coalesced_writes),
-                static_cast<unsigned long long>(r.batched_parity_rmw));
-  }
-
   std::printf("\n%-24s %10s\n", "class", "4t/1t");
   bool rda_bar_met = true;
   for (const Speedup& s : speedups) {
@@ -313,18 +278,7 @@ int main(int argc, char** argv) {
     json.Key("mean_batch").Fixed(r.mean_batch, 2).Key("secs").Fixed(r.secs, 4);
     json.Key("txns_per_sec").Fixed(r.txns_per_sec, 1).EndObject();
   }
-  json.EndArray().Key("async_io").BeginObject();
-  json.Key("io_width").Uint(kAsyncWidth).Key("results").BeginArray();
-  for (const MtResult& r : async_results) {
-    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
-    json.Key("threads").Uint(r.threads).Key("committed").Uint(r.committed);
-    json.Key("aborted").Uint(r.aborted);
-    json.Key("coalesced_writes").Uint(r.coalesced_writes);
-    json.Key("batched_parity_rmw").Uint(r.batched_parity_rmw);
-    json.Key("secs").Fixed(r.secs, 4);
-    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 1).EndObject();
-  }
-  json.EndArray().EndObject().Key("speedup_4t_vs_1t").BeginObject();
+  json.EndArray().Key("speedup_4t_vs_1t").BeginObject();
   for (const Speedup& s : speedups) {
     json.Key(s.key).Fixed(s.speedup_4t, 2);
   }

@@ -7,7 +7,6 @@
 // Usage: perf_report [output.json]   (default: BENCH_perf.json in cwd)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -79,9 +78,6 @@ struct EndToEndResult {
   double transfers_per_txn = 0;
   uint64_t total_transfers = 0;
   double secs = 0;
-  // Async-engine telemetry (zero when io_width == 0).
-  uint64_t coalesced_writes = 0;
-  uint64_t batched_parity_rmw = 0;
 };
 
 // Commits `txns` transactions of 4 updates each and reports throughput
@@ -89,8 +85,7 @@ struct EndToEndResult {
 // attaches per-disk fault injectors with ALL probabilities at zero — the
 // configuration the fault_overhead section asserts is free.
 int RunEndToEnd(const AlgorithmClass& cls, bool rda_on, int txns,
-                EndToEndResult* out, bool arm_faults = false,
-                uint32_t io_width = 0) {
+                EndToEndResult* out, bool arm_faults = false) {
   rda::DatabaseOptions options = rda::bench::ClassOptions(cls, rda_on);
   options.buffer.capacity = 64;
   if (!cls.force) {
@@ -99,7 +94,6 @@ int RunEndToEnd(const AlgorithmClass& cls, bool rda_on, int txns,
   if (arm_faults) {
     options.fault.enabled = true;  // Probabilities stay zero.
   }
-  options.io.width = io_width;
   auto db_or = rda::Database::Open(options);
   if (!db_or.ok()) {
     return 1;
@@ -134,11 +128,6 @@ int RunEndToEnd(const AlgorithmClass& cls, bool rda_on, int txns,
       return 1;
     }
   }
-  // The drain belongs inside the timed region: async throughput must pay
-  // for every physical transfer it deferred, not hide it in teardown.
-  if (io_width > 0 && !db->array()->FlushIo().ok()) {
-    return 1;
-  }
   const double secs =
       std::chrono::duration<double>(Clock::now() - start).count();
   out->config = cls.name;
@@ -147,11 +136,6 @@ int RunEndToEnd(const AlgorithmClass& cls, bool rda_on, int txns,
   out->total_transfers = db->TotalPageTransfers() - transfers_before;
   out->secs = secs;
   out->transfers_per_txn = static_cast<double>(out->total_transfers) / txns;
-  if (io_width > 0 && db->array()->io_engine() != nullptr) {
-    const auto stats = db->array()->io_engine()->stats();
-    out->coalesced_writes = stats.coalesced_writes;
-    out->batched_parity_rmw = stats.batched_parity_rmw;
-  }
   return 0;
 }
 
@@ -186,7 +170,6 @@ int main(int argc, char** argv) {
   constexpr size_t kFetchPageSize = 512;
   rda::BufferPool::Options pool_options;
   pool_options.capacity = 64;
-  pool_options.page_size = kFetchPageSize;
   rda::BufferPool pool(
       pool_options,
       [](rda::PageId, rda::PageImage* out) {
@@ -220,8 +203,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - fetch_start).count() / 1e6;
 
   // Log append+flush of a 512-byte before-image record.
-  rda::LogManager::Options log_options;
-  rda::LogManager log(log_options);
+  rda::LogManager log(512, {});
   rda::LogRecord record;
   record.type = rda::LogRecordType::kBeforeImage;
   record.txn = 1;
@@ -261,37 +243,6 @@ int main(int argc, char** argv) {
       results.push_back(result);
     }
   }
-
-  // --- async I/O engine: the same commit matrix with per-disk queues ---
-  // Each cell re-runs with io.width = 2: submissions journal into the
-  // engine, drains coalesce duplicate slots and batch parity RMWs, and the
-  // final FlushIo sits inside the timed region so deferred transfers are
-  // still paid for.
-  constexpr uint32_t kAsyncWidth = 2;
-  std::vector<EndToEndResult> async_results;
-  for (const AlgorithmClass& cls : rda::bench::kClasses) {
-    for (const bool rda_on : {false, true}) {
-      EndToEndResult result;
-      if (RunEndToEnd(cls, rda_on, 2000, &result, /*arm_faults=*/false,
-                      kAsyncWidth) != 0) {
-        std::fprintf(stderr, "async end-to-end run failed\n");
-        return 1;
-      }
-      async_results.push_back(result);
-    }
-  }
-  // The acceptance bar for the engine: record_force with RDA inside 5% of
-  // record_force without it (synchronously it trails by ~20% — the parity
-  // read-modify-writes the engine batches away).
-  double async_rf_rda = 0;
-  double async_rf_plain = 0;
-  for (const EndToEndResult& r : async_results) {
-    if (r.config == "record_force") {
-      (r.rda ? async_rf_rda : async_rf_plain) = r.txns_per_sec;
-    }
-  }
-  const double async_rda_gap =
-      async_rf_plain > 0 ? 1.0 - async_rf_rda / async_rf_plain : 1.0;
 
   // --- span hooks: ~zero-cost when disabled ---
   // A ScopedSpan with a null collector and null histogram must not even
@@ -427,20 +378,6 @@ int main(int argc, char** argv) {
     std::printf("%-16s %6s %14.0f %16.2f\n", r.config.c_str(),
                 r.rda ? "on" : "off", r.txns_per_sec, r.transfers_per_txn);
   }
-  std::printf("\nasync engine (io.width=%u):\n", kAsyncWidth);
-  std::printf("%-16s %6s %14s %16s %11s %12s\n", "config", "rda", "txns/sec",
-              "transfers/txn", "coalesced", "parity_rmw");
-  for (const EndToEndResult& r : async_results) {
-    std::printf("%-16s %6s %14.0f %16.2f %11llu %12llu\n", r.config.c_str(),
-                r.rda ? "on" : "off", r.txns_per_sec, r.transfers_per_txn,
-                static_cast<unsigned long long>(r.coalesced_writes),
-                static_cast<unsigned long long>(r.batched_parity_rmw));
-  }
-  std::printf("async record_force rda-vs-plain gap: %.1f%% %s\n",
-              async_rda_gap * 100.0,
-              std::abs(async_rda_gap) <= 0.05
-                  ? "(within the 5% bar)"
-                  : "(WARN: outside the 5% bar)");
 
   rda::obs::JsonWriter json = rda::bench::BeginReport();
   json.Key("crc32c_impl").String(rda::Crc32cImplName());
@@ -459,18 +396,7 @@ int main(int argc, char** argv) {
     json.Key("page_transfers_per_txn").Fixed(r.transfers_per_txn, 2);
     json.EndObject();
   }
-  json.EndArray().Key("async_io").BeginObject();
-  json.Key("io_width").Uint(kAsyncWidth);
-  json.Key("record_force_rda_gap").Fixed(async_rda_gap, 4);
-  json.Key("end_to_end").BeginArray();
-  for (const EndToEndResult& r : async_results) {
-    json.BeginObject().Key("config").String(r.config).Key("rda").Bool(r.rda);
-    json.Key("txns_per_sec").Fixed(r.txns_per_sec, 0);
-    json.Key("page_transfers_per_txn").Fixed(r.transfers_per_txn, 2);
-    json.Key("coalesced_writes").Uint(r.coalesced_writes);
-    json.Key("batched_parity_rmw").Uint(r.batched_parity_rmw).EndObject();
-  }
-  json.EndArray().EndObject().Key("fault_overhead").BeginObject();
+  json.EndArray().Key("fault_overhead").BeginObject();
   json.Key("transfers_disabled").Uint(fault_off.total_transfers);
   json.Key("transfers_armed_zero").Uint(fault_zero.total_transfers);
   json.Key("wallclock_ratio_armed_zero").Fixed(fault_wallclock_ratio, 3);

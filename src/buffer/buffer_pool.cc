@@ -122,9 +122,6 @@ Status BufferPool::EvictOneLocked(Shard& shard) {
     if (frame.pins > 0) {
       continue;
     }
-    if (frame.dirty && !frame.modifiers.empty() && !options_.allow_steal) {
-      continue;  // no-STEAL: uncommitted modifications may not leave RAM.
-    }
     Frame* victim = &frame;
     if (victim->dirty) {
       const bool steal = !victim->modifiers.empty();

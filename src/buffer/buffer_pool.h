@@ -109,10 +109,6 @@ class BufferPool {
  public:
   struct Options {
     uint32_t capacity = 64;  // The paper's B.
-    size_t page_size = 512;
-    // STEAL: modified pages of uncommitted transactions may be evicted
-    // (propagated). The paper's RDA algorithms all assume STEAL.
-    bool allow_steal = true;
     // Latch shards. 1 (default) = one global LRU, byte-identical behaviour
     // to the pre-concurrency pool; concurrent workloads want 8+.
     uint32_t shards = 1;

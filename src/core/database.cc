@@ -17,52 +17,45 @@ Database::~Database() {
 
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
-  DatabaseOptions opts = options;
-  // The buffer and log operate on the same page size as the array.
-  opts.buffer.page_size = opts.array.page_size;
-  opts.log.page_size = opts.array.page_size;
-  if (opts.txn.rda_undo && opts.array.parity_copies != 2) {
+  if (options.txn.rda_undo && options.array.parity_copies != 2) {
     return Status::InvalidArgument(
         "RDA undo recovery requires the twin-page scheme (parity_copies=2)");
   }
-  if (!opts.txn.force && !opts.txn.log_after_images) {
+  if (!options.txn.force && !options.txn.log_after_images) {
     return Status::InvalidArgument(
         "notFORCE configurations need after-image logging for REDO");
   }
 
-  std::unique_ptr<Database> db(new Database(opts));
-  if (opts.recovery.recovery_threads > 1) {
+  std::unique_ptr<Database> db(new Database(options));
+  if (options.recovery.recovery_threads > 1) {
     db->recovery_pool_ =
-        std::make_unique<exec::WorkerPool>(opts.recovery.recovery_threads);
+        std::make_unique<exec::WorkerPool>(options.recovery.recovery_threads);
   }
-  auto array = DiskArray::Create(opts.array);
+  auto array = DiskArray::Create(options.array);
   if (!array.ok()) {
     return array.status();
   }
   db->array_ = std::move(array).value();
-  db->array_->SetIoPolicy(opts.io);
+  db->array_->SetIoPolicy(options.io);
   db->parity_ = std::make_unique<TwinParityManager>(db->array_.get());
   RDA_RETURN_IF_ERROR(db->parity_->FormatArray());
-  // Formatting is not workload I/O: drain any journaled format writes
-  // first, or they would land after the reset and count as workload.
-  RDA_RETURN_IF_ERROR(db->array_->FlushIo());
   db->array_->ResetCounters();
-  if (opts.fault.enabled) {
+  if (options.fault.enabled) {
     // Armed after formatting so the clean initial image is fault-free.
-    db->array_->ArmFaultInjection(opts.fault);
+    db->array_->ArmFaultInjection(options.fault);
   }
-  db->log_ = std::make_unique<LogManager>(opts.log);
+  db->log_ = std::make_unique<LogManager>(options.array.page_size, options.log);
   db->locks_ = std::make_unique<LockManager>();
   db->txn_manager_ = std::make_unique<TransactionManager>(
-      opts.txn, db->parity_.get(), db->log_.get(), db->locks_.get(),
-      opts.buffer);
+      options.txn, db->parity_.get(), db->log_.get(), db->locks_.get(),
+      options.buffer);
   db->checkpointer_ = std::make_unique<Checkpointer>(db->txn_manager_.get(),
                                                      db->log_.get());
   db->archive_ = std::make_unique<ArchiveManager>(
       db->txn_manager_.get(), db->parity_.get(), db->log_.get(),
       db->recovery_pool_.get());
   db->maintenance_ = std::make_unique<MaintenanceService>(db->parity_.get(),
-                                                          opts.maintenance);
+                                                          options.maintenance);
   Database* raw = db.get();
   // Completed background rebuilds report transactions whose unlogged-undo
   // coverage the failed disk destroyed; fold them into the abort blocklist.
@@ -72,9 +65,9 @@ Result<std::unique_ptr<Database>> Database::Open(
       });
   // Attach observability last, after formatting: format I/O is not workload
   // I/O, and the obs counters should match the freshly reset array counters.
-  if (opts.obs.enable_metrics || opts.obs.enable_trace ||
-      opts.obs.enable_spans) {
-    db->obs_ = std::make_unique<obs::ObsHub>(opts.obs);
+  if (options.obs.enable_metrics || options.obs.enable_trace ||
+      options.obs.enable_spans) {
+    db->obs_ = std::make_unique<obs::ObsHub>(options.obs);
     if (db->recovery_pool_ != nullptr) {
       db->recovery_pool_->AttachObs(db->obs_.get());
     }
@@ -86,7 +79,7 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->archive_->AttachObs(db->obs_.get());
     db->maintenance_->AttachObs(db->obs_.get());
   }
-  if (opts.maintenance.enabled) {
+  if (options.maintenance.enabled) {
     MaintenanceService* svc = db->maintenance_.get();
     db->array_->SetEscalationListener(
         [svc](DiskId disk) { svc->OnEscalation(disk); });
@@ -146,17 +139,6 @@ void Database::Crash() {
   // the volatile-state teardown below. The interrupted rebuild's persistent
   // flag (DiskArray::DiskRebuilding) survives for Recover() to act on.
   maintenance_->CancelAndDrain();
-  // The submission queues model an NVRAM write journal: everything
-  // journaled before the crash reaches the medium, exactly as if the
-  // writes had been synchronous. Drain before volatile teardown. A write
-  // that cannot land on a live disk escalates the disk inside the drain
-  // (PhysicalWriteForEngine), so a non-Ok status here means the durability
-  // machinery itself broke — remember it for Recover() instead of
-  // swallowing it.
-  const Status flush_status = array_->FlushIo();
-  if (!flush_status.ok()) {
-    crash_flush_error_ = flush_status;
-  }
   txn_manager_->LoseVolatileState();
   parity_->LoseVolatileState();
   log_->LoseVolatileState();
@@ -192,19 +174,7 @@ Status Database::FinishInterruptedRebuilds() {
   return Status::Ok();
 }
 
-Status Database::ConsumeCrashFlushError() {
-  // The crash-time journal drain could not land every submitted write (and
-  // escalation could not absorb the failure): some page the engine promised
-  // durable is not on any medium. Recovery from the array would silently
-  // produce a stale state, so refuse; only RestoreFromArchive can
-  // re-establish a trustworthy image. Reported once per crash.
-  Status error = crash_flush_error_;
-  crash_flush_error_ = Status::Ok();
-  return error;
-}
-
 Result<CrashRecoveryReport> Database::Recover() {
-  RDA_RETURN_IF_ERROR(ConsumeCrashFlushError());
   RDA_RETURN_IF_ERROR(FinishInterruptedRebuilds());
   CrashRecovery recovery(txn_manager_.get(), parity_.get(), log_.get());
   recovery.AttachObs(obs_.get());
@@ -214,7 +184,6 @@ Result<CrashRecoveryReport> Database::Recover() {
 
 Result<CrashRecoveryReport> Database::RecoverWithInjectedFault(
     uint64_t actions) {
-  RDA_RETURN_IF_ERROR(ConsumeCrashFlushError());
   RDA_RETURN_IF_ERROR(FinishInterruptedRebuilds());
   CrashRecovery recovery(txn_manager_.get(), parity_.get(), log_.get());
   recovery.AttachObs(obs_.get());
@@ -232,9 +201,6 @@ Result<CrashRecoveryReport> Database::RestoreFromArchive() {
     std::lock_guard<std::mutex> lock(undo_lost_mu_);
     undo_lost_txns_.clear();
   }
-  // The snapshot rewrite replaces every page, so a write the crash-time
-  // drain lost is superseded — the restore clears the refusal.
-  crash_flush_error_ = Status::Ok();
   return archive_->RestoreFromArchive();
 }
 

@@ -77,10 +77,9 @@ class Database {
  public:
   static Result<std::unique_ptr<Database>> Open(const DatabaseOptions& options);
 
-  // Detaches the array's escalation listener before members die: the
-  // engine's destructor drains the write journal, and a drain failure
-  // escalates — which must not call into the MaintenanceService (destroyed
-  // first, see the member order below).
+  // Detaches the array's escalation listener before members die: an
+  // escalation must not call into the MaintenanceService (destroyed first,
+  // see the member order below).
   ~Database();
 
   Database(const Database&) = delete;
@@ -251,9 +250,6 @@ class Database {
   // had not reached. Fail it (so the directory rebuild reconstructs through
   // the survivors) and redo the rebuild.
   Status FinishInterruptedRebuilds();
-  // Returns (and clears) the error a crash-time journal drain reported —
-  // Recover() refuses to run on an array that silently lost a write.
-  Status ConsumeCrashFlushError();
   void MergeUndoLost(const std::vector<TxnId>& txns);
 
   DatabaseOptions options_;
@@ -269,10 +265,6 @@ class Database {
   std::unique_ptr<Checkpointer> checkpointer_;
   std::unique_ptr<ArchiveManager> archive_;
   std::atomic<uint64_t> updates_since_checkpoint_{0};
-  // Error the last Crash()-time FlushIo reported (Ok normally: a drain
-  // failure on a live disk escalates the disk instead of erroring). Crash/
-  // Recover are externally serialized, like the rest of the crash API.
-  Status crash_flush_error_ = Status::Ok();
   // Transactions whose unlogged-undo coverage a media failure destroyed.
   // Guarded by undo_lost_mu_: the maintenance thread's rebuild-done
   // callback merges into it while the foreground calls Abort().

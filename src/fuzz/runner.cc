@@ -24,8 +24,7 @@ namespace {
 // pages + 2 parity twins over 6 disks, pages of 128 bytes. Small enough
 // that hundreds of schedules stay fast, large enough that crashes land in
 // distinct groups and disk failures hit both data and parity members.
-DatabaseOptions MakeDbOptions(const Schedule& schedule,
-                              const FuzzOptions& fuzz_options) {
+DatabaseOptions MakeDbOptions(const Schedule& schedule) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
   options.array.parity_copies = 2;
@@ -43,7 +42,6 @@ DatabaseOptions MakeDbOptions(const Schedule& schedule,
   options.fault.enabled = true;
   options.io.max_read_retries = 4;
   options.io.max_write_retries = 4;
-  options.io.width = fuzz_options.io_width;
   options.obs.enable_metrics = true;
   return options;
 }
@@ -848,7 +846,7 @@ void Runner::RunMultiThreaded() {
 
 Result<RunOutcome> Runner::Run() {
   Result<std::unique_ptr<Database>> db =
-      Database::Open(MakeDbOptions(schedule_, options_));
+      Database::Open(MakeDbOptions(schedule_));
   if (!db.ok()) {
     return db.status();
   }

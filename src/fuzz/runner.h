@@ -23,11 +23,6 @@ enum class InjectedBug : uint8_t {
 
 struct FuzzOptions {
   InjectedBug bug = InjectedBug::kNone;
-  // io.width of the run's Database (0 = synchronous writes, nonzero = the
-  // per-disk write journal). The corpus sweep replays every schedule
-  // through both paths; any divergence the oracle can see is a journal
-  // equivalence bug.
-  uint32_t io_width = 0;
 };
 
 // What one schedule execution produced. `passed` is false when any oracle

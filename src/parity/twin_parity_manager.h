@@ -90,7 +90,8 @@ struct ParityStats {
 // between calls — the windows the paper's protocol actually has to handle
 // (between propagation and EOT, between EOT and a twin's kCommitted stamp,
 // during multi-group abort/commit). Real controllers close the
-// intra-operation window with NVRAM write journaling; see DESIGN.md.
+// intra-operation window with NVRAM; this engine writes synchronously and
+// keeps no write journal (DESIGN.md section 16).
 //
 // Concurrency model (DESIGN.md section 11): a latch table with one
 // RECURSIVE mutex per parity group serializes all group-state machinery —

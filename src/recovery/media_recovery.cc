@@ -160,9 +160,6 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(
     report.completed = false;  // Session stays active for a later resume.
     return report;
   }
-  // A rebuild is only done once the reconstructed pages are ON the medium,
-  // not sitting in the write journal.
-  RDA_RETURN_IF_ERROR(array->FlushIo());
   RDA_RETURN_IF_ERROR(parity_->EndOnlineRebuild());
   return report;
 }

@@ -8,12 +8,6 @@ namespace rda {
 Result<ScrubReport> ParityScrubber::ScrubAll() {
   ScrubReport report;
   DiskArray* array = parity_->array();
-  // A scrub vouches for the MEDIUM, so the async journal must drain first:
-  // a pending write masks its slot from the scan (reads hit the journal),
-  // and any write fault it carries materializes only at the physical
-  // transfer. Scrubbing across an undrained journal would report "clean"
-  // while damage is still scheduled to land.
-  RDA_RETURN_IF_ERROR(array->FlushIo());
   // The verify pass reads every page through the healed path, so sector
   // faults it trips over are repaired as a side effect; the counter delta
   // is this pass's contribution.
@@ -66,8 +60,6 @@ Result<ScrubReport> ParityScrubber::ScrubAll() {
       report.repaired.push_back(group);
     }
   }
-  // Scrub repairs are only real once drained out of the async journal.
-  RDA_RETURN_IF_ERROR(array->FlushIo());
   const ParityStats after = parity_->stats();
   report.sectors_repaired = (after.latent_repairs - before.latent_repairs) +
                             (after.corruption_repairs -

@@ -102,11 +102,22 @@ bool DiskArray::ShouldRetry(const Status& status, DiskId disk,
 }
 
 void DiskArray::NoteAttemptOutcome(const Status& status, DiskId disk,
-                                   uint32_t attempts_used) const {
+                                   uint32_t attempts_used, bool is_read) const {
+  if (attempts_used > 0) {
+    // A retried access is one logical transfer: the extra attempts the disk
+    // already counted become io_retries, not page reads or writes (per-txn
+    // attribution must not double-count retried accesses).
+    disks_[disk].ReclassifyRetries(attempts_used, is_read);
+  }
   if (status.ok()) {
     if (attempts_used > 0) {
       // A retry absorbed the fault, so it was transient by definition.
       transient_faults_.Add();
+    }
+    obs::Inc(is_read ? reads_counter_ : writes_counter_);
+    const auto& per_disk = is_read ? disk_read_counters_ : disk_write_counters_;
+    if (disk < per_disk.size()) {
+      obs::Inc(per_disk[disk]);
     }
   } else if (!disks_[disk].failed()) {
     // Exhausted retries on a live disk, or corruption: a persistent
@@ -125,13 +136,7 @@ Status DiskArray::ReadWithRetry(DiskId disk, SlotId slot,
     ++attempt;
     status = disks_[disk].Read(slot, out);
   }
-  NoteAttemptOutcome(status, disk, attempt);
-  if (attempt > 0) {
-    // A retried access is one logical transfer: the extra attempts the disk
-    // already counted become io_retries, not page_reads (satellite: per-txn
-    // attribution must not double-count retried reads).
-    disks_[disk].ReclassifyRetries(attempt, /*is_read=*/true);
-  }
+  NoteAttemptOutcome(status, disk, attempt, /*is_read=*/true);
   return status;
 }
 
@@ -143,10 +148,7 @@ Status DiskArray::WriteWithRetry(DiskId disk, SlotId slot,
     ++attempt;
     status = disks_[disk].Write(slot, image);
   }
-  NoteAttemptOutcome(status, disk, attempt);
-  if (attempt > 0) {
-    disks_[disk].ReclassifyRetries(attempt, /*is_read=*/false);
-  }
+  NoteAttemptOutcome(status, disk, attempt, /*is_read=*/false);
   return status;
 }
 
@@ -159,168 +161,56 @@ Status DiskArray::WriteWithRetry(DiskId disk, SlotId slot, PageImage&& image) {
     ++attempt;
     status = disks_[disk].Write(slot, std::move(image));
   }
-  NoteAttemptOutcome(status, disk, attempt);
-  if (attempt > 0) {
-    disks_[disk].ReclassifyRetries(attempt, /*is_read=*/false);
-  }
+  NoteAttemptOutcome(status, disk, attempt, /*is_read=*/false);
   return status;
-}
-
-Status DiskArray::PhysicalWriteForEngine(DiskId disk, SlotId slot,
-                                         const PageImage& image) {
-  if (disks_[disk].failed()) {
-    // The disk died between submission and drain. Its whole medium is
-    // gone, so the journaled bytes are moot — the history is "the write
-    // landed, then the disk failed", same as the synchronous race.
-    return Status::Ok();
-  }
-  const Status status = WriteWithRetry(disk, slot, image);
-  if (!status.ok()) {
-    if (disks_[disk].failed()) {
-      return Status::Ok();  // Failed mid-write: same moot-medium argument.
-    }
-    // A journaled write that cannot land on a live disk must not be lost
-    // silently: the submitter already saw Ok (the journal is modeled
-    // durable), so there is no caller left to report `status` to. Treat
-    // the slot's medium as lost and fail the whole disk — every page on it
-    // is then served through parity reconstruction, and the update's
-    // durability rides the redundancy (its parity delta was journaled to a
-    // different disk) instead of the unwritable medium. The synchronous
-    // path would instead have surfaced the error before commit reported.
-    EscalateDisk(disk, "disk " + std::to_string(disk) +
-                           " escalated: journaled write could not land (" +
-                           status.ToString() + ")");
-    return Status::Ok();
-  }
-  obs::Inc(writes_counter_);
-  if (disk < disk_write_counters_.size()) {
-    obs::Inc(disk_write_counters_[disk]);
-  }
-  return Status::Ok();
-}
-
-Status DiskArray::WriteSlot(DiskId disk, SlotId slot, const PageImage& image,
-                            bool is_parity) {
-  if (engine_ != nullptr && !disks_[disk].failed()) {
-    engine_->SubmitWrite(disk, slot, PageImage(image), is_parity);
-    return Status::Ok();
-  }
-  RDA_RETURN_IF_ERROR(WriteWithRetry(disk, slot, image));
-  obs::Inc(writes_counter_);
-  if (disk < disk_write_counters_.size()) {
-    obs::Inc(disk_write_counters_[disk]);
-  }
-  return Status::Ok();
-}
-
-Status DiskArray::WriteSlot(DiskId disk, SlotId slot, PageImage&& image,
-                            bool is_parity) {
-  if (engine_ != nullptr && !disks_[disk].failed()) {
-    // Journaled: durable on return, physical transfer (and its counters)
-    // deferred to the drain. A failed disk falls through to the
-    // synchronous path so the caller sees the exact same error status.
-    engine_->SubmitWrite(disk, slot, std::move(image), is_parity);
-    return Status::Ok();
-  }
-  RDA_RETURN_IF_ERROR(WriteWithRetry(disk, slot, std::move(image)));
-  obs::Inc(writes_counter_);
-  if (disk < disk_write_counters_.size()) {
-    obs::Inc(disk_write_counters_[disk]);
-  }
-  return Status::Ok();
 }
 
 Status DiskArray::ReadData(PageId page, PageImage* out) const {
   RDA_RETURN_IF_ERROR(CheckPage(page));
   const PhysicalLocation loc = layout_->DataLocation(page);
-  if (engine_ != nullptr && !disks_[loc.disk].failed() &&
-      engine_->ReadFromQueue(loc.disk, loc.slot, out)) {
-    return Status::Ok();  // Journal hit: a memory copy, not a transfer.
-  }
-  RDA_RETURN_IF_ERROR(ReadWithRetry(loc.disk, loc.slot, out));
-  obs::Inc(reads_counter_);
-  if (loc.disk < disk_read_counters_.size()) {
-    obs::Inc(disk_read_counters_[loc.disk]);
-  }
-  return Status::Ok();
+  return ReadWithRetry(loc.disk, loc.slot, out);
 }
 
 Status DiskArray::WriteData(PageId page, const PageImage& image) {
   RDA_RETURN_IF_ERROR(CheckPage(page));
   const PhysicalLocation loc = layout_->DataLocation(page);
-  return WriteSlot(loc.disk, loc.slot, image, /*is_parity=*/false);
+  return WriteWithRetry(loc.disk, loc.slot, image);
 }
 
 Status DiskArray::WriteData(PageId page, PageImage&& image) {
   RDA_RETURN_IF_ERROR(CheckPage(page));
   const PhysicalLocation loc = layout_->DataLocation(page);
-  return WriteSlot(loc.disk, loc.slot, std::move(image), /*is_parity=*/false);
+  return WriteWithRetry(loc.disk, loc.slot, std::move(image));
 }
 
 Status DiskArray::ReadParity(GroupId group, uint32_t twin,
                              PageImage* out) const {
   RDA_RETURN_IF_ERROR(CheckGroup(group, twin));
   const PhysicalLocation loc = layout_->ParityLocation(group, twin);
-  if (engine_ != nullptr && !disks_[loc.disk].failed() &&
-      engine_->ReadFromQueue(loc.disk, loc.slot, out)) {
-    return Status::Ok();
-  }
-  RDA_RETURN_IF_ERROR(ReadWithRetry(loc.disk, loc.slot, out));
-  obs::Inc(reads_counter_);
-  if (loc.disk < disk_read_counters_.size()) {
-    obs::Inc(disk_read_counters_[loc.disk]);
-  }
-  return Status::Ok();
+  return ReadWithRetry(loc.disk, loc.slot, out);
 }
 
 Status DiskArray::WriteParity(GroupId group, uint32_t twin,
                               const PageImage& image) {
   RDA_RETURN_IF_ERROR(CheckGroup(group, twin));
   const PhysicalLocation loc = layout_->ParityLocation(group, twin);
-  return WriteSlot(loc.disk, loc.slot, image, /*is_parity=*/true);
+  return WriteWithRetry(loc.disk, loc.slot, image);
 }
 
 Status DiskArray::WriteParity(GroupId group, uint32_t twin,
                               PageImage&& image) {
   RDA_RETURN_IF_ERROR(CheckGroup(group, twin));
   const PhysicalLocation loc = layout_->ParityLocation(group, twin);
-  return WriteSlot(loc.disk, loc.slot, std::move(image), /*is_parity=*/true);
+  return WriteWithRetry(loc.disk, loc.slot, std::move(image));
 }
 
-void DiskArray::SetIoPolicy(const IoPolicy& policy) {
-  // Destroying the old engine first drains anything journaled under the
-  // previous policy, so a policy change never strands a write.
-  engine_.reset();
-  policy_ = policy;
-  if (policy.width > 0) {
-    io::IoEngineOptions engine_options;
-    engine_options.queue_watermark = policy.queue_watermark;
-    engine_ = std::make_unique<io::IoEngine>(
-        static_cast<uint32_t>(disks_.size()), engine_options,
-        [this](DiskId disk, SlotId slot, const PageImage& image) {
-          return PhysicalWriteForEngine(disk, slot, image);
-        });
-    engine_->AttachObs(hub_);
-  }
-}
-
-Status DiskArray::FlushIo() {
-  if (engine_ == nullptr) {
-    return Status::Ok();
-  }
-  return engine_->Flush();
-}
+void DiskArray::SetIoPolicy(const IoPolicy& policy) { policy_ = policy; }
 
 Status DiskArray::FailDisk(DiskId disk) {
   if (disk >= disks_.size()) {
     return Status::InvalidArgument("no such disk");
   }
   disks_[disk].Fail();
-  if (engine_ != nullptr) {
-    // Fail() first so new submissions reject, then drop the journal: the
-    // queued bytes were headed for a medium that no longer exists.
-    engine_->PurgeDisk(disk);
-  }
   obs::TraceEvent event;
   event.subsystem = obs::Subsystem::kStorage;
   event.kind = obs::EventKind::kDiskFailed;
@@ -334,9 +224,6 @@ Status DiskArray::ReplaceDisk(DiskId disk) {
     return Status::InvalidArgument("no such disk");
   }
   disks_[disk].Replace();
-  if (engine_ != nullptr) {
-    engine_->PurgeDisk(disk);  // Nothing queued should hit the fresh medium.
-  }
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
     sector_error_counts_[disk] = 0;  // New medium starts with a full budget.
@@ -391,23 +278,13 @@ void DiskArray::RecordSectorError(DiskId disk) {
       disks_[disk].failed()) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    if (++sector_error_counts_[disk] < policy_.disk_error_budget) {
-      return;
-    }
-  }
   // Budget exhausted: the drive is lying about its health often enough
   // that slot-by-slot healing is a losing game. Take it out, rebuild whole.
-  EscalateDisk(disk, "disk " + std::to_string(disk) +
-                         " escalated after exhausting its error budget");
-}
-
-void DiskArray::EscalateDisk(DiskId disk, const std::string& reason) {
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
-    if (escalated_[disk]) {
-      return;  // A concurrent escalation already took the disk out.
+    if (++sector_error_counts_[disk] < policy_.disk_error_budget ||
+        escalated_[disk]) {
+      return;  // Budget left, or a concurrent escalation took the disk out.
     }
     escalated_[disk] = true;
   }
@@ -415,7 +292,9 @@ void DiskArray::EscalateDisk(DiskId disk, const std::string& reason) {
   EmitDiskEvent(obs::EventKind::kEscalation, disk);
   // Flight recorder: the escalation is the moment the timeline that led
   // here is about to scroll out of the rings — dump it now.
-  obs::TriggerFlight(flight_, reason);
+  obs::TriggerFlight(flight_,
+                     "disk " + std::to_string(disk) +
+                         " escalated after exhausting its error budget");
   (void)FailDisk(disk);
   std::function<void(DiskId)> listener;
   {
@@ -508,10 +387,6 @@ void DiskArray::AccountXor(uint64_t pages) {
 }
 
 void DiskArray::AttachObs(obs::ObsHub* hub) {
-  hub_ = hub;
-  if (engine_ != nullptr) {
-    engine_->AttachObs(hub);
-  }
   trace_ = obs::TraceOf(hub);
   flight_ = obs::FlightOf(hub);
   reads_counter_ = obs::GetCounter(hub, "storage.reads");

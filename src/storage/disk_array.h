@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "io/io_engine.h"
 #include "obs/obs.h"
 #include "storage/disk.h"
 #include "storage/fault_injector.h"
@@ -53,12 +52,6 @@ class DiskArray {
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
-  // Destroys the engine FIRST: its destructor drains any still-journaled
-  // writes through PhysicalWriteForEngine, which touches injectors_ and
-  // the per-disk counters — members that implicit destruction would have
-  // torn down before engine_ (declaration order puts them after it).
-  ~DiskArray() { engine_.reset(); }
-
   // Raw data-page I/O. Fails with kIoError if the owning disk has failed
   // (degraded-mode reconstruction is the recovery layer's job). Transient
   // I/O errors on a live disk are retried under the IoPolicy before the
@@ -83,19 +76,11 @@ class DiskArray {
 
   // --- sector-fault plumbing (DESIGN.md section 10) ---
 
-  // Retry/escalation behaviour of the raw I/O above, plus the journal
-  // knobs: policy.width > 0 builds the per-disk write journal (all writes
-  // become journaled, reads consult the journal first); width 0 drains and
-  // drops it, restoring the synchronous path bit-for-bit.
+  // Retry/escalation behaviour of the raw I/O above. Every write is
+  // synchronous: it has reached the medium, or failed, when it returns.
   void SetIoPolicy(const IoPolicy& policy);
   const IoPolicy& io_policy() const { return policy_; }
 
-  // The write journal, or null when policy.width == 0.
-  io::IoEngine* io_engine() { return engine_.get(); }
-  // Drains every submission queue (no-op without an engine). Returns the
-  // first sticky drain error. Called before crash teardown, counter
-  // resets, and at the end of rebuild/scrub sweeps.
-  Status FlushIo();
   // Snapshot by value: the counters are bumped by concurrent threads.
   IoPolicyStats policy_stats() const;
 
@@ -170,43 +155,24 @@ class DiskArray {
 
   Status CheckPage(PageId page) const;
   Status CheckGroup(GroupId group, uint32_t twin) const;
-  // The engine's drain callback: one physical slot write through the retry
-  // machinery, bumping the transfer counters exactly like the sync path.
-  // A persistent failure on a live disk escalates the disk (see
-  // EscalateDisk) instead of returning the error: the submitter already
-  // saw Ok, so redundancy — not an error code — must carry the durability.
-  Status PhysicalWriteForEngine(DiskId disk, SlotId slot,
-                                const PageImage& image);
-  // Force-fails `disk` (at most once until ReplaceDisk): marks it
-  // escalated, bumps the stats/trace/flight machinery and invokes the
-  // escalation listener outside all array locks. Shared by the error-budget
-  // path (RecordSectorError) and the engine's drain-failure path.
-  void EscalateDisk(DiskId disk, const std::string& reason);
-  // Shared body of the Write{Data,Parity} overloads once the location is
-  // resolved: journals into the engine when one is running, otherwise the
-  // synchronous write-with-retry plus counter bumps. The const overload
-  // copies only when journaling (the sync path hands the ref through).
-  Status WriteSlot(DiskId disk, SlotId slot, const PageImage& image,
-                   bool is_parity);
-  Status WriteSlot(DiskId disk, SlotId slot, PageImage&& image,
-                   bool is_parity);
   // Retry loops around one disk access. Stats are mutable so the const
   // read path can account; the actual disk state never changes on retry.
   Status ReadWithRetry(DiskId disk, SlotId slot, PageImage* out) const;
   Status WriteWithRetry(DiskId disk, SlotId slot, const PageImage& image);
   Status WriteWithRetry(DiskId disk, SlotId slot, PageImage&& image);
-  // Bookkeeping shared by both write overloads' retry loops.
+  // Bookkeeping shared by the retry loops. NoteAttemptOutcome accounts one
+  // finished access: the policy stats, the reclassification of its retries
+  // and, on success, the array's read or write counters.
   bool ShouldRetry(const Status& status, DiskId disk, uint32_t attempt,
                    uint32_t max_retries) const;
   void NoteAttemptOutcome(const Status& status, DiskId disk,
-                          uint32_t attempts_used) const;
+                          uint32_t attempts_used, bool is_read) const;
   void EmitDiskEvent(obs::EventKind kind, DiskId disk) const;
 
   std::unique_ptr<Layout> layout_;
   size_t page_size_;
   std::vector<Disk> disks_;
   std::atomic<uint64_t> xor_computations_{0};
-  std::unique_ptr<io::IoEngine> engine_;
 
   IoPolicy policy_;
   // The counters behind policy_stats(), exported as `storage.<field>`.
@@ -225,9 +191,7 @@ class DiskArray {
   std::function<void(DiskId)> escalation_listener_;
 
   // Observability (null = disabled). The counter pointers are resolved once
-  // in AttachObs so the I/O hot path pays only a null test. The hub is kept
-  // so an engine started by a later SetIoPolicy call can attach too.
-  obs::ObsHub* hub_ = nullptr;
+  // in AttachObs so the I/O hot path pays only a null test.
   obs::TraceBuffer* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;  // Dumped on escalation.
   obs::Counter* reads_counter_ = nullptr;

@@ -18,11 +18,9 @@ namespace rda {
 // Reads against a disk already marked failed are never retried — that is
 // degraded mode, the recovery layer's job. The defaults retry transients
 // but never escalate (disk_error_budget = 0), so an unconfigured array
-// behaves exactly like the pre-policy code on the clean path. One
-// exception ignores the budget: a journaled write that exhausts its
-// retries at drain time always escalates the disk, because its submitter
-// already saw Ok and only redundancy can keep that promise (DESIGN.md
-// section 16).
+// behaves exactly like the pre-policy code on the clean path. Writes are
+// synchronous, so a write that exhausts its retries returns its error to
+// the caller (DESIGN.md section 16).
 struct IoPolicy {
   // Extra attempts after the first failure. 0 disables retrying.
   uint32_t max_read_retries = 2;
@@ -34,17 +32,6 @@ struct IoPolicy {
   // tolerated per disk before it is escalated to Fail(). 0 = never
   // escalate.
   uint32_t disk_error_budget = 0;
-
-  // --- per-disk write journal (DESIGN.md section 16) ---
-
-  // 0 (the default) = synchronous writes: no journal is built. Any nonzero
-  // value = journaled writes through the per-disk IoEngine; the value sets
-  // nothing else.
-  uint32_t width = 0;
-  // Pending writes on one disk at which the submitting thread drains that
-  // disk's journal. Larger values widen the coalescing window; Flush()
-  // always drains regardless.
-  uint32_t queue_watermark = 32;
 };
 
 // Array-level accounting of the policy's work: a view over the array's

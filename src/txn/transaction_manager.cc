@@ -625,29 +625,8 @@ Status TransactionManager::Commit(TxnId txn_id) {
     obs::ScopedSpan force_span(
         spans_, obs::SpanKind::kCommitForcePages, /*histogram=*/nullptr,
         static_cast<int64_t>(txn->modified_pages.size()));
-    if (parity_->array()->io_engine() != nullptr &&
-        txn->modified_pages.size() > 1) {
-      // Group-then-page order: same-group propagations become back-to-back
-      // RMWs on the same parity slot, which the write journal coalesces
-      // into one physical write. Order does not affect correctness here —
-      // each propagation is independent and the group latch serializes
-      // parity state — so only a journaled array sorts; without the
-      // journal the insertion order stays bit-for-bit.
-      std::vector<PageId> ordered = txn->modified_pages;
-      const Layout& layout = parity_->array()->layout();
-      std::sort(ordered.begin(), ordered.end(),
-                [&layout](PageId a, PageId b) {
-                  const GroupId ga = layout.GroupOf(a);
-                  const GroupId gb = layout.GroupOf(b);
-                  return ga != gb ? ga < gb : a < b;
-                });
-      for (const PageId page : ordered) {
-        RDA_RETURN_IF_ERROR(pool_.PropagatePage(page));
-      }
-    } else {
-      for (const PageId page : txn->modified_pages) {
-        RDA_RETURN_IF_ERROR(pool_.PropagatePage(page));
-      }
+    for (const PageId page : txn->modified_pages) {
+      RDA_RETURN_IF_ERROR(pool_.PropagatePage(page));
     }
   }
 

@@ -15,8 +15,8 @@ constexpr size_t kFrameHeaderSize = 8;
 
 }  // namespace
 
-LogManager::LogManager(const Options& options)
-    : options_(options), stable_(options.copies) {}
+LogManager::LogManager(size_t page_size, const Options& options)
+    : page_size_(page_size), options_(options), stable_(options.copies) {}
 
 Result<Lsn> LogManager::Append(LogRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -55,9 +55,9 @@ Status LogManager::FlushLocked() {
 
   // Pages touched by this flush, tail page re-write included.
   const uint64_t flushed = flushed_bytes_.load(std::memory_order_relaxed);
-  const uint64_t first_page = flushed / options_.page_size;
+  const uint64_t first_page = flushed / page_size_;
   const uint64_t new_total = flushed + chunk.size();
-  const uint64_t last_page = (new_total - 1) / options_.page_size;
+  const uint64_t last_page = (new_total - 1) / page_size_;
   const uint64_t pages = last_page - first_page + 1;
   counters_.page_writes += pages * options_.copies;
   obs::Inc(forces_counter_);
@@ -202,7 +202,7 @@ Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
   // scan reads one copy unless it hits corruption; close enough for the
   // simulator's accounting). Seeking past a prefix means not paying for it.
   counters_.page_reads +=
-      (flushed - start_pos + options_.page_size - 1) / options_.page_size;
+      (flushed - start_pos + page_size_ - 1) / page_size_;
   return Status::Ok();
 }
 

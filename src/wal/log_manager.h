@@ -46,7 +46,6 @@ namespace rda {
 class LogManager {
  public:
   struct Options {
-    size_t page_size = 512;
     // Number of stable copies. The paper duplexes the log; 2 is default.
     uint32_t copies = 2;
     // Simulated device latency of one stable flush, slept with the log
@@ -59,7 +58,9 @@ class LogManager {
     uint32_t group_commit_window_us = 0;
   };
 
-  explicit LogManager(const Options& options);
+  // `page_size` is the log page the flush accounting counts in; the owning
+  // Database passes its array's page size.
+  LogManager(size_t page_size, const Options& options);
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
@@ -144,6 +145,7 @@ class LogManager {
   // the caller's business (CommitFlush sleeps AFTER publishing).
   Status FlushLocked();
 
+  const size_t page_size_;
   Options options_;
   // Serializes all log state. Leaf-ward lock: nothing above the WAL is
   // acquired while held (see DESIGN.md section 11 for the latch order).

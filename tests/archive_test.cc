@@ -350,7 +350,7 @@ TEST_F(ArchiveTest, ScrubHealsDataSectorsOfDirtyGroups) {
 
 // Log truncation unit coverage at the LogManager level.
 TEST(LogTruncateTest, RejectsNonBoundary) {
-  LogManager log{LogManager::Options{}};
+  LogManager log(512, {});
   LogRecord bot;
   bot.type = LogRecordType::kBot;
   bot.txn = 1;
@@ -363,7 +363,7 @@ TEST(LogTruncateTest, RejectsNonBoundary) {
 }
 
 TEST(LogTruncateTest, LsnsStayAbsoluteAcrossTruncation) {
-  LogManager log{LogManager::Options{}};
+  LogManager log(512, {});
   LogRecord bot;
   bot.type = LogRecordType::kBot;
   for (TxnId t = 1; t <= 4; ++t) {

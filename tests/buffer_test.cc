@@ -12,11 +12,9 @@ constexpr size_t kPageSize = 64;
 // A buffer-pool harness with an in-memory "disk" behind the callbacks.
 class BufferPoolTest : public ::testing::Test {
  protected:
-  std::unique_ptr<BufferPool> MakePool(uint32_t capacity, bool steal = true) {
+  std::unique_ptr<BufferPool> MakePool(uint32_t capacity) {
     BufferPool::Options options;
     options.capacity = capacity;
-    options.page_size = kPageSize;
-    options.allow_steal = steal;
     return std::make_unique<BufferPool>(
         options,
         [this](PageId page, PageImage* out) {
@@ -92,28 +90,6 @@ TEST_F(BufferPoolTest, StealCountsUncommittedEvictions) {
   EXPECT_EQ(pool->stats().steals, 1u);
 }
 
-TEST_F(BufferPoolTest, NoStealPolicyProtectsUncommittedPages) {
-  auto pool = MakePool(2, /*steal=*/false);
-  auto frame = pool->Fetch(1, nullptr);
-  ASSERT_TRUE(frame.ok());
-  (*frame)->dirty = true;
-  (*frame)->AddModifier(7);
-  ASSERT_TRUE(pool->Fetch(2, nullptr).ok());
-  // Page 1 is pinned-by-policy; page 2 is the only victim.
-  ASSERT_TRUE(pool->Fetch(3, nullptr).ok());
-  EXPECT_NE(pool->Lookup(1), nullptr);
-  EXPECT_EQ(steals_, 0);
-}
-
-TEST_F(BufferPoolTest, AllUnstealableReportsBusy) {
-  auto pool = MakePool(1, /*steal=*/false);
-  auto frame = pool->Fetch(1, nullptr);
-  ASSERT_TRUE(frame.ok());
-  (*frame)->dirty = true;
-  (*frame)->AddModifier(7);
-  EXPECT_TRUE(pool->Fetch(2, nullptr).status().IsBusy());
-}
-
 TEST_F(BufferPoolTest, PinnedFramesNotEvicted) {
   auto pool = MakePool(1);
   auto frame = pool->Fetch(1, nullptr);
@@ -126,8 +102,8 @@ TEST_F(BufferPoolTest, PinnedFramesNotEvicted) {
 
 // Regression pin for the eviction order: a mixed workload of misses, hits,
 // re-reads of evicted pages, pins, and steals must evict in exactly
-// least-recently-Fetched order, with pinned/unstealable frames skipped in
-// favor of the next-coldest victim.
+// least-recently-Fetched order, with pinned frames skipped in favor of the
+// next-coldest victim.
 TEST_F(BufferPoolTest, ExactLruEvictionOrder) {
   auto pool = MakePool(3);
   // Fill: recency (MRU..LRU) = 3, 2, 1.
@@ -153,8 +129,8 @@ TEST_F(BufferPoolTest, ExactLruEvictionOrder) {
   EXPECT_NE(pool->Lookup(1), nullptr);
   EXPECT_EQ(pool->Lookup(4), nullptr);
   frame1->pins = 0;
-  // Dirty + uncommitted modifier on the coldest frame (1): with STEAL
-  // allowed it is still the victim, and the eviction counts as a steal.
+  // Dirty + uncommitted modifier on the coldest frame (1): under STEAL it
+  // is still the victim, and the eviction counts as a steal.
   frame1->dirty = true;
   frame1->AddModifier(42);
   ASSERT_TRUE(pool->Fetch(6, nullptr).ok());  // Evicts 1 (a steal).
@@ -243,7 +219,6 @@ TEST_F(BufferPoolTest, DirtyPagesSorted) {
 TEST_F(BufferPoolTest, FetchErrorPropagates) {
   BufferPool::Options options;
   options.capacity = 2;
-  options.page_size = kPageSize;
   BufferPool pool(
       options,
       [](PageId, PageImage*) { return Status::IoError("disk down"); },
@@ -255,7 +230,6 @@ TEST_F(BufferPoolTest, FetchErrorPropagates) {
 TEST_F(BufferPoolTest, PropagateErrorAbortsEviction) {
   BufferPool::Options options;
   options.capacity = 1;
-  options.page_size = kPageSize;
   int fetches = 0;
   BufferPool pool(
       options,

@@ -154,74 +154,6 @@ TEST(FuzzCorpus, EveryCommittedScheduleStillPasses) {
   EXPECT_GE(ran, 7u) << "seed corpus went missing from " << dir;
 }
 
-// The same corpus with the async I/O engine in the path: every committed
-// schedule must pass when its Database runs with io.width > 0. Any
-// divergence the oracle can see — a dropped journal entry at a crash
-// point, a stale read served from a purged queue, a parity image the
-// coalescer merged wrong — fails here with the schedule named.
-TEST(FuzzCorpus, EveryCommittedSchedulePassesUnderAsyncIo) {
-  const std::filesystem::path dir = RDA_FUZZ_CORPUS_DIR;
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  FuzzOptions async_io;
-  async_io.io_width = 2;
-  size_t ran = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".sched") {
-      continue;
-    }
-    std::ifstream in(entry.path());
-    std::string text;
-    std::getline(in, text);
-    ASSERT_FALSE(text.empty()) << entry.path();
-    Result<Schedule> schedule = Schedule::Parse(text);
-    ASSERT_TRUE(schedule.ok())
-        << entry.path() << ": " << schedule.status().ToString();
-    Result<RunOutcome> outcome = RunSchedule(*schedule, async_io);
-    ASSERT_TRUE(outcome.ok())
-        << entry.path() << ": " << outcome.status().ToString();
-    EXPECT_TRUE(outcome->passed)
-        << entry.path() << " (" << text << ", async): " << outcome->violation;
-    ++ran;
-  }
-  EXPECT_GE(ran, 7u) << "seed corpus went missing from " << dir;
-}
-
-// The four-class crash-schedule smoke matrix again, async engine enabled:
-// the width=2 path must satisfy the same oracle on every algorithm class.
-TEST(FuzzSmoke, AllFourAlgorithmClassesSurviveACrashScheduleAsync) {
-  const struct {
-    bool force;
-    LoggingMode mode;
-  } kClasses[] = {
-      {true, LoggingMode::kPageLogging},
-      {true, LoggingMode::kRecordLogging},
-      {false, LoggingMode::kPageLogging},
-      {false, LoggingMode::kRecordLogging},
-  };
-  FuzzOptions async_io;
-  async_io.io_width = 2;
-  for (const auto& cls : kClasses) {
-    for (bool rda : {true, false}) {
-      Schedule schedule;
-      schedule.seed = 17 + (cls.force ? 1 : 0) + (rda ? 2 : 0) +
-                      (cls.mode == LoggingMode::kPageLogging ? 4 : 0);
-      schedule.force = cls.force;
-      schedule.rda = rda;
-      schedule.mode = cls.mode;
-      schedule.threads = 1;
-      schedule.num_steps = 8;
-      schedule.crash_points.push_back({13, 0});
-      Result<RunOutcome> outcome = RunSchedule(schedule, async_io);
-      ASSERT_TRUE(outcome.ok())
-          << schedule.ToString() << ": " << outcome.status().ToString();
-      EXPECT_TRUE(outcome->passed)
-          << schedule.ToString() << " (async): " << outcome->violation;
-      EXPECT_GT(outcome->committed_txns, 0u) << schedule.ToString();
-      EXPECT_GE(outcome->recoveries, 2u) << schedule.ToString();
-    }
-  }
-}
-
 // Self-test of the whole pipeline: plant a known bug (recovery silently
 // zeroes a committed page), prove the oracle catches it, prove the
 // shrinker reduces the repro to a handful of steps, and prove the

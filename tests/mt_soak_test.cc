@@ -17,7 +17,6 @@
 
 #include "common/random.h"
 #include "core/database.h"
-#include "io/io_engine.h"
 
 namespace rda {
 namespace {
@@ -226,94 +225,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MtSoakTest,
                                            MtCase{false, false}),
                          CaseName);
 
-// Async-vs-sync end-state equivalence (DESIGN.md section 16): the same
-// scripts, run against a synchronous (io.width=0) and an asynchronous
-// (io.width=2) database, must leave identical committed user data, clean
-// parity, and a crash-surviving durable state — at 1 thread (deterministic
-// trace) and at kThreads (every interleaving must hold).
-TEST_P(MtSoakTest, AsyncEngineMatchesSyncEndState) {
-  for (const uint32_t threads : {1u, kThreads}) {
-    const auto scripts =
-        DrawScripts(GetParam().force * 4 + GetParam().rda * 2 + threads + 31);
-
-    auto run = [&](uint32_t io_width) {
-      DatabaseOptions options =
-          MakeOptions(GetParam().force, GetParam().rda);
-      options.io.width = io_width;
-      options.io.queue_watermark = 8;  // Small: drains race the workload.
-      auto db = Database::Open(options);
-      EXPECT_TRUE(db.ok());
-      std::atomic<bool> failed{false};
-      if (threads == 1) {
-        for (uint32_t w = 0; w < kThreads; ++w) {
-          RunScript(db->get(), scripts[w], &failed);
-        }
-      } else {
-        std::vector<std::thread> workers;
-        for (uint32_t w = 0; w < threads; ++w) {
-          workers.emplace_back(RunScript, db->get(), scripts[w], &failed);
-        }
-        for (std::thread& worker : workers) {
-          worker.join();
-        }
-      }
-      EXPECT_FALSE(failed.load());
-      return std::move(db).value();
-    };
-
-    auto sync_db = run(0);
-    auto async_db = run(2);
-
-    // Phase 1: logical equivalence through the engine (NOFORCE committed
-    // content may still live in the buffer pool of either database).
-    {
-      auto sync_reader = sync_db->Begin();
-      auto async_reader = async_db->Begin();
-      ASSERT_TRUE(sync_reader.ok() && async_reader.ok());
-      std::vector<uint8_t> sync_bytes;
-      std::vector<uint8_t> async_bytes;
-      for (PageId page = 0; page < kPages; ++page) {
-        ASSERT_TRUE(sync_db->ReadPage(*sync_reader, page, &sync_bytes).ok());
-        ASSERT_TRUE(
-            async_db->ReadPage(*async_reader, page, &async_bytes).ok());
-        ASSERT_EQ(sync_bytes, async_bytes)
-            << "before crash, " << threads << " thread(s), page " << page;
-      }
-      ASSERT_TRUE(sync_db->Commit(*sync_reader).ok());
-      ASSERT_TRUE(async_db->Commit(*async_reader).ok());
-      auto parity_ok = async_db->VerifyAllParity();
-      ASSERT_TRUE(parity_ok.ok());
-      ASSERT_TRUE(*parity_ok) << "before crash";
-    }
-
-    // Phase 2: durable equivalence. Crash() drains the async journal
-    // before volatile teardown, so both arrays hold their full committed
-    // state; recovery must then converge them to identical user bytes.
-    sync_db->Crash();
-    ASSERT_TRUE(sync_db->Recover().ok());
-    async_db->Crash();
-    ASSERT_TRUE(async_db->Recover().ok());
-    for (PageId page = 0; page < kPages; ++page) {
-      auto sync_payload = sync_db->RawReadPage(page);
-      auto async_payload = async_db->RawReadPage(page);
-      ASSERT_TRUE(sync_payload.ok() && async_payload.ok());
-      // User region only: metadata stamps (txn id, page LSN) may differ
-      // across interleavings, exactly as in the concurrent-vs-serial
-      // comparison above.
-      const std::vector<uint8_t> sync_data(
-          sync_payload->begin() + kDataRegionOffset, sync_payload->end());
-      const std::vector<uint8_t> async_data(
-          async_payload->begin() + kDataRegionOffset, async_payload->end());
-      ASSERT_EQ(sync_data, async_data)
-          << "after crash+recover, " << threads << " thread(s), page "
-          << page;
-    }
-    auto parity_ok = async_db->VerifyAllParity();
-    ASSERT_TRUE(parity_ok.ok());
-    ASSERT_TRUE(*parity_ok) << "after crash+recover";
-  }
-}
-
 // Scripted transient faults under the built-in concurrent workload: every
 // transaction must still commit (retries absorb the faults), parity must
 // verify, and — the retry-reclassification regression — the LOGICAL
@@ -363,68 +274,6 @@ TEST(MtSoakFaultTest, TransientFaultsRetrySafelyAndCountOnlyAsRetries) {
   EXPECT_EQ(faulted.page_writes, clean.page_writes);
 }
 
-// The same retry-reclassification invariant with the async engine in the
-// path: a coalesced journal entry that needs retries during its drain is
-// still ONE logical transfer — the extra attempts must land in io_retries,
-// never in page_writes. We pin the queue watermark above the workload's
-// total write count so every drain happens at the explicit FlushIo below,
-// making the physical write order (and thus the fault draws) deterministic.
-TEST(MtSoakFaultTest, AsyncCoalescedRetriesCountOnlyAsRetries) {
-  ConcurrentWorkload workload;
-  workload.threads = 1;  // Single worker: the access trace is deterministic.
-  workload.txns_per_thread = 60;
-  workload.ops_per_txn = 3;
-  workload.pages = kPages;
-  workload.seed = 42;
-
-  struct Observed {
-    IoCounters counters;
-    io::IoEngine::StatsSnapshot engine;
-  };
-  auto run = [&](bool with_faults, Observed* out) {
-    DatabaseOptions options = MakeOptions(/*force=*/true, /*rda=*/true);
-    options.io.width = 2;
-    options.io.queue_watermark = 1u << 20;  // Drain only at FlushIo.
-    if (with_faults) {
-      options.fault.enabled = true;
-      options.fault.seed = 99;
-      options.fault.transient_read_p = 0.02;
-      options.fault.transient_write_p = 0.02;
-      options.io.max_read_retries = 4;
-      options.io.max_write_retries = 4;
-    }
-    auto db = Database::Open(options);
-    ASSERT_TRUE(db.ok());
-    auto result = (*db)->txn_manager()->RunConcurrent(workload);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->committed, workload.txns_per_thread);
-    ASSERT_TRUE((*db)->array()->FlushIo().ok());
-    auto parity_ok = (*db)->VerifyAllParity();
-    ASSERT_TRUE(parity_ok.ok());
-    EXPECT_TRUE(*parity_ok);
-    out->counters = (*db)->array()->counters();
-    out->engine = (*db)->array()->io_engine()->stats();
-  };
-
-  Observed clean;
-  Observed faulted;
-  run(false, &clean);
-  run(true, &faulted);
-
-  EXPECT_EQ(clean.counters.io_retries, 0u);
-  EXPECT_GT(faulted.counters.io_retries, 0u);
-  // Identical logical submission streams: faults must not change what the
-  // engine saw or how it coalesced, only how many physical attempts the
-  // drains needed.
-  EXPECT_EQ(faulted.engine.submitted_writes, clean.engine.submitted_writes);
-  EXPECT_EQ(faulted.engine.coalesced_writes, clean.engine.coalesced_writes);
-  EXPECT_EQ(faulted.engine.physical_writes, clean.engine.physical_writes);
-  // And the logical transfer counters match the fault-free trace exactly:
-  // each retried drain was reclassified down to one logical write.
-  EXPECT_EQ(faulted.counters.page_reads, clean.counters.page_reads);
-  EXPECT_EQ(faulted.counters.page_writes, clean.counters.page_writes);
-}
-
 // A crash landing inside the group-commit latency window: the leader has
 // PUBLISHED the batch to the stable streams and is sleeping out the device
 // delay when the crash hits. The commit record must survive — publication,
@@ -433,7 +282,7 @@ TEST(MtSoakGroupCommitTest, CrashInsideLatencyWindowKeepsPublishedCommit) {
   LogManager::Options options;
   options.group_commit_window_us = 5000;
   options.flush_delay_us = 200000;
-  LogManager log(options);
+  LogManager log(512, options);
 
   LogRecord commit;
   commit.type = LogRecordType::kCommit;
@@ -464,7 +313,7 @@ TEST(MtSoakGroupCommitTest, CrashInsideLatencyWindowKeepsPublishedCommit) {
 TEST(MtSoakGroupCommitTest, TruncateWaitsOutInFlightCommitBatch) {
   LogManager::Options options;
   options.flush_delay_us = 120000;
-  LogManager log(options);
+  LogManager log(512, options);
 
   // An old record, already stable: the pre-batch truncation boundary.
   LogRecord old_commit;
@@ -514,7 +363,7 @@ TEST(MtSoakGroupCommitTest, TruncateWaitsOutInFlightCommitBatch) {
 TEST(MtSoakGroupCommitTest, ConcurrentTruncateAndCommitKeepWatermarkOrder) {
   LogManager::Options options;
   options.flush_delay_us = 2000;
-  LogManager log(options);
+  LogManager log(512, options);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "io/io_engine.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -689,8 +688,6 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
   DatabaseOptions options = SmallDb();
   options.buffer.capacity = 4;   // A loser writing 8 pages must steal.
   options.fault.enabled = true;  // All probabilities zero: scripted faults.
-  options.io.width = 2;
-  options.io.queue_watermark = 1u << 20;  // Writes stay queued until purged.
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
   Database* d = db->get();
@@ -716,11 +713,8 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
     ASSERT_TRUE(d->WritePage(*loser, page, bytes).ok());
   }
   ASSERT_TRUE(d->Abort(*loser).ok());
-  // The commit's data write is still journaled: failing its disk purges it.
-  ASSERT_TRUE(d->FailDisk(d->array()->layout().DataLocation(0).disk).ok());
 
   const Database::StatsSnapshot stats = d->Stats();
-  const io::IoEngine::StatsSnapshot io = d->array()->io_engine()->stats();
   const IoPolicyStats policy = d->array()->policy_stats();
   EXPECT_GT(stats.buffer.steals, 0u);
   EXPECT_EQ(stats.txn.aborted, 1u);
@@ -728,7 +722,6 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
   EXPECT_EQ(stats.parity.latent_repairs, 1u);
   EXPECT_EQ(stats.parity.deferred_stamps, 1u);
   EXPECT_GT(policy.sector_errors, 0u);
-  EXPECT_GT(io.purged_writes, 0u);
 
   const obs::MetricsSnapshot metrics = d->SnapshotMetrics();
   const std::pair<const char*, uint64_t> fields[] = {
@@ -752,12 +745,6 @@ TEST(ObsWiringTest, EveryStatsViewFieldIsARegistryCounter) {
       {"parity.latent_repairs", stats.parity.latent_repairs},
       {"parity.corruption_repairs", stats.parity.corruption_repairs},
       {"recovery.checkpoints", stats.checkpoints},
-      {"io.submitted_writes", io.submitted_writes},
-      {"io.physical_writes", io.physical_writes},
-      {"io.coalesced_writes", io.coalesced_writes},
-      {"io.batched_parity_rmw", io.batched_parity_rmw},
-      {"io.cache_hits", io.cache_hits},
-      {"io.purged_writes", io.purged_writes},
       {"storage.io_retries", policy.io_retries},
       {"storage.transient_faults", policy.transient_faults},
       {"storage.sector_errors", policy.sector_errors},

@@ -570,6 +570,29 @@ TEST(DiskArrayFaultTest, ExhaustedRetriesSurfaceSectorError) {
   EXPECT_EQ((*array)->policy_stats().transient_faults, 0u);
 }
 
+// Writes are synchronous: a write that exhausts its retries on a live disk
+// returns the error to its caller, which decides what to do. Without an
+// error budget the disk stays in service and nothing escalates.
+TEST(DiskArrayFaultTest, ExhaustedWriteRetriesSurfaceToTheCaller) {
+  DiskArray::Options options;
+  options.min_data_pages = 8;
+  auto array = DiskArray::Create(options);
+  ASSERT_TRUE(array.ok());
+  FaultConfig config;
+  config.enabled = true;
+  (*array)->ArmFaultInjection(config);
+  const PhysicalLocation loc = (*array)->layout().DataLocation(0);
+  // More scripted failures than the retry policy has attempts.
+  (*array)->injector(loc.disk)->ScheduleTransientWrite(loc.slot, 16);
+  PageImage image((*array)->page_size());
+  EXPECT_TRUE((*array)->WriteData(0, image).IsIoError());
+  EXPECT_EQ((*array)->policy_stats().io_retries,
+            IoPolicy{}.max_write_retries);
+  EXPECT_EQ((*array)->policy_stats().sector_errors, 1u);
+  EXPECT_FALSE((*array)->DiskFailed(loc.disk));
+  EXPECT_TRUE((*array)->EscalatedDisks().empty());
+}
+
 TEST(DiskArrayFaultTest, ErrorBudgetEscalatesToDiskFailure) {
   DiskArray::Options options;
   options.min_data_pages = 8;

@@ -80,11 +80,11 @@ class TxnManagerTest : public ::testing::Test {
     array_ = std::move(array).value();
     parity_ = std::make_unique<TwinParityManager>(array_.get());
     ASSERT_TRUE(parity_->FormatArray().ok());
-    log_ = std::make_unique<LogManager>(LogManager::Options{});
+    log_ = std::make_unique<LogManager>(array_options.page_size,
+                                        LogManager::Options{});
     locks_ = std::make_unique<LockManager>();
     BufferPool::Options pool_options;
     pool_options.capacity = buffer_capacity;
-    pool_options.page_size = 128;
     tm_ = std::make_unique<TransactionManager>(config, parity_.get(),
                                                log_.get(), locks_.get(),
                                                pool_options);
@@ -443,40 +443,6 @@ TEST_F(TxnManagerTest, DeadlockDetectedAndVictimAbortable) {
   ASSERT_TRUE(tm_->Commit(*t1).ok());
   EXPECT_EQ(DiskUserBytes(0), UserBytes(0x01));
   EXPECT_EQ(DiskUserBytes(4), UserBytes(0x03));
-}
-
-TEST_F(TxnManagerTest, NoStealPolicyBlocksUncommittedEviction) {
-  TxnConfig config;
-  Build(config, /*buffer_capacity=*/2);
-  // Override the pool policy through options: rebuild with no-steal.
-  DiskArray::Options array_options;
-  array_options.data_pages_per_group = 4;
-  array_options.parity_copies = 2;
-  array_options.min_data_pages = 48;
-  array_options.page_size = 128;
-  auto array = DiskArray::Create(array_options);
-  ASSERT_TRUE(array.ok());
-  array_ = std::move(array).value();
-  parity_ = std::make_unique<TwinParityManager>(array_.get());
-  ASSERT_TRUE(parity_->FormatArray().ok());
-  log_ = std::make_unique<LogManager>(LogManager::Options{});
-  locks_ = std::make_unique<LockManager>();
-  BufferPool::Options pool_options;
-  pool_options.capacity = 2;
-  pool_options.page_size = 128;
-  pool_options.allow_steal = false;
-  tm_ = std::make_unique<TransactionManager>(config, parity_.get(),
-                                             log_.get(), locks_.get(),
-                                             pool_options);
-  auto txn = tm_->Begin();
-  ASSERT_TRUE(tm_->WritePage(*txn, 0, UserBytes(0x11)).ok());
-  ASSERT_TRUE(tm_->WritePage(*txn, 4, UserBytes(0x12)).ok());
-  // Both frames hold uncommitted data; fetching a third page cannot evict.
-  std::vector<uint8_t> scratch;
-  EXPECT_TRUE(tm_->ReadPage(*txn, 8, &scratch).IsBusy());
-  // Commit force-propagates and unclogs the pool.
-  ASSERT_TRUE(tm_->Commit(*txn).ok());
-  EXPECT_TRUE(tm_->ReadPage(tm_->Begin().value(), 8, &scratch).ok());
 }
 
 TEST_F(TxnManagerTest, CommittedDataEvictionIsPlainWrite) {

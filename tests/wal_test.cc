@@ -6,6 +6,8 @@
 namespace rda {
 namespace {
 
+constexpr size_t kLogPageSize = 512;
+
 LogRecord SampleRecord() {
   LogRecord record;
   record.type = LogRecordType::kBeforeImage;
@@ -74,7 +76,7 @@ TEST(LogRecordTest, TrailingGarbageRejected) {
 }
 
 TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   auto a = log.Append(SampleRecord());
   auto b = log.Append(SampleRecord());
   ASSERT_TRUE(a.ok());
@@ -83,7 +85,7 @@ TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
 }
 
 TEST(LogManagerTest, ScanReturnsFlushedRecordsInOrder) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   LogRecord r1 = SampleRecord();
   r1.txn = 1;
   LogRecord r2 = SampleRecord();
@@ -100,7 +102,7 @@ TEST(LogManagerTest, ScanReturnsFlushedRecordsInOrder) {
 }
 
 TEST(LogManagerTest, ScanFromOffsetSkipsPrefix) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   auto second = log.Append(SampleRecord());
   ASSERT_TRUE(second.ok());
@@ -112,7 +114,7 @@ TEST(LogManagerTest, ScanFromOffsetSkipsPrefix) {
 }
 
 TEST(LogManagerTest, CrashDropsUnflushedTail) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   ASSERT_TRUE(log.Append(SampleRecord()).ok());  // Never flushed.
@@ -129,7 +131,7 @@ TEST(LogManagerTest, CrashDropsUnflushedTail) {
 TEST(LogManagerTest, DuplexSurvivesSingleCopyCorruption) {
   LogManager::Options options;
   options.copies = 2;
-  LogManager log(options);
+  LogManager log(kLogPageSize, options);
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   log.CorruptStableByteForTest(0, 12);  // Damage copy 0's payload.
@@ -142,7 +144,7 @@ TEST(LogManagerTest, DuplexSurvivesSingleCopyCorruption) {
 TEST(LogManagerTest, CorruptionOnAllCopiesSurfaces) {
   LogManager::Options options;
   options.copies = 2;
-  LogManager log(options);
+  LogManager log(kLogPageSize, options);
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   log.CorruptStableByteForTest(0, 12);
@@ -153,9 +155,8 @@ TEST(LogManagerTest, CorruptionOnAllCopiesSurfaces) {
 
 TEST(LogManagerTest, FlushCountsPagesTimesCopies) {
   LogManager::Options options;
-  options.page_size = 64;
   options.copies = 2;
-  LogManager log(options);
+  LogManager log(64, options);
   LogRecord small;
   small.type = LogRecordType::kBot;
   small.txn = 1;
@@ -174,13 +175,13 @@ TEST(LogManagerTest, FlushCountsPagesTimesCopies) {
 }
 
 TEST(LogManagerTest, EmptyFlushIsFree) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Flush().ok());
   EXPECT_EQ(log.counters().page_writes, 0u);
 }
 
 TEST(LogManagerTest, ManyRecordsRoundTrip) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   for (uint64_t i = 0; i < 500; ++i) {
     LogRecord record;
     record.type = LogRecordType::kAfterImage;
@@ -203,7 +204,7 @@ TEST(LogManagerTest, ManyRecordsRoundTrip) {
 TEST(LogManagerTest, SingleCopyConfigWorks) {
   LogManager::Options options;
   options.copies = 1;
-  LogManager log(options);
+  LogManager log(kLogPageSize, options);
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   std::vector<LogRecord> records;
@@ -217,7 +218,7 @@ TEST(LogManagerTest, SingleCopyConfigWorks) {
 TEST(LogManagerTest, TripleCopySurvivesTwoCorruptions) {
   LogManager::Options options;
   options.copies = 3;
-  LogManager log(options);
+  LogManager log(kLogPageSize, options);
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   log.CorruptStableByteForTest(0, 12);
@@ -252,7 +253,7 @@ TEST(LogRecordTest, EmptyImagesRoundTrip) {
 }
 
 TEST(LogManagerTest, InterleavedAppendFlushPreservesOrder) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   for (int round = 0; round < 10; ++round) {
     LogRecord r = SampleRecord();
     r.txn = static_cast<TxnId>(round * 2 + 1);
@@ -274,9 +275,7 @@ TEST(LogManagerTest, InterleavedAppendFlushPreservesOrder) {
 }
 
 TEST(LogManagerTest, ScanAccountsReads) {
-  LogManager::Options options;
-  options.page_size = 64;
-  LogManager log(options);
+  LogManager log(64, {});
   LogRecord big = SampleRecord();
   big.before.assign(1000, 0x1);
   ASSERT_TRUE(log.Append(std::move(big)).ok());
@@ -291,9 +290,7 @@ TEST(LogManagerTest, ScanAccountsReads) {
 // yield exactly the suffix and charge only the pages actually read, not a
 // full-log re-walk.
 TEST(LogManagerTest, PartialScanSeeksAndChargesSuffixOnly) {
-  LogManager::Options options;
-  options.page_size = 64;
-  LogManager log(options);
+  LogManager log(64, {});
   std::vector<Lsn> lsns;
   for (int i = 0; i < 10; ++i) {
     LogRecord record = SampleRecord();
@@ -341,7 +338,7 @@ TEST(LogManagerTest, PartialScanSeeksAndChargesSuffixOnly) {
 // --- truncation boundary semantics (archive log truncation) ---
 
 TEST(LogManagerTest, TruncateExactlyAtRecordBoundaryKeepsSuffix) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   LogRecord r = SampleRecord();
   r.txn = 1;
   ASSERT_TRUE(log.Append(r).ok());
@@ -367,7 +364,7 @@ TEST(LogManagerTest, TruncateExactlyAtRecordBoundaryKeepsSuffix) {
 }
 
 TEST(LogManagerTest, TruncateAtFlushedEndEmptiesLog) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
@@ -389,7 +386,7 @@ TEST(LogManagerTest, TruncateAtFlushedEndEmptiesLog) {
 }
 
 TEST(LogManagerTest, TruncateBeyondFlushedOrOffBoundaryRejected) {
-  LogManager log(LogManager::Options{});
+  LogManager log(kLogPageSize, {});
   auto first = log.Append(SampleRecord());
   ASSERT_TRUE(first.ok());
   auto second = log.Append(SampleRecord());
