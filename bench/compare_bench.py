@@ -11,9 +11,14 @@ Two gates, both over the BENCH_*.json files the bench/ reports write:
 * Wall clock (same runner). Commit throughput (perf + mt) and crash
   recovery wall time depend on the host, so they are never compared with
   committed numbers. The job runs the base tree and the head tree
-  alternately on one runner, at least three times each; a metric fails
-  when the head median is worse than the base median by more than
-  --threshold AND lies outside the base runs' min-max spread.
+  alternately on one runner, at least three times each. A metric whose
+  base runs spread by no more than --threshold ((max - min) / median)
+  fails when the head median is worse than the base median by more than
+  --threshold AND lies outside the base runs' min-max spread. A metric
+  whose base runs spread wider than that is too noisy to judge by
+  medians: it fails only when every head run is worse than every base
+  run, passes when every head run is better, and is reported as
+  "unresolved" otherwise (not a failure).
 
 Usage:
   compare_bench.py --committed-dir . \\
@@ -117,7 +122,21 @@ def check_wall(base_dirs, head_dirs, threshold):
             yield record
             continue
         change = (head_median - base_median) / base_median
+        spread = (max(base) - min(base)) / base_median
         record["change"] = round(change, 4)
+        record["base_spread"] = round(spread, 4)
+        if spread > threshold:
+            # Too noisy for medians: only a full separation decides.
+            sign = 1 if higher_is_better else -1
+            pairs = [sign * (h - b) for h in head for b in base]
+            if all(d < 0 for d in pairs):
+                record["status"] = "regressed"
+            elif all(d > 0 for d in pairs):
+                record["status"] = "ok"
+            else:
+                record["status"] = "unresolved"
+            yield record
+            continue
         if higher_is_better:
             regressed = change < -threshold and head_median < min(base)
         else:
@@ -155,11 +174,12 @@ def main():
     records += check_wall(args.base_runs, args.head_runs, args.threshold)
     failed = [r for r in records if r["status"] in
               ("changed", "missing", "regressed")]
+    unresolved = [r for r in records if r["status"] == "unresolved"]
 
     with open(args.report, "w") as f:
         json.dump({"threshold": args.threshold, "compared": len(records),
-                   "failed": len(failed), "comparisons": records}, f,
-                  indent=2)
+                   "failed": len(failed), "unresolved": len(unresolved),
+                   "comparisons": records}, f, indent=2)
         f.write("\n")
 
     for r in failed:
@@ -175,10 +195,16 @@ def main():
                   "base spread (base {}, head {})".format(
                       r["metric"], r["change"], r["base"], r["head"]),
                   file=sys.stderr)
+    for r in unresolved:
+        print("UNRESOLVED wall {}: base spread {:.1%} > threshold, head "
+              "median {:+.1%} (base {}, head {})".format(
+                  r["metric"], r["base_spread"], r["change"], r["base"],
+                  r["head"]))
     walls = sum(1 for r in records if r["gate"] == "wall")
-    print("compared {} seeded counts and {} wall-clock metrics: {} failed "
-          "(wall threshold {:.0%})".format(len(records) - walls, walls,
-                                           len(failed), args.threshold))
+    print("compared {} seeded counts and {} wall-clock metrics: {} failed, "
+          "{} unresolved (wall threshold {:.0%})".format(
+              len(records) - walls, walls, len(failed), len(unresolved),
+              args.threshold))
     if walls == 0:
         print("error: no wall-clock metric in both base and head runs",
               file=sys.stderr)

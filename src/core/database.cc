@@ -9,21 +9,11 @@ namespace rda {
 
 Database::Database(const DatabaseOptions& options) : options_(options) {}
 
-Database::~Database() {
-  if (array_ != nullptr) {
-    array_->SetEscalationListener(nullptr);
-  }
-}
-
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
   if (options.txn.rda_undo && options.array.parity_copies != 2) {
     return Status::InvalidArgument(
         "RDA undo recovery requires the twin-page scheme (parity_copies=2)");
-  }
-  if (!options.txn.force && !options.txn.log_after_images) {
-    return Status::InvalidArgument(
-        "notFORCE configurations need after-image logging for REDO");
   }
 
   std::unique_ptr<Database> db(new Database(options));
@@ -54,15 +44,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   db->archive_ = std::make_unique<ArchiveManager>(
       db->txn_manager_.get(), db->parity_.get(), db->log_.get(),
       db->recovery_pool_.get());
-  db->maintenance_ = std::make_unique<MaintenanceService>(db->parity_.get(),
-                                                          options.maintenance);
-  Database* raw = db.get();
-  // Completed background rebuilds report transactions whose unlogged-undo
-  // coverage the failed disk destroyed; fold them into the abort blocklist.
-  db->maintenance_->SetRebuildDoneCallback(
-      [raw](const MediaRecoveryReport& report) {
-        raw->MergeUndoLost(report.undo_coverage_lost);
-      });
   // Attach observability last, after formatting: format I/O is not workload
   // I/O, and the obs counters should match the freshly reset array counters.
   if (options.obs.enable_metrics || options.obs.enable_trace ||
@@ -77,13 +58,6 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->txn_manager_->AttachObs(db->obs_.get());  // Also attaches the pool.
     db->checkpointer_->AttachObs(db->obs_.get());
     db->archive_->AttachObs(db->obs_.get());
-    db->maintenance_->AttachObs(db->obs_.get());
-  }
-  if (options.maintenance.enabled) {
-    MaintenanceService* svc = db->maintenance_.get();
-    db->array_->SetEscalationListener(
-        [svc](DiskId disk) { svc->OnEscalation(disk); });
-    db->maintenance_->Start();
   }
   return db;
 }
@@ -135,10 +109,8 @@ void Database::MergeUndoLost(const std::vector<TxnId>& txns) {
 }
 
 void Database::Crash() {
-  // Quiesce maintenance I/O first: a sweep mid-group would otherwise race
-  // the volatile-state teardown below. The interrupted rebuild's persistent
-  // flag (DiskArray::DiskRebuilding) survives for Recover() to act on.
-  maintenance_->CancelAndDrain();
+  // An interrupted rebuild's persistent flag (DiskArray::DiskRebuilding)
+  // survives for Recover() to act on.
   txn_manager_->LoseVolatileState();
   parity_->LoseVolatileState();
   log_->LoseVolatileState();
@@ -193,10 +165,6 @@ Result<CrashRecoveryReport> Database::RecoverWithInjectedFault(
 }
 
 Result<CrashRecoveryReport> Database::RestoreFromArchive() {
-  // A background sweep mid-restore would fight the snapshot rewrite; the
-  // restore replaces every failed disk and rewrites all pages anyway, so
-  // any in-flight rebuild is moot.
-  maintenance_->CancelAndDrain();
   {
     std::lock_guard<std::mutex> lock(undo_lost_mu_);
     undo_lost_txns_.clear();

@@ -11,7 +11,6 @@
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/maintenance_service.h"
 #include "exec/worker_pool.h"
 #include "lock/lock_manager.h"
 #include "obs/export.h"
@@ -55,10 +54,6 @@ struct DatabaseOptions {
   // default) keeps every recovery path bit-for-bit identical to the serial
   // algorithms: no pool is created and each loop runs inline.
   exec::RecoveryOptions recovery;
-  // Background maintenance thread (DESIGN.md section 14): online media
-  // rebuild and throttled scrubs. Disabled by default; when enabled, disks
-  // escalated by the I/O policy are rebuilt online automatically.
-  MaintenanceOptions maintenance;
 };
 
 // The public facade of the library: a single-node database engine whose
@@ -69,18 +64,16 @@ struct DatabaseOptions {
 //   Begin / ReadPage / WritePage / ReadRecord / WriteRecord / Commit / Abort
 //   Crash()  -> all volatile state is gone ->  Recover()
 //   FailDisk(d)  -> degraded reads keep working
-//     -> RebuildDisk(d) / MaintenanceService: transactions keep
-//        committing while the replacement disk fills group by group
-//        (touched groups are repaired on demand, ahead of the sweep)
+//     -> RebuildDisk(d): transactions keep committing while the
+//        replacement disk fills group by group (touched groups are
+//        repaired on demand, ahead of the sweep)
 //     -> healthy again
+// A background rebuild is RebuildDisk(d, {throttle, pause, cancel}) on a
+// thread the caller owns (DESIGN.md section 14). Like every transaction
+// thread, it must be joined before Crash() or RestoreFromArchive().
 class Database {
  public:
   static Result<std::unique_ptr<Database>> Open(const DatabaseOptions& options);
-
-  // Detaches the array's escalation listener before members die: an
-  // escalation must not call into the MaintenanceService (destroyed first,
-  // see the member order below).
-  ~Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -125,7 +118,7 @@ class Database {
   // Restores after a catastrophe the array cannot survive (e.g. two disks
   // lost): replaces failed media, rewrites all pages from the snapshot,
   // recomputes parity and rolls committed work forward from the log.
-  // Quiesces the maintenance thread first.
+  // Requires quiescence: join every transaction and rebuild thread first.
   Result<CrashRecoveryReport> RestoreFromArchive();
   // Test/robustness hook: like RestoreFromArchive(), but the roll-forward
   // fails with kAborted after `actions` recovery mutations — a crash during
@@ -142,9 +135,9 @@ class Database {
 
   // --- failure injection & recovery ---
   // System crash: buffer pool, lock table, parity directory and unflushed
-  // log records are lost. Quiesces the maintenance thread first (its job
-  // queue is volatile state; a half-done online rebuild leaves the disk's
-  // persistent rebuilding flag set for Recover() to finish).
+  // log records are lost. Join every transaction and rebuild thread
+  // first; a cancelled or half-done rebuild leaves the disk's persistent
+  // rebuilding flag set for Recover() to finish.
   void Crash();
   // Restart after Crash(): runs the Section 4.3 algorithm. Disks that were
   // mid-rebuild at the crash are failed (their media holds stale zeros for
@@ -160,8 +153,8 @@ class Database {
   // a not-yet-rebuilt group repairs it on demand. Unthrottled, the sweep is
   // sharded over the recovery pool; `options` can throttle (then it runs
   // serially), pause or cancel it, and a later call resumes a cancelled
-  // rebuild of the same disk. This is the synchronous form of what the
-  // MaintenanceService runs in the background.
+  // rebuild of the same disk. A background rebuild is this call on a
+  // thread the caller owns.
   Result<MediaRecoveryReport> RebuildDisk(
       DiskId disk, const OnlineRebuildOptions& options = {});
 
@@ -176,14 +169,10 @@ class Database {
   };
   // Rebuilds every disk the I/O policy escalated (error budget exhausted):
   // replace + full media rebuild, one disk at a time in ascending disk
-  // order. Safe to call periodically; a no-op when none. With the
-  // maintenance service enabled this polling is unnecessary — escalations
-  // queue a background rebuild automatically.
+  // order. Safe to call periodically; a no-op when none. An escalation
+  // only fails the disk: this call (or a RebuildDisk of the disk) is the
+  // repair, nothing rebuilds it automatically.
   Result<EscalationRepairReport> RepairEscalations();
-
-  // The background maintenance service (never null; idle unless
-  // options.maintenance.enabled or Start() is called explicitly).
-  MaintenanceService* maintenance() { return maintenance_.get(); }
 
   // --- inspection ---
   // True iff every parity group's consistent twin equals XOR(data pages).
@@ -266,13 +255,10 @@ class Database {
   std::unique_ptr<ArchiveManager> archive_;
   std::atomic<uint64_t> updates_since_checkpoint_{0};
   // Transactions whose unlogged-undo coverage a media failure destroyed.
-  // Guarded by undo_lost_mu_: the maintenance thread's rebuild-done
-  // callback merges into it while the foreground calls Abort().
+  // Guarded by undo_lost_mu_: a caller's rebuild thread merges into it
+  // (RebuildDisk) while transaction threads call Abort().
   mutable std::mutex undo_lost_mu_;
   std::unordered_set<TxnId> undo_lost_txns_;
-  // Declared last: destroyed first, so the worker thread is joined while
-  // every component it touches is still alive.
-  std::unique_ptr<MaintenanceService> maintenance_;
 };
 
 }  // namespace rda

@@ -61,8 +61,6 @@ const char* EventKindName(EventKind kind) {
       return "sector_repair";
     case EventKind::kEscalation:
       return "escalation";
-    case EventKind::kHealthChange:
-      return "health_change";
     case EventKind::kOnDemandRebuild:
       return "on_demand_rebuild";
   }

@@ -18,14 +18,13 @@ struct ObsOptions {
   bool enable_trace = true;
   // Ring capacity of the trace buffer (oldest events dropped beyond this).
   size_t trace_capacity = 4096;
-  // Latency spans: per-thread lock-free rings of ScopedSpan records.
+  // Latency spans: per-thread lock-free rings of
+  // ObsHub::kSpanRingCapacity ScopedSpan records.
   bool enable_spans = true;
-  size_t span_ring_capacity = 1024;
-  // Crash flight recorder: dumps the last `flight_last_n` spans per thread
-  // plus the retained trace on fault escalation / crash-point trip. When
-  // `flight_path` is empty the dump is kept in memory only (last_dump()).
-  bool enable_flight = true;
-  size_t flight_last_n = 64;
+  // The crash flight recorder (always on) dumps the last
+  // ObsHub::kFlightLastN spans per thread plus the retained trace on fault
+  // escalation / crash-point trip. When `flight_path` is empty the dump is
+  // kept in memory only (last_dump()).
   std::string flight_path;
 };
 
@@ -37,6 +36,9 @@ struct ObsOptions {
 // StatCounters keep counting into their own storage.
 class ObsHub {
  public:
+  static constexpr size_t kSpanRingCapacity = 1024;
+  static constexpr size_t kFlightLastN = 64;
+
   explicit ObsHub(const ObsOptions& options) : options_(options) {
     if (options.enable_metrics) {
       metrics_ = std::make_unique<MetricsRegistry>();
@@ -49,13 +51,11 @@ class ObsHub {
       trace_->SetDroppedCounter(metrics_->GetCounter("obs.trace_dropped"));
     }
     if (options.enable_spans) {
-      spans_ = std::make_unique<SpanCollector>(options.span_ring_capacity);
+      spans_ = std::make_unique<SpanCollector>(kSpanRingCapacity);
     }
-    if (options.enable_flight) {
-      flight_ = std::make_unique<FlightRecorder>(spans_.get(), trace_.get(),
-                                                 options.flight_last_n);
-      flight_->set_output_path(options.flight_path);
-    }
+    flight_ = std::make_unique<FlightRecorder>(spans_.get(), trace_.get(),
+                                               kFlightLastN);
+    flight_->set_output_path(options.flight_path);
   }
 
   ObsHub(const ObsHub&) = delete;

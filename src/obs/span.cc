@@ -59,8 +59,6 @@ const char* SpanKindName(SpanKind kind) {
       return "recovery.phase";
     case SpanKind::kExecParallelFor:
       return "exec.parallel_for";
-    case SpanKind::kMaintenanceJob:
-      return "maintenance.job";
   }
   return "unknown";
 }

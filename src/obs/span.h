@@ -32,7 +32,7 @@ enum class SpanKind : uint8_t {
   kParityRebuild = 13,     // Reconstruction of one group member.
   kRecoveryPhase = 14,     // One RecoveryPhase, detail = phase value.
   kExecParallelFor = 15,   // One WorkerPool::ParallelFor, detail = count.
-  kMaintenanceJob = 16,    // One background rebuild/scrub job, detail = disk.
+  // 16 is retired and stays unused.
 };
 
 // Dotted display name ("txn.commit", "wal.group_lead", ...), shared by the

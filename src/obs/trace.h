@@ -52,9 +52,7 @@ enum class EventKind : uint8_t {
   kSectorRepair = 15,
   // A disk force-failed after exhausting its error budget: value = disk id.
   kEscalation = 16,
-  // Maintenance health-state transition (from_state/to_state carry
-  // HealthState numeric values; value = disk id when one is implicated).
-  kHealthChange = 17,
+  // 17 is retired and stays unused: traces store kinds by value.
   // A foreground access reconstructed a not-yet-rebuilt group during an
   // online rebuild: group set, value = disk under rebuild.
   kOnDemandRebuild = 18,

@@ -253,14 +253,25 @@ Status TwinParityManager::ReadDataHealed(PageId page, PageImage* out) {
   auto latch = LockGroupOfPage(page);
   // Online rebuild: a fresh replaced medium reads stale zeros SUCCESSFULLY,
   // so the group must be rebuilt before the raw read below can be trusted.
-  RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(array_->layout().GroupOf(page)));
+  const GroupId group = array_->layout().GroupOf(page);
+  RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(group));
   Status status = array_->ReadData(page, out);
+  if (status.ok() && PendingOnRebuildDisk(group, page)) {
+    // Ensure stood down on the failed disk, and the fresh medium was
+    // installed before the read: it returned stale zeros.
+    RDA_RETURN_IF_ERROR(EnsureGroupRebuilt(group));
+    status = array_->ReadData(page, out);
+  }
   if (status.ok() || !directory_valid()) {
     return status;
   }
   const DiskId disk = array_->layout().DataLocation(page).disk;
-  if (!HealableFault(status, disk)) {
-    if (status.IsIoError() && array_->DiskFailed(disk)) {
+  // A disk still pending in the session is out of service for this read
+  // even if the fresh medium was installed after the read failed.
+  const bool out_of_service =
+      array_->DiskFailed(disk) || PendingOnRebuildDisk(group, page);
+  if (out_of_service || !HealableFault(status, disk)) {
+    if (status.IsIoError() && out_of_service) {
       // Degraded read: the page's disk is out (failed or escalated, not
       // yet rebuilt), so its content is implicit in the rest of the group.
       // Reconstruct it; no write-back — there is no medium to repair. A
@@ -296,7 +307,7 @@ Status TwinParityManager::ReadDataHealed(PageId page, PageImage* out) {
     PageImage repaired(0);
     repaired.payload = out->payload;
     if (array_->WriteData(page, std::move(repaired)).ok()) {
-      NoteSectorRepair(status, page, array_->layout().GroupOf(page));
+      NoteSectorRepair(status, page, group);
     }
   }
   return Status::Ok();
@@ -984,7 +995,8 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
   // Publish the session BEFORE installing the fresh medium: between the two
   // the disk still reads as failed, so EnsureGroupRebuilt stands down and
   // the degraded-mode machinery serves — the zeroed medium is never visible
-  // without the hook armed.
+  // without the hook armed. A healed read whose stand-down raced the
+  // install below sees it afterwards (PendingOnRebuildDisk).
   rebuild_active_.store(true, std::memory_order_release);
   Status replaced = array_->ReplaceDisk(disk);
   if (!replaced.ok()) {
@@ -999,13 +1011,12 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
 Result<TwinParityManager::GroupRebuildOutcome>
 TwinParityManager::RebuildGroupIfPending(GroupId group, bool* did_work) {
   *did_work = false;
-  if (!OnlineGroupPending(group)) {
-    // Lock-free skip: someone already handled this group.
-    return GroupRebuildOutcome{};
-  }
+  // Always under the latch, also for a group that looks handled: a claim
+  // in flight on another thread has cleared the bit but not yet counted
+  // the group down, and the sweep's remainder check must wait for it.
   auto latch = LockGroup(group);
   if (!OnlineGroupPending(group)) {
-    return GroupRebuildOutcome{};  // Lost the race under the latch.
+    return GroupRebuildOutcome{};
   }
   if (array_->DiskFailed(rebuild_disk_)) {
     return Status::IoError("disk " + std::to_string(rebuild_disk_) +
@@ -1041,6 +1052,12 @@ bool TwinParityManager::OnlineGroupPending(GroupId group) const {
   return rebuild_active_.load(std::memory_order_acquire) &&
          rebuild_pending_ != nullptr && group < array_->num_groups() &&
          rebuild_pending_[group].load(std::memory_order_relaxed) != 0;
+}
+
+bool TwinParityManager::PendingOnRebuildDisk(GroupId group,
+                                             PageId page) const {
+  return OnlineGroupPending(group) &&
+         array_->layout().DataLocation(page).disk == rebuild_disk_;
 }
 
 Status TwinParityManager::EnsureGroupRebuilt(GroupId group) {

@@ -234,7 +234,9 @@ class TwinParityManager {
   // Rebuilds `group` if it is still pending (the background sweep's unit of
   // work). *did_work is set false when another path (on-demand repair, a
   // foreground write promotion, a racing sweeper) got there first — then
-  // the returned outcome is empty. Safe to call concurrently with traffic.
+  // the returned outcome is empty. Takes the group latch either way, so on
+  // return no claim of the group is still in flight. Safe to call
+  // concurrently with traffic.
   Result<GroupRebuildOutcome> RebuildGroupIfPending(GroupId group,
                                                     bool* did_work);
 
@@ -257,9 +259,9 @@ class TwinParityManager {
   uint32_t OnlineRebuildGroupsRemaining() const {
     return rebuild_groups_remaining_.load(std::memory_order_relaxed);
   }
-  // Lock-free peek (the sweep uses it to skip already-rebuilt groups
-  // without taking the latch); the authoritative check under the latch
-  // happens inside RebuildGroupIfPending.
+  // Lock-free peek (the sweep uses it to charge its throttle only for
+  // pending groups); the authoritative check under the latch happens
+  // inside RebuildGroupIfPending.
   bool OnlineGroupPending(GroupId group) const;
   // Counts of the current (or, after End, the last) session: the
   // parity.online_* counters less their value at Begin.
@@ -406,6 +408,14 @@ class TwinParityManager {
   // change under it. No-op when the rebuilding disk is (still or again)
   // failed — the degraded-mode machinery serves then.
   Status EnsureGroupRebuilt(GroupId group);
+  // True while `group` is still pending and its data page `page` sits on
+  // the disk under online rebuild: a raw read of the page cannot be
+  // trusted. With the group latch held this means EnsureGroupRebuilt stood
+  // down on the failed disk; BeginOnlineRebuild installs the fresh medium
+  // without the group latches, so the disk may have come back since.
+  // ReadDataHealed then rebuilds and reads again (the read returned stale
+  // zeros) or reconstructs (the read failed).
+  bool PendingOnRebuildDisk(GroupId group, PageId page) const;
   // The claim on a pending group, shared by EnsureGroupRebuilt and the
   // background sweep: clears the bit BEFORE rebuilding (the latch is
   // recursive and RebuildGroupMember re-enters the healed readers, which

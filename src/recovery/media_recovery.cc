@@ -92,10 +92,11 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(
             stopped.store(true, std::memory_order_relaxed);
             return Status::Ok();
           }
-          if (!parity_->OnlineGroupPending(group)) {
-            return Status::Ok();  // Served on demand, or not a member.
-          }
+          // Only a pending group pays tokens; every group still goes
+          // through RebuildGroupIfPending, whose latch waits out a claim
+          // in flight elsewhere before the remainder is checked below.
           if (options.throttle != nullptr &&
+              parity_->OnlineGroupPending(group) &&
               !options.throttle->Acquire(tokens_per_group, options.cancel)) {
             stopped.store(true, std::memory_order_relaxed);
             return Status::Ok();  // Cancelled while waiting for tokens.

@@ -18,17 +18,9 @@ Result<ScrubReport> ParityScrubber::ScrubAll() {
   // report matches the serial pass at every thread count.
   enum : uint8_t { kClean = 0, kSkippedDirty = 1, kRepaired = 2 };
   std::vector<uint8_t> verdicts(num_groups, kClean);
-  const uint64_t tokens_per_group =
-      array->layout().data_pages_per_group() + 1;
-  // A throttled scrub is a background citizen: run it serially (the bucket
-  // would serialize the bands anyway) and pay for each group up front.
-  exec::WorkerPool* pool = throttle_ != nullptr ? nullptr : pool_;
   RDA_RETURN_IF_ERROR(exec::RunSharded(
-      pool, num_groups, [&](uint64_t index) -> Status {
+      pool_, num_groups, [&](uint64_t index) -> Status {
         const GroupId group = static_cast<GroupId>(index);
-        if (throttle_ != nullptr) {
-          throttle_->Acquire(tokens_per_group);
-        }
         const GroupState& state = parity_->directory().Get(group);
         if (state.dirty) {
           // The working parity is live undo state, so no XOR verdict — but

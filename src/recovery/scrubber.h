@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "exec/token_bucket.h"
 #include "exec/worker_pool.h"
 #include "parity/twin_parity_manager.h"
 
@@ -43,17 +42,11 @@ class ParityScrubber {
   ParityScrubber(const ParityScrubber&) = delete;
   ParityScrubber& operator=(const ParityScrubber&) = delete;
 
-  // Optional rate limit for background scrubs: charged N+1 tokens (one
-  // group's pages) per group verified. Forces the serial scan (a shared
-  // bucket would serialize the bands anyway). Not owned; null = unlimited.
-  void SetThrottle(exec::TokenBucket* throttle) { throttle_ = throttle; }
-
   Result<ScrubReport> ScrubAll();
 
  private:
   TwinParityManager* parity_;
   exec::WorkerPool* pool_ = nullptr;
-  exec::TokenBucket* throttle_ = nullptr;
 };
 
 }  // namespace rda

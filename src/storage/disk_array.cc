@@ -296,19 +296,6 @@ void DiskArray::RecordSectorError(DiskId disk) {
                      "disk " + std::to_string(disk) +
                          " escalated after exhausting its error budget");
   (void)FailDisk(disk);
-  std::function<void(DiskId)> listener;
-  {
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    listener = escalation_listener_;
-  }
-  if (listener) {
-    listener(disk);
-  }
-}
-
-void DiskArray::SetEscalationListener(std::function<void(DiskId)> listener) {
-  std::lock_guard<std::mutex> lock(policy_mu_);
-  escalation_listener_ = std::move(listener);
 }
 
 void DiskArray::SetRebuilding(DiskId disk, bool rebuilding) {

@@ -2,7 +2,6 @@
 #define RDA_STORAGE_DISK_ARRAY_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,12 +101,6 @@ class DiskArray {
   // Disks force-failed by budget exhaustion and not yet replaced.
   std::vector<DiskId> EscalatedDisks() const;
 
-  // Escalation listener: invoked (outside all array locks) right after
-  // RecordSectorError force-fails a disk. The MaintenanceService registers
-  // a non-blocking enqueue here so escalations trigger automatic rebuilds
-  // instead of requiring a RepairEscalations() poll. Null detaches.
-  void SetEscalationListener(std::function<void(DiskId)> listener);
-
   // --- online-rebuild bookkeeping (DESIGN.md section 14) ---
   //
   // A disk is marked "rebuilding" from the moment its fresh zeroed medium
@@ -181,14 +174,13 @@ class DiskArray {
   mutable obs::StatCounter transient_faults_;
   mutable obs::StatCounter sector_errors_;
   obs::StatCounter escalations_;
-  // Guards the per-disk error budget, escalation and rebuilding flags and
-  // the listener below (off the clean-path I/O).
+  // Guards the per-disk error budget, escalation and rebuilding flags (off
+  // the clean-path I/O).
   mutable std::mutex policy_mu_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
   std::vector<uint32_t> sector_error_counts_;
   std::vector<bool> escalated_;
   std::vector<bool> rebuilding_;
-  std::function<void(DiskId)> escalation_listener_;
 
   // Observability (null = disabled). The counter pointers are resolved once
   // in AttachObs so the I/O hot path pays only a null test.

@@ -566,9 +566,6 @@ Status TransactionManager::PropagateFrame(Frame* frame) {
 }
 
 Status TransactionManager::LogAfterImages(Transaction* txn) {
-  if (!config_.log_after_images) {
-    return Status::Ok();
-  }
   if (config_.logging_mode == LoggingMode::kPageLogging) {
     for (const PageId page : txn->modified_pages) {
       LogRecord ai;

@@ -39,9 +39,6 @@ struct TxnConfig {
   // Use the twin-page parity scheme to skip UNDO logging where Figure 3
   // permits. Off = the traditional baseline.
   bool rda_undo = true;
-  // Log after-images at commit (REDO). Required for notFORCE; kept on for
-  // FORCE too, matching the paper's cost model (UNDO and REDO log files).
-  bool log_after_images = true;
   // Record size for kRecordLogging (fixed-size slots).
   size_t record_size = 64;
 };
@@ -231,6 +228,9 @@ class TransactionManager {
       Transaction* txn,
       const std::unordered_map<PageId, std::vector<uint8_t>>& restored_disk);
 
+  // Logs the after-images of a committing transaction (REDO). Always, also
+  // under FORCE: archive restore rolls committed work forward from them,
+  // and the paper's cost model counts UNDO and REDO log files.
   Status LogAfterImages(Transaction* txn);
 
   // Array + log page transfers so far; deltas around an operation are the

@@ -175,11 +175,6 @@ TEST(DatabaseOpenTest, RejectsInconsistentOptions) {
   options.txn.rda_undo = true;
   options.array.parity_copies = 1;
   EXPECT_TRUE(Database::Open(options).status().IsInvalidArgument());
-
-  DatabaseOptions options2;
-  options2.txn.force = false;
-  options2.txn.log_after_images = false;
-  EXPECT_TRUE(Database::Open(options2).status().IsInvalidArgument());
 }
 
 TEST(DatabaseOpenTest, SinglParityBaselineWorks) {

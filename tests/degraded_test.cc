@@ -474,6 +474,12 @@ TEST_F(DegradedTest, ErrorBudgetEscalationHealedByRepairEscalations) {
   auto ok = db_->VerifyAllParity();
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
+  // The repair reports its phase cost and progress like any other rebuild.
+  EXPECT_EQ(db_->SnapshotMetrics().CounterValue(
+                "recovery.phase.media_rebuild.runs"),
+            1u);
+  const std::string trace = obs::TraceToJson(*db_->obs()->trace());
+  EXPECT_NE(trace.find("rebuild_progress"), std::string::npos);
 }
 
 TEST_F(DegradedTest, SecondDiskFailureMidRebuildIsDataLoss) {

@@ -1,9 +1,9 @@
 // Online media rebuild: the array serves transactions WHILE a replaced
 // disk is reconstructed group by group (DESIGN.md section 14). Covers the
-// pending-bitmap session (on-demand repair, write promotion), the
-// background MaintenanceService (auto-rebuild on escalation, pause /
-// cancel / resume), the nasty windows (crash mid-rebuild, second disk
-// failure mid-rebuild) and the parallel VerifyAllParity.
+// pending-bitmap session (on-demand repair, write promotion), a background
+// rebuild (RebuildDisk on a caller-owned thread) racing writers, cancel and
+// resume, the nasty windows (crash mid-rebuild, second disk failure
+// mid-rebuild) and the parallel VerifyAllParity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -501,95 +501,6 @@ TEST(ParallelVerify, SerialAndShardedAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// MaintenanceService: escalation -> degraded -> background online rebuild
-// -> healthy, with no RepairEscalations() polling.
-// ---------------------------------------------------------------------------
-
-TEST_F(OnlineRebuildTest, EscalationAutoTriggersBackgroundRebuild) {
-  DatabaseOptions options = BaseOptions();
-  options.fault.enabled = true;
-  options.io.disk_error_budget = 1;
-  options.maintenance.enabled = true;
-  options.obs.enable_metrics = true;
-  options.obs.enable_trace = true;
-  Open(options);
-  Populate();
-  ASSERT_EQ(db_->maintenance()->health(), HealthState::kHealthy);
-
-  const DiskId suspect = DataDiskOf(0);
-  db_->array()->injector(suspect)->InjectLatentSector(
-      db_->array()->layout().DataLocation(0).slot);
-  // The healed read burns the whole budget: the disk force-fails and the
-  // escalation listener queues the online rebuild — no polling involved.
-  EXPECT_EQ(DiskByte(0), 1u);
-
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->Progress().rebuilds_completed >= 1;
-  })) << "background rebuild did not complete";
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->health() == HealthState::kHealthy;
-  }));
-  EXPECT_EQ(db_->array()->NumFailedDisks(), 0u);
-  EXPECT_TRUE(db_->array()->RebuildingDisks().empty());
-  EXPECT_GE(db_->array()->policy_stats().escalations, 1u);
-  VerifyAllPages();
-  ExpectParityConsistent();
-
-  // The health ladder was observable: healthy -> degraded -> rebuilding ->
-  // healthy shows up as kHealthChange trace events.
-  const std::string trace = obs::TraceToJson(*db_->obs()->trace());
-  EXPECT_NE(trace.find("health_change"), std::string::npos);
-  // The background rebuild reports its phase cost and progress like a
-  // foreground one.
-  EXPECT_EQ(db_->SnapshotMetrics().CounterValue(
-                "recovery.phase.media_rebuild.runs"),
-            1u);
-  EXPECT_NE(trace.find("rebuild_progress"), std::string::npos);
-}
-
-TEST_F(OnlineRebuildTest, PauseCancelAndResumeBackgroundRebuild) {
-  DatabaseOptions options = BaseOptions();
-  options.maintenance.enabled = true;
-  options.maintenance.auto_rebuild_on_escalation = false;
-  Open(options);
-  Populate();
-  const DiskId victim = 0;
-  ASSERT_TRUE(db_->FailDisk(victim).ok());
-
-  // Paused before the job starts: the sweep parks before group 0, leaving
-  // the whole bitmap pending while foreground reads still repair on demand.
-  db_->maintenance()->Pause();
-  ASSERT_TRUE(db_->maintenance()->RequestRebuild(victim));
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->Progress().rebuild_active;
-  }));
-  MaintenanceProgress paused = db_->maintenance()->Progress();
-  EXPECT_TRUE(paused.paused);
-  EXPECT_EQ(paused.rebuild_groups_remaining, paused.rebuild_groups_total);
-  EXPECT_EQ(db_->maintenance()->health(), HealthState::kRebuilding);
-  EXPECT_EQ(DiskByte(1), 2u);  // On-demand repair during the pause.
-
-  // Cancel: the job stops where it is but the session survives for resume.
-  db_->maintenance()->CancelCurrent();
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->Progress().jobs_cancelled >= 1;
-  }));
-  EXPECT_TRUE(db_->parity()->OnlineRebuildActive());
-
-  // Re-queue: the sweep resumes from the surviving bitmap and finishes.
-  ASSERT_TRUE(db_->maintenance()->RequestRebuild(victim));
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->Progress().rebuilds_completed >= 1;
-  }));
-  ASSERT_TRUE(WaitFor([&] {
-    return db_->maintenance()->health() == HealthState::kHealthy;
-  }));
-  EXPECT_FALSE(db_->parity()->OnlineRebuildActive());
-  VerifyAllPages();
-  ExpectParityConsistent();
-}
-
-// ---------------------------------------------------------------------------
 // One rebuild path: RebuildDisk begins, resumes or refuses a session.
 // ---------------------------------------------------------------------------
 
@@ -677,10 +588,11 @@ TEST_F(OnlineRebuildTest, SecondSweepOfASessionEndsItWithoutFailingTheFirst) {
 }
 
 // Two RebuildDisk calls that both find no session race into Begin (say,
-// RepairEscalations and a maintenance job on one escalated disk). Begin is
-// serialized: exactly one call begins the session, the other resumes it,
-// and both return Ok. The throttle keeps the session open long enough for
-// the second call to arrive while it is active. Run under TSan in CI.
+// RepairEscalations and a caller's rebuild thread on one escalated disk).
+// Begin is serialized: exactly one call begins the session, the other
+// resumes it, and both return Ok. The throttle keeps the session open long
+// enough for the second call to arrive while it is active. Run under TSan
+// in CI.
 TEST_F(OnlineRebuildTest, ConcurrentRebuildsOfOneDiskBeginOneSession) {
   Open();
   Populate();
@@ -765,8 +677,8 @@ TEST_F(OnlineRebuildTest, CancelledShardedSweepIsFinishedByALaterRebuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Soak: real concurrency — writers commit non-stop while the maintenance
-// thread rebuilds the disk under them (run under TSan in CI). Zero
+// Soak: real concurrency — writers commit non-stop while a caller-owned
+// thread runs RebuildDisk under them (run under TSan in CI). Zero
 // foreground unavailability and a consistent end state.
 // ---------------------------------------------------------------------------
 
@@ -774,11 +686,6 @@ TEST_F(OnlineRebuildTest, WritersCommitThroughoutBackgroundRebuildSoak) {
   DatabaseOptions options = BaseOptions();
   options.array.min_data_pages = 192;  // 48 groups: a sweep worth racing.
   options.buffer.capacity = 24;
-  options.maintenance.enabled = true;
-  options.maintenance.auto_rebuild_on_escalation = false;
-  // 48 groups x 5 tokens = 240 tokens; a 150-token bucket stretches the
-  // sweep past the initial burst so the writers genuinely race it.
-  options.maintenance.rebuild_pages_per_sec = 150;
   Open(options);
   Populate();
   const DiskId victim = 2;
@@ -808,15 +715,21 @@ TEST_F(OnlineRebuildTest, WritersCommitThroughoutBackgroundRebuildSoak) {
     });
   }
 
-  ASSERT_TRUE(db_->maintenance()->RequestRebuild(victim));
-  const bool rebuilt = WaitFor([&] {
-    return db_->maintenance()->Progress().rebuilds_completed >= 1;
-  });
+  // 48 groups x 5 tokens = 240 tokens: a 150-token bucket would stretch a
+  // sweep of every group past a second, so the writers genuinely race it.
+  exec::TokenBucket throttle(/*tokens_per_sec=*/150);
+  OnlineRebuildOptions rebuild_options;
+  rebuild_options.throttle = &throttle;
+  Result<MediaRecoveryReport> report = Status::Aborted("not run");
+  std::thread rebuilder(
+      [&] { report = db_->RebuildDisk(victim, rebuild_options); });
+  rebuilder.join();
   stop.store(true, std::memory_order_release);
   for (std::thread& thread : writers) {
     thread.join();
   }
-  ASSERT_TRUE(rebuilt) << "background rebuild did not complete";
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->completed) << "background rebuild did not complete";
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(commits.load(), 0u);
   EXPECT_EQ(db_->array()->NumFailedDisks(), 0u);
