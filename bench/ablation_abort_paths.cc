@@ -13,7 +13,6 @@ namespace {
 rda::DatabaseOptions MakeOptions(bool rda_on) {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 512;
   options.array.page_size = 256;
   options.buffer.capacity = 64;

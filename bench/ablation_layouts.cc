@@ -16,7 +16,6 @@ rda::sim::SimOptions MakeOptions(rda::LayoutKind layout, uint64_t seed) {
   rda::sim::SimOptions options;
   options.db.array.layout_kind = layout;
   options.db.array.data_pages_per_group = 8;
-  options.db.array.parity_copies = 2;
   options.db.array.min_data_pages = 512;
   options.db.array.page_size = 256;
   options.db.buffer.capacity = 64;
@@ -69,7 +68,6 @@ int main() {
     rda::DiskArray::Options array_options;
     array_options.layout_kind = kind;
     array_options.data_pages_per_group = 8;
-    array_options.parity_copies = 2;
     array_options.min_data_pages = 2048;
     array_options.page_size = 256;
     auto array = rda::DiskArray::Create(array_options);

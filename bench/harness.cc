@@ -10,7 +10,6 @@ namespace rda::bench {
 DatabaseOptions ClassOptions(const AlgorithmClass& cls, bool rda_undo) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 512;
   options.array.page_size = 512;
   options.txn.logging_mode = cls.logging;

@@ -126,7 +126,6 @@ BENCHMARK(BM_BufferFetchHit)->Arg(64)->Arg(1024);
 rda::DatabaseOptions SmallDb() {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 256;
   options.array.page_size = 512;
   options.buffer.capacity = 32;
@@ -211,7 +210,6 @@ BENCHMARK(BM_LogAppendFlush)->Arg(64)->Arg(512);
 rda::DatabaseOptions RecordDb() {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 256;
   options.array.page_size = 512;
   options.buffer.capacity = 64;

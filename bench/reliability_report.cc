@@ -58,7 +58,6 @@ constexpr uint32_t kHealthyWindowMs = 300;
 rda::DatabaseOptions MakeOptions() {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = kDataPagesPerGroup;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = kMinDataPages;
   options.array.page_size = 512;
   options.array.real_access_delay_us = kAccessDelayUs;

@@ -45,7 +45,6 @@ std::vector<uint8_t> EncodeBalance(int64_t value, size_t record_size) {
 int main() {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 128;
   options.array.page_size = 512;
   options.buffer.capacity = 24;

@@ -26,7 +26,6 @@ std::vector<uint8_t> Fill(size_t size, uint8_t value) {
 int main() {
   rda::DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 64;
   options.array.page_size = 256;
   options.buffer.capacity = 16;

@@ -23,7 +23,6 @@ int main() {
   rda::DatabaseOptions options;
   options.array.layout_kind = rda::LayoutKind::kParityStriping;
   options.array.data_pages_per_group = 6;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 120;
   options.array.page_size = 256;
   options.buffer.capacity = 16;

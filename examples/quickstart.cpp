@@ -28,7 +28,6 @@ int main() {
   rda::DatabaseOptions options;
   options.array.layout_kind = rda::LayoutKind::kDataStriping;
   options.array.data_pages_per_group = 8;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 256;
   options.array.page_size = 512;
   options.buffer.capacity = 32;

@@ -11,11 +11,6 @@ Database::Database(const DatabaseOptions& options) : options_(options) {}
 
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
-  if (options.txn.rda_undo && options.array.parity_copies != 2) {
-    return Status::InvalidArgument(
-        "RDA undo recovery requires the twin-page scheme (parity_copies=2)");
-  }
-
   std::unique_ptr<Database> db(new Database(options));
   if (options.recovery.recovery_threads > 1) {
     db->recovery_pool_ =

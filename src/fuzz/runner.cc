@@ -27,7 +27,6 @@ namespace {
 DatabaseOptions MakeDbOptions(const Schedule& schedule) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 32;
   options.array.page_size = 128;
   options.buffer.capacity = schedule.threads > 1 ? 24 : 12;
@@ -206,7 +205,7 @@ void Runner::ApplyBugAfterRecovery() {
       // Straight to the array, bypassing parity maintenance: the committed
       // content vanishes and parity no longer covers the group.
       PageImage zeroed(db_->options().array.page_size);
-      (void)db_->array()->WriteData(page, std::move(zeroed));
+      (void)db_->array()->WriteData(page, zeroed);
       return;
     }
   }

@@ -13,7 +13,6 @@ TwinParityManager::TwinParityManager(DiskArray* array)
       directory_(array->num_groups()),
       group_latches_(
           std::make_unique<std::recursive_mutex[]>(array->num_groups())),
-      scratch_(array->page_size()),
       twin_shadow_(array->num_groups(),
                    {static_cast<uint8_t>(ParityState::kCommitted),
                     static_cast<uint8_t>(ParityState::kObsolete)}) {}
@@ -109,10 +108,8 @@ Status TwinParityManager::InstallTwin(GroupId group, uint32_t twin,
 Status TwinParityManager::InstallCleanParity(GroupId group, uint32_t twin,
                                              PageImage* image) {
   RDA_RETURN_IF_ERROR(InstallTwin(group, twin, ParityState::kCommitted, image));
-  if (array_->layout().parity_copies() == 2) {
-    RDA_RETURN_IF_ERROR(
-        InstallTwin(group, OtherTwin(twin), ParityState::kObsolete, image));
-  }
+  RDA_RETURN_IF_ERROR(
+      InstallTwin(group, OtherTwin(twin), ParityState::kObsolete, image));
   directory_.MarkClean(group, twin);
   return Status::Ok();
 }
@@ -123,18 +120,18 @@ Status TwinParityManager::XorGroupData(GroupId group, bool healed,
   const Layout& layout = array_->layout();
   parity->header = PageHeader();
   parity->payload.assign(array_->page_size(), 0);
-  ScratchPool::ScratchImage data = scratch_.Acquire();
+  PageImage data;
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
     const PageId page = layout.PageAt(group, i);
-    const Status read = healed ? ReadDataHealed(page, &*data)
-                               : array_->ReadData(page, &*data);
+    const Status read = healed ? ReadDataHealed(page, &data)
+                               : array_->ReadData(page, &data);
     if (!read.ok()) {
       if (failed_page != nullptr) {
         *failed_page = page;
       }
       return read;
     }
-    XorPage(&parity->payload, data->payload);
+    XorPage(&parity->payload, data.payload);
   }
   return Status::Ok();
 }
@@ -154,7 +151,7 @@ void StampCommitted(PageHeader* header) {
 
 void TwinParityManager::SyncTwinShadow(GroupId group, uint32_t twin,
                                        uint8_t state) {
-  if (group < twin_shadow_.size() && twin < 2) {
+  if (group < twin_shadow_.size() && twin < kParityTwins) {
     twin_shadow_[group][twin] = state;
   }
 }
@@ -163,8 +160,9 @@ void TwinParityManager::TraceTwinTransition(GroupId group, uint32_t twin,
                                             uint8_t to_state, PageId page,
                                             TxnId txn) {
   const uint8_t from_state =
-      (group < twin_shadow_.size() && twin < 2) ? twin_shadow_[group][twin]
-                                                : 0;
+      (group < twin_shadow_.size() && twin < kParityTwins)
+          ? twin_shadow_[group][twin]
+          : 0;
   SyncTwinShadow(group, twin, to_state);
   if (trace_ == nullptr) {
     return;
@@ -304,9 +302,7 @@ Status TwinParityManager::ReadDataHealed(PageId page, PageImage* out) {
     // because parity already encodes exactly this content. The rewrite
     // clears a latent sector error. If the write-back itself fails, the
     // slot simply stays faulty and the next read heals it again.
-    PageImage repaired(0);
-    repaired.payload = out->payload;
-    if (array_->WriteData(page, std::move(repaired)).ok()) {
+    if (array_->WriteData(page, *out).ok()) {
       NoteSectorRepair(status, page, group);
     }
   }
@@ -379,7 +375,7 @@ bool TwinParityManager::FullyHealthyForUnlogged(PageId page) const {
     return false;
   }
   const GroupId group = layout.GroupOf(page);
-  for (uint32_t t = 0; t < layout.parity_copies(); ++t) {
+  for (uint32_t t = 0; t < kParityTwins; ++t) {
     if (!LocationHealthy(layout.ParityLocation(group, t))) {
       return false;
     }
@@ -388,8 +384,8 @@ bool TwinParityManager::FullyHealthyForUnlogged(PageId page) const {
 }
 
 PropagationKind TwinParityManager::Classify(PageId page, TxnId txn) const {
-  if (array_->layout().parity_copies() != 2 || txn == kInvalidTxnId ||
-      !directory_valid() || !FullyHealthyForUnlogged(page)) {
+  if (txn == kInvalidTxnId || !directory_valid() ||
+      !FullyHealthyForUnlogged(page)) {
     return PropagationKind::kPlain;
   }
   const GroupId group = array_->layout().GroupOf(page);
@@ -494,28 +490,26 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
     kind = PropagationKind::kPlain;
   }
 
-  // delta = D_old xor D_new; every affected parity payload absorbs it. Both
-  // the delta and the parity read-modify-write below run on pooled scratch
-  // buffers, so a steady-state propagation performs no allocations.
-  ScratchPool::ScratchImage delta = scratch_.Acquire();
-  RDA_RETURN_IF_ERROR(ReadOldPayload(page, old_payload, &delta.payload()));
-  XorInto(delta.payload().data(), new_image.payload.data(),
-          delta.payload().size());
-  array_->AccountXor(1);
+  // delta = D_old xor D_new; every affected parity payload absorbs it.
+  // Both buffers are per thread: every commit and steal propagates, and
+  // reusing their page-sized storage keeps malloc off that path (nothing
+  // below re-enters Propagate).
+  thread_local std::vector<uint8_t> delta;
+  thread_local PageImage parity;
+  RDA_RETURN_IF_ERROR(ReadOldPayload(page, old_payload, &delta));
+  XorPage(&delta, new_image.payload);
 
   switch (kind) {
     case PropagationKind::kUnloggedFirst: {
       unlogged_first_.Add();
-      ScratchPool::ScratchImage parity = scratch_.Acquire();
-      RDA_RETURN_IF_ERROR(
-          ReadParityHealed(group, state.valid_twin, &*parity));
-      XorPage(&parity->payload, delta.payload());
-      parity->header.parity_state = ParityState::kWorking;
-      parity->header.txn_id = txn;
-      parity->header.timestamp = NextTimestamp();
-      parity->header.dirty_page = page;
+      RDA_RETURN_IF_ERROR(ReadParityHealed(group, state.valid_twin, &parity));
+      XorPage(&parity.payload, delta);
+      parity.header.parity_state = ParityState::kWorking;
+      parity.header.txn_id = txn;
+      parity.header.timestamp = NextTimestamp();
+      parity.header.dirty_page = page;
       const uint32_t working = OtherTwin(state.valid_twin);
-      RDA_RETURN_IF_ERROR(WriteTwin(group, working, *parity));
+      RDA_RETURN_IF_ERROR(WriteTwin(group, working, parity));
       TraceTwinTransition(group, working,
                           static_cast<uint8_t>(ParityState::kWorking), page,
                           txn);
@@ -525,13 +519,11 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
     }
     case PropagationKind::kUnloggedRepeat: {
       unlogged_repeat_.Add();
-      ScratchPool::ScratchImage parity = scratch_.Acquire();
       RDA_RETURN_IF_ERROR(
-          ReadParityHealed(group, state.working_twin, &*parity));
-      XorPage(&parity->payload, delta.payload());
-      parity->header.timestamp = NextTimestamp();
-      RDA_RETURN_IF_ERROR(
-          WriteTwin(group, state.working_twin, *parity));
+          ReadParityHealed(group, state.working_twin, &parity));
+      XorPage(&parity.payload, delta);
+      parity.header.timestamp = NextTimestamp();
+      RDA_RETURN_IF_ERROR(WriteTwin(group, state.working_twin, parity));
       // Figure 8 self-loop: the working twin absorbs another update.
       TraceTwinTransition(group, state.working_twin,
                           static_cast<uint8_t>(ParityState::kWorking), page,
@@ -549,13 +541,12 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
                 array_->layout().ParityLocation(group, twin))) {
           continue;
         }
-        ScratchPool::ScratchImage parity = scratch_.Acquire();
-        RDA_RETURN_IF_ERROR(ReadParityHealed(group, twin, &*parity));
-        XorPage(&parity->payload, delta.payload());
+        RDA_RETURN_IF_ERROR(ReadParityHealed(group, twin, &parity));
+        XorPage(&parity.payload, delta);
         if (twin == state.valid_twin) {
-          StampCommitted(&parity->header);
+          StampCommitted(&parity.header);
         }
-        RDA_RETURN_IF_ERROR(WriteTwin(group, twin, *parity));
+        RDA_RETURN_IF_ERROR(WriteTwin(group, twin, parity));
       }
       break;
     }
@@ -563,13 +554,11 @@ Status TwinParityManager::Propagate(PageId page, TxnId txn,
       plain_.Add();
       if (LocationHealthy(
               array_->layout().ParityLocation(group, state.valid_twin))) {
-        ScratchPool::ScratchImage parity = scratch_.Acquire();
         RDA_RETURN_IF_ERROR(
-            ReadParityHealed(group, state.valid_twin, &*parity));
-        XorPage(&parity->payload, delta.payload());
-        StampCommitted(&parity->header);
-        RDA_RETURN_IF_ERROR(
-            WriteTwin(group, state.valid_twin, *parity));
+            ReadParityHealed(group, state.valid_twin, &parity));
+        XorPage(&parity.payload, delta);
+        StampCommitted(&parity.header);
+        RDA_RETURN_IF_ERROR(WriteTwin(group, state.valid_twin, parity));
       }
       break;
     }
@@ -644,13 +633,13 @@ Status TwinParityManager::StampPendingTwins() {
             array_->layout().ParityLocation(g, state.valid_twin))) {
       continue;
     }
-    ScratchPool::ScratchImage parity = scratch_.Acquire();
-    RDA_RETURN_IF_ERROR(ReadParityHealed(g, state.valid_twin, &*parity));
-    if (parity->header.parity_state == ParityState::kCommitted) {
+    PageImage parity;
+    RDA_RETURN_IF_ERROR(ReadParityHealed(g, state.valid_twin, &parity));
+    if (parity.header.parity_state == ParityState::kCommitted) {
       continue;  // The healed read rewrote it committed.
     }
-    StampCommitted(&parity->header);
-    RDA_RETURN_IF_ERROR(WriteTwin(g, state.valid_twin, *parity));
+    StampCommitted(&parity.header);
+    RDA_RETURN_IF_ERROR(WriteTwin(g, state.valid_twin, parity));
     deferred_stamps_.Add();
   }
   return Status::Ok();
@@ -694,21 +683,20 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
   result.page = state.dirty_page;
   result.overwritten_meta = LoadDataMeta(data.payload);
 
-  ScratchPool::ScratchImage working = scratch_.Acquire();
+  PageImage working;
   if (!data_disk_down && result.overwritten_meta.txn_id == txn) {
     // D_old = (P xor P') xor D_new (paper Figure 6). The embedded metadata
     // (pageLSN, chain link) of the old image comes back byte-exactly.
-    ScratchPool::ScratchImage restored = scratch_.Acquire();
+    PageImage restored;
+    RDA_RETURN_IF_ERROR(ReadParityHealed(group, state.valid_twin, &restored));
     RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.valid_twin, &*restored));
-    RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &*working));
-    restored->header = PageHeader();
-    XorPage(&restored->payload, working->payload);
-    XorPage(&restored->payload, data.payload);
-    RDA_RETURN_IF_ERROR(array_->WriteData(state.dirty_page, *restored));
+        ReadParityHealed(group, state.working_twin, &working));
+    restored.header = PageHeader();
+    XorPage(&restored.payload, working.payload);
+    XorPage(&restored.payload, data.payload);
+    RDA_RETURN_IF_ERROR(array_->WriteData(state.dirty_page, restored));
     result.payload_restored = true;
-    result.restored_payload = restored.TakePayload();
+    result.restored_payload = std::move(restored.payload);
   } else {
     // Degraded (the covered page's disk is down: the undo happens in
     // parity space below), or the data page no longer carries the
@@ -731,22 +719,21 @@ Result<ParityUndoResult> TwinParityManager::UndoUnloggedUpdate(GroupId group,
       degraded |= !LocationHealthy(
           array_->layout().DataLocation(array_->layout().PageAt(group, i)));
     }
-    ScratchPool::ScratchImage actual = scratch_.Acquire();
-    if (!degraded && XorGroupData(group, /*healed=*/true, &*actual).ok()) {
-      ScratchPool::ScratchImage valid = scratch_.Acquire();
-      RDA_RETURN_IF_ERROR(
-          ReadParityHealed(group, state.valid_twin, &*valid));
-      if (valid->payload != actual->payload) {
+    PageImage actual;
+    if (!degraded && XorGroupData(group, /*healed=*/true, &actual).ok()) {
+      PageImage valid;
+      RDA_RETURN_IF_ERROR(ReadParityHealed(group, state.valid_twin, &valid));
+      if (valid.payload != actual.payload) {
         RDA_RETURN_IF_ERROR(InstallTwin(group, state.valid_twin,
-                                        ParityState::kCommitted, &*actual,
+                                        ParityState::kCommitted, &actual,
                                         /*traced=*/true));
       }
     }
     RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &*working));
+        ReadParityHealed(group, state.working_twin, &working));
   }
   RDA_RETURN_IF_ERROR(InstallTwin(group, state.working_twin,
-                                  ParityState::kInvalid, &*working,
+                                  ParityState::kInvalid, &working,
                                   /*traced=*/true));
   TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page, txn);
   directory_.MarkClean(group, state.valid_twin);
@@ -780,14 +767,6 @@ Status TwinParityManager::ApplyLoggedUndo(PageId page,
 
 Result<std::vector<uint8_t>> TwinParityManager::ReconstructDataPayload(
     PageId page) {
-  ScratchPool::ScratchImage image = scratch_.Acquire();
-  RDA_RETURN_IF_ERROR(ReconstructDataPayloadInto(page, &*image));
-  // The payload escapes the scratch scope; the pool re-allocates lazily.
-  return image.TakePayload();
-}
-
-Status TwinParityManager::ReconstructDataPayloadInto(PageId page,
-                                                     PageImage* out) {
   if (!directory_valid()) {
     return Status::FailedPrecondition("parity directory not available");
   }
@@ -801,15 +780,16 @@ Status TwinParityManager::ReconstructDataPayloadInto(PageId page,
   // reads fall back ON. A faulted sibling or parity page here is a second
   // fault in the group — genuinely unrecoverable under single parity, so
   // the typed error must surface instead of recursing.
-  RDA_RETURN_IF_ERROR(array_->ReadParity(group, twin, out));
-  ScratchPool::ScratchImage data = scratch_.Acquire();
+  PageImage parity;
+  RDA_RETURN_IF_ERROR(array_->ReadParity(group, twin, &parity));
+  PageImage data;
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
     const PageId sibling = layout.PageAt(group, i);
     if (sibling == page) {
       continue;
     }
-    RDA_RETURN_IF_ERROR(array_->ReadData(sibling, &*data));
-    XorPage(&out->payload, data->payload);
+    RDA_RETURN_IF_ERROR(array_->ReadData(sibling, &data));
+    XorPage(&parity.payload, data.payload);
   }
   obs::Inc(degraded_reads_counter_);
   if (trace_ != nullptr) {
@@ -820,7 +800,7 @@ Status TwinParityManager::ReconstructDataPayloadInto(PageId page,
     event.group = group;
     trace_->Record(event);
   }
-  return Status::Ok();
+  return std::move(parity.payload);
 }
 
 Result<TwinParityManager::GroupRebuildOutcome>
@@ -834,34 +814,29 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
   GroupRebuildOutcome outcome;
   const Layout& layout = array_->layout();
   const GroupState state = directory_.Get(group);
-  const uint32_t copies = layout.parity_copies();
   const uint32_t consistent_twin =
       state.dirty ? state.working_twin : state.valid_twin;
 
-  // Lost data page?  Reconstructed into a scratch buffer and written back
-  // by const reference, so a full-disk rebuild recycles the same pooled
-  // pages group after group instead of allocating per group.
+  // Lost data page?  A data page carries no out-of-band state, so the
+  // reconstructed payload goes back under a default header.
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
     const PageId page = layout.PageAt(group, i);
     if (layout.DataLocation(page).disk != disk) {
       continue;
     }
-    ScratchPool::ScratchImage rebuilt = scratch_.Acquire();
-    RDA_RETURN_IF_ERROR(ReconstructDataPayloadInto(page, &*rebuilt));
-    // The reconstruction leaves the parity twin's header behind; a data
-    // page carries no out-of-band state.
-    rebuilt->header = PageHeader{};
-    RDA_RETURN_IF_ERROR(array_->WriteData(page, *rebuilt));
+    PageImage rebuilt;
+    RDA_ASSIGN_OR_RETURN(rebuilt.payload, ReconstructDataPayload(page));
+    RDA_RETURN_IF_ERROR(array_->WriteData(page, rebuilt));
     ++outcome.data_rebuilt;
     return outcome;
   }
 
   // Lost parity twin?
-  for (uint32_t t = 0; t < copies; ++t) {
+  for (uint32_t t = 0; t < kParityTwins; ++t) {
     if (layout.ParityLocation(group, t).disk != disk) {
       continue;
     }
-    ScratchPool::ScratchImage parity = scratch_.Acquire();
+    PageImage parity;
     if (t == consistent_twin) {
       // Recompute the consistent parity from the surviving data pages. Raw
       // reads: a heal would XOR from this very twin, still zeroed on the
@@ -869,7 +844,7 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
       // escalate) and the group is lost — single parity cannot cover both.
       PageId unreadable = kInvalidPageId;
       const Status xored =
-          XorGroupData(group, /*healed=*/false, &*parity, &unreadable);
+          XorGroupData(group, /*healed=*/false, &parity, &unreadable);
       if (!xored.ok()) {
         const DiskId bad = layout.DataLocation(unreadable).disk;
         if (HealableFault(xored, bad)) {
@@ -883,14 +858,14 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
       RDA_RETURN_IF_ERROR(InstallTwin(
           group, t,
           state.dirty ? ParityState::kWorking : ParityState::kCommitted,
-          &*parity));
+          &parity));
       ++outcome.parity_rebuilt;
       return outcome;
     }
     if (!state.dirty) {
       // Stale obsolete twin: its content is not needed; reset it.
       RDA_RETURN_IF_ERROR(
-          InstallTwin(group, t, ParityState::kObsolete, &*parity));
+          InstallTwin(group, t, ParityState::kObsolete, &parity));
       ++outcome.obsolete_reset;
       return outcome;
     }
@@ -901,14 +876,14 @@ TwinParityManager::RebuildGroupMember(GroupId group, DiskId disk) {
     // roles as at a commit (Figure 8), so the trace says so.
     outcome.undo_lost = true;
     outcome.lost_txn = state.dirty_txn;
-    ScratchPool::ScratchImage working = scratch_.Acquire();
+    PageImage working;
     RDA_RETURN_IF_ERROR(
-        ReadParityHealed(group, state.working_twin, &*working));
+        ReadParityHealed(group, state.working_twin, &working));
     RDA_RETURN_IF_ERROR(InstallTwin(group, state.working_twin,
-                                    ParityState::kCommitted, &*working,
+                                    ParityState::kCommitted, &working,
                                     /*traced=*/true));
     RDA_RETURN_IF_ERROR(InstallTwin(group, t, ParityState::kObsolete,
-                                    &*parity, /*traced=*/true));
+                                    &parity, /*traced=*/true));
     TraceGroupTransition(group, /*to_dirty=*/false, state.dirty_page,
                          state.dirty_txn);
     directory_.MarkClean(group, state.working_twin);
@@ -951,12 +926,11 @@ TwinParityManager::BeginOnlineRebuild(DiskId disk) {
   // distinct disks, so a group as wide as the array has a member on every
   // disk; only narrower groups need the per-page scan.
   const bool every_group_member =
-      layout.data_pages_per_group() + layout.parity_copies() ==
-      layout.num_disks();
+      layout.data_pages_per_group() + kParityTwins == layout.num_disks();
   OnlineRebuildInfo info;
   for (GroupId g = 0; g < groups; ++g) {
     bool member = every_group_member;
-    for (uint32_t t = 0; t < layout.parity_copies() && !member; ++t) {
+    for (uint32_t t = 0; t < kParityTwins && !member; ++t) {
       member = layout.ParityLocation(g, t).disk == disk;
     }
     for (uint32_t i = 0; i < layout.data_pages_per_group() && !member; ++i) {
@@ -1127,11 +1101,10 @@ Status TwinParityManager::WriteFullGroup(
   // Parity first (consistent with the small-write ordering), then data.
   RDA_RETURN_IF_ERROR(InstallTwin(group, state.valid_twin,
                                   ParityState::kCommitted, &parity));
+  PageImage image;
   for (uint32_t i = 0; i < layout.data_pages_per_group(); ++i) {
-    PageImage image(0);
     image.payload = payloads[i];
-    RDA_RETURN_IF_ERROR(
-        array_->WriteData(layout.PageAt(group, i), std::move(image)));
+    RDA_RETURN_IF_ERROR(array_->WriteData(layout.PageAt(group, i), image));
   }
   return Status::Ok();
 }
@@ -1172,14 +1145,14 @@ Result<bool> TwinParityManager::VerifyGroupParity(GroupId group) {
 Status TwinParityManager::ReinitializeParityFromData(exec::WorkerPool* pool) {
   // Groups touch disjoint parity slots, directory entries and twin-shadow
   // elements, so the reinitialization fans out group-by-group with no shared
-  // mutable state beyond the (thread-safe) scratch pool and disk mutexes.
-  // Raw reads: the parity a heal would use is the untrusted parity.
+  // mutable state beyond the disk mutexes. Raw reads: the parity a heal
+  // would use is the untrusted parity.
   RDA_RETURN_IF_ERROR(exec::RunSharded(
       pool, array_->num_groups(), [&](uint64_t index) -> Status {
         const GroupId g = static_cast<GroupId>(index);
-        ScratchPool::ScratchImage parity = scratch_.Acquire();
-        RDA_RETURN_IF_ERROR(XorGroupData(g, /*healed=*/false, &*parity));
-        return InstallCleanParity(g, 0, &*parity);
+        PageImage parity;
+        RDA_RETURN_IF_ERROR(XorGroupData(g, /*healed=*/false, &parity));
+        return InstallCleanParity(g, 0, &parity);
       }));
   directory_valid_.store(true, std::memory_order_release);
   return Status::Ok();
@@ -1188,13 +1161,12 @@ Status TwinParityManager::ReinitializeParityFromData(exec::WorkerPool* pool) {
 Status TwinParityManager::RebuildDirectory() {
   ParityTimestamp max_seen = 0;
   for (GroupId g = 0; g < array_->num_groups(); ++g) {
-    PageImage twins[2];
-    const uint32_t copies = array_->layout().parity_copies();
+    PageImage twins[kParityTwins];
     // The directory is not valid yet, so the healed-read machinery (which
     // consults it) cannot run; sector faults are handled inline instead.
-    bool faulted[2] = {false, false};
-    Status fault_cause[2];
-    for (uint32_t t = 0; t < copies; ++t) {
+    bool faulted[kParityTwins] = {false, false};
+    Status fault_cause[kParityTwins];
+    for (uint32_t t = 0; t < kParityTwins; ++t) {
       Status read = array_->ReadParity(g, t, &twins[t]);
       if (!read.ok()) {
         const DiskId disk = array_->layout().ParityLocation(g, t).disk;
@@ -1202,8 +1174,7 @@ Status TwinParityManager::RebuildDirectory() {
         // the half-written medium re-failed) is handled like a faulted
         // sector — select from the survivor — except no error is charged:
         // the disk is already out.
-        if (copies == 2 &&
-            (HealableFault(read, disk) || array_->DiskFailed(disk))) {
+        if (HealableFault(read, disk) || array_->DiskFailed(disk)) {
           faulted[t] = true;
           fault_cause[t] = read;
           if (!array_->DiskFailed(disk)) {
@@ -1214,11 +1185,6 @@ Status TwinParityManager::RebuildDirectory() {
         return read;
       }
       max_seen = std::max(max_seen, twins[t].header.timestamp);
-    }
-    if (copies == 1) {
-      directory_.MarkClean(g, 0);
-      SyncTwinShadow(g, 0, static_cast<uint8_t>(ParityState::kCommitted));
-      continue;
     }
     if (faulted[0] && faulted[1]) {
       return Status::Corruption("both parity twins of group " +
@@ -1273,7 +1239,7 @@ Status TwinParityManager::RebuildDirectory() {
     // twin, for the log to decide; an older one was superseded.
     uint32_t decider = 0;
     bool have_decider = false;
-    for (uint32_t t = 0; t < 2; ++t) {
+    for (uint32_t t = 0; t < kParityTwins; ++t) {
       const ParityState st = twins[t].header.parity_state;
       if (st != ParityState::kCommitted && st != ParityState::kObsolete &&
           st != ParityState::kWorking) {
@@ -1325,7 +1291,6 @@ Status TwinParityManager::CheckInvariants() {
     return Status::FailedPrecondition("parity directory not available");
   }
   const Layout& layout = array_->layout();
-  const uint32_t copies = layout.parity_copies();
   const bool rebuilding = OnlineRebuildActive();
   auto violation = [](GroupId g, const std::string& what) {
     return Status::Corruption("parity invariant violated in group " +
@@ -1342,9 +1307,9 @@ Status TwinParityManager::CheckInvariants() {
       continue;
     }
     const GroupState& state = directory_.Get(g);
-    PageImage twins[2];
-    bool readable[2] = {false, false};
-    for (uint32_t t = 0; t < copies; ++t) {
+    PageImage twins[kParityTwins];
+    bool readable[kParityTwins] = {false, false};
+    for (uint32_t t = 0; t < kParityTwins; ++t) {
       const DiskId disk = layout.ParityLocation(g, t).disk;
       if (array_->DiskFailed(disk)) {
         continue;  // Nothing to cross-check; degraded mode covers it.
@@ -1389,9 +1354,6 @@ Status TwinParityManager::CheckInvariants() {
       }
     }
     if (state.dirty) {
-      if (copies < 2) {
-        return violation(g, "dirty with a single parity copy");
-      }
       if (state.working_twin == state.valid_twin) {
         return violation(g, "working and valid twin coincide");
       }
@@ -1421,16 +1383,14 @@ Status TwinParityManager::CheckInvariants() {
         return violation(g, "working twin does not outrank the valid twin");
       }
     } else {
-      if (copies == 2) {
-        const uint32_t other = OtherTwin(state.valid_twin);
-        if (readable[other] && readable[state.valid_twin]) {
-          // Figure 7: a committed, obsolete or working sibling must not
-          // outrank the valid twin (an older working twin was superseded).
-          const PageHeader& o = twins[other].header;
-          if (o.parity_state != ParityState::kInvalid &&
-              o.timestamp > twins[state.valid_twin].header.timestamp) {
-            return violation(g, "valid twin lost Current_Parity selection");
-          }
+      const uint32_t other = OtherTwin(state.valid_twin);
+      if (readable[other] && readable[state.valid_twin]) {
+        // Figure 7: a committed, obsolete or working sibling must not
+        // outrank the valid twin (an older working twin was superseded).
+        const PageHeader& o = twins[other].header;
+        if (o.parity_state != ParityState::kInvalid &&
+            o.timestamp > twins[state.valid_twin].header.timestamp) {
+          return violation(g, "valid twin lost Current_Parity selection");
         }
       }
     }

@@ -15,7 +15,6 @@
 #include "parity/dirty_set.h"
 #include "storage/data_page_meta.h"
 #include "storage/disk_array.h"
-#include "storage/scratch_pool.h"
 
 namespace rda {
 
@@ -106,9 +105,7 @@ struct ParityStats {
 // recovery/startup paths, never concurrent with transaction traffic.
 class TwinParityManager {
  public:
-  // `array` must outlive the manager and have parity_copies() == 2 for the
-  // twin scheme (1 is allowed; then only kPlain propagation is legal and
-  // Classify never returns an unlogged kind — used by ablation benches).
+  // `array` must outlive the manager.
   explicit TwinParityManager(DiskArray* array);
 
   TwinParityManager(const TwinParityManager&) = delete;
@@ -126,10 +123,10 @@ class TwinParityManager {
   std::unique_lock<std::recursive_mutex> LockGroupOfPage(PageId page);
 
   // Decides how a steal of `page` by active transaction `txn` must be
-  // handled. Never performs I/O. With parity_copies()==1, txn==kInvalid, or
-  // a failed disk under the page or either twin (degraded mode: undo
-  // coverage cannot be guaranteed), returns kPlain (caller must log if the
-  // data is uncommitted).
+  // handled. Never performs I/O. With txn==kInvalid, or a failed disk
+  // under the page or either twin (degraded mode: undo coverage cannot be
+  // guaranteed), returns kPlain (caller must log if the data is
+  // uncommitted).
   PropagationKind Classify(PageId page, TxnId txn) const;
 
   // Full-stripe write (paper Section 3.1's "large accesses"): replaces
@@ -279,12 +276,6 @@ class TwinParityManager {
   // its group with the parity twin that is consistent with on-disk data
   // (the working twin of a dirty group, else the valid twin).
   Result<std::vector<uint8_t>> ReconstructDataPayload(PageId page);
-
-  // Allocation-free variant: reconstructs into `*out` (typically a
-  // ScratchPool image — its page-sized buffer is reused by the parity read
-  // and the XOR accumulation). The media-rebuild path loops this over every
-  // lost page, so per-group buffer churn matters there.
-  Status ReconstructDataPayloadInto(PageId page, PageImage* out);
 
   // Self-healing data read: like array()->ReadData, but a persistent
   // sector-level fault (kIoError surviving the retry policy, or a checksum
@@ -504,14 +495,9 @@ class TwinParityManager {
   // without a global lock.
   std::unique_ptr<std::recursive_mutex[]> group_latches_;
 
-  // Page-sized transient buffers for propagation, undo, reconstruction and
-  // rebuild — steady-state parity maintenance allocates nothing (see
-  // DESIGN.md section 9 for the ownership rules).
-  ScratchPool scratch_;
-
   // Volatile per-group twin-state shadow (ParityState numeric values),
   // maintained whether or not observability is attached.
-  std::vector<std::array<uint8_t, 2>> twin_shadow_;
+  std::vector<std::array<uint8_t, kParityTwins>> twin_shadow_;
 
   // Online-rebuild session state. The bitmap entries are atomic so the
   // background sweep can peek without latches (TSan-clean); every logical

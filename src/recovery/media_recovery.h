@@ -69,9 +69,8 @@ class MediaRecovery {
  public:
   // With a pool, an unthrottled sweep is striped: each worker owns a
   // contiguous band of parity groups (WorkerPool's block partition), and
-  // groups are rebuilt independently under their group latches through
-  // ScratchPool buffers. A null pool (the default) sweeps the groups
-  // serially in ascending order.
+  // groups are rebuilt independently under their group latches. A null
+  // pool (the default) sweeps the groups serially in ascending order.
   explicit MediaRecovery(TwinParityManager* parity,
                          exec::WorkerPool* pool = nullptr)
       : parity_(parity), pool_(pool) {}

@@ -11,7 +11,6 @@ SimOptions ValidationOptions(double c, bool rda_on, uint64_t seed, bool force,
   SimOptions options;
   options.db.array.layout_kind = LayoutKind::kDataStriping;
   options.db.array.data_pages_per_group = 8;
-  options.db.array.parity_copies = 2;
   options.db.array.min_data_pages = 512;
   options.db.array.page_size = 256;
   options.db.buffer.capacity = 64;

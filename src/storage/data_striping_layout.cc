@@ -5,28 +5,22 @@
 namespace rda {
 
 Result<std::unique_ptr<DataStripingLayout>> DataStripingLayout::Create(
-    uint32_t data_pages_per_group, uint32_t parity_copies,
-    uint32_t min_data_pages) {
+    uint32_t data_pages_per_group, uint32_t min_data_pages) {
   if (data_pages_per_group < 1) {
     return Status::InvalidArgument("data_pages_per_group must be >= 1");
-  }
-  if (parity_copies != 1 && parity_copies != 2) {
-    return Status::InvalidArgument("parity_copies must be 1 or 2");
   }
   if (min_data_pages < 1) {
     return Status::InvalidArgument("min_data_pages must be >= 1");
   }
   const uint32_t num_groups =
       (min_data_pages + data_pages_per_group - 1) / data_pages_per_group;
-  return std::unique_ptr<DataStripingLayout>(new DataStripingLayout(
-      data_pages_per_group, parity_copies, num_groups));
+  return std::unique_ptr<DataStripingLayout>(
+      new DataStripingLayout(data_pages_per_group, num_groups));
 }
 
-DataStripingLayout::DataStripingLayout(uint32_t n, uint32_t parity_copies,
-                                       uint32_t num_groups)
+DataStripingLayout::DataStripingLayout(uint32_t n, uint32_t num_groups)
     : n_(n),
-      parity_copies_(parity_copies),
-      num_disks_(n + parity_copies),
+      num_disks_(n + kParityTwins),
       num_groups_(num_groups) {}
 
 DiskId DataStripingLayout::ParityDisk(GroupId group, uint32_t twin) const {
@@ -44,7 +38,7 @@ PhysicalLocation DataStripingLayout::DataLocation(PageId page) const {
   uint32_t seen = 0;
   for (DiskId disk = 0; disk < num_disks_; ++disk) {
     bool is_parity = false;
-    for (uint32_t t = 0; t < parity_copies_; ++t) {
+    for (uint32_t t = 0; t < kParityTwins; ++t) {
       if (ParityDisk(group, t) == disk) {
         is_parity = true;
         break;

@@ -10,9 +10,9 @@ namespace rda {
 
 // RAID-5-style data striping with rotated parity (paper Figures 1 and 4).
 //
-// The array has D = n + p disks, where n = data pages per group and
-// p = parity copies (2 for the twin-page scheme). Parity group g is stripe g:
-// one page on every disk at slot g. The parity copies occupy disks
+// The array has D = n + 2 disks, where n = data pages per group and the 2
+// are the parity twins. Parity group g is stripe g: one page on every disk
+// at slot g. The twins occupy disks
 //   parity disk t of stripe g = (D - 1 - (g % D) + t*(D-1)) % D  (t = 0, 1)
 // i.e. the classic left-symmetric rotation, with the second twin placed on
 // the disk "before" the first so the twins rotate together but never collide.
@@ -22,14 +22,11 @@ namespace rda {
 class DataStripingLayout final : public Layout {
  public:
   // Creates a layout with capacity for at least `min_data_pages` data pages
-  // (rounded up to whole stripes). `parity_copies` must be 1 or 2 and
-  // `data_pages_per_group` >= 1.
+  // (rounded up to whole stripes). `data_pages_per_group` must be >= 1.
   static Result<std::unique_ptr<DataStripingLayout>> Create(
-      uint32_t data_pages_per_group, uint32_t parity_copies,
-      uint32_t min_data_pages);
+      uint32_t data_pages_per_group, uint32_t min_data_pages);
 
   uint32_t data_pages_per_group() const override { return n_; }
-  uint32_t parity_copies() const override { return parity_copies_; }
   uint32_t num_disks() const override { return num_disks_; }
   SlotId slots_per_disk() const override { return num_groups_; }
   uint32_t num_groups() const override { return num_groups_; }
@@ -44,12 +41,11 @@ class DataStripingLayout final : public Layout {
   }
 
  private:
-  DataStripingLayout(uint32_t n, uint32_t parity_copies, uint32_t num_groups);
+  DataStripingLayout(uint32_t n, uint32_t num_groups);
 
   DiskId ParityDisk(GroupId group, uint32_t twin) const;
 
   uint32_t n_;
-  uint32_t parity_copies_;
   uint32_t num_disks_;
   uint32_t num_groups_;
 };

@@ -119,22 +119,6 @@ Status Disk::Write(SlotId slot, const PageImage& image) {
   return Status::Ok();
 }
 
-Status Disk::Write(SlotId slot, PageImage&& image) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RDA_RETURN_IF_ERROR(CheckWrite(slot, image));
-  bool handled = false;
-  RDA_RETURN_IF_ERROR(ApplyWriteFaults(slot, image, &handled));
-  if (handled) {
-    return Status::Ok();
-  }
-  pages_[slot] = std::move(image);
-  checksums_[slot] = ChecksumOf(pages_[slot]);
-  if (injector_ != nullptr) {
-    injector_->ClearLatent(slot);
-  }
-  return Status::Ok();
-}
-
 Status Disk::CheckWrite(SlotId slot, const PageImage& image) {
   if (failed()) {
     return Status::IoError("disk " + std::to_string(id_) + " failed");

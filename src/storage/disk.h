@@ -62,10 +62,8 @@ class Disk {
   Status Read(SlotId slot, PageImage* out) const;
 
   // Writes `image` to `slot`. Counts one page transfer. The payload size
-  // must equal the disk's page size. The rvalue overload adopts the image's
-  // buffer instead of copying it — for callers whose image is expiring.
+  // must equal the disk's page size.
   Status Write(SlotId slot, const PageImage& image);
-  Status Write(SlotId slot, PageImage&& image);
 
   // Injects a media failure: all content is lost, I/O fails until Replace().
   void Fail();
@@ -138,7 +136,7 @@ class Disk {
  private:
   uint32_t ChecksumOf(const PageImage& image) const;
   void AccountAccess(SlotId slot) const;
-  // Shared validation + accounting of both Write overloads.
+  // Validation + accounting of a write.
   Status CheckWrite(SlotId slot, const PageImage& image);
   // Consults the injector about this read; applies bit flips to the stored
   // page. Returns non-Ok for transient / latent faults.

@@ -14,11 +14,14 @@ Result<std::unique_ptr<DiskArray>> DiskArray::Create(const Options& options) {
   if (options.page_size == 0) {
     return Status::InvalidArgument("page_size must be > 0");
   }
+  if (options.parity_copies != kParityTwins) {
+    return Status::InvalidArgument("parity_copies must be 2: the twin array "
+                                   "is the only array");
+  }
   std::unique_ptr<Layout> layout;
   switch (options.layout_kind) {
     case LayoutKind::kDataStriping: {
       auto result = DataStripingLayout::Create(options.data_pages_per_group,
-                                               options.parity_copies,
                                                options.min_data_pages);
       if (!result.ok()) {
         return result.status();
@@ -28,7 +31,6 @@ Result<std::unique_ptr<DiskArray>> DiskArray::Create(const Options& options) {
     }
     case LayoutKind::kParityStriping: {
       auto result = ParityStripingLayout::Create(options.data_pages_per_group,
-                                                 options.parity_copies,
                                                  options.min_data_pages);
       if (!result.ok()) {
         return result.status();
@@ -71,7 +73,7 @@ Status DiskArray::CheckGroup(GroupId group, uint32_t twin) const {
     return Status::InvalidArgument("group " + std::to_string(group) +
                                    " out of range");
   }
-  if (twin >= layout_->parity_copies()) {
+  if (twin >= kParityTwins) {
     return Status::InvalidArgument("parity twin " + std::to_string(twin) +
                                    " out of range");
   }
@@ -96,7 +98,7 @@ bool DiskArray::ShouldRetry(const Status& status, DiskId disk,
     return false;
   }
   io_retries_.Add();
-  disks_[disk].AddServiceDelay(RetryBackoffMs(policy_, attempt + 1));
+  disks_[disk].AddServiceDelay(RetryBackoffMs(attempt + 1));
   EmitDiskEvent(obs::EventKind::kIoRetry, disk);
   return true;
 }
@@ -152,19 +154,6 @@ Status DiskArray::WriteWithRetry(DiskId disk, SlotId slot,
   return status;
 }
 
-Status DiskArray::WriteWithRetry(DiskId disk, SlotId slot, PageImage&& image) {
-  // The image is only consumed on success, so retrying after a transient
-  // failure still has the intact buffer to hand over.
-  Status status = disks_[disk].Write(slot, std::move(image));
-  uint32_t attempt = 0;
-  while (ShouldRetry(status, disk, attempt, policy_.max_write_retries)) {
-    ++attempt;
-    status = disks_[disk].Write(slot, std::move(image));
-  }
-  NoteAttemptOutcome(status, disk, attempt, /*is_read=*/false);
-  return status;
-}
-
 Status DiskArray::ReadData(PageId page, PageImage* out) const {
   RDA_RETURN_IF_ERROR(CheckPage(page));
   const PhysicalLocation loc = layout_->DataLocation(page);
@@ -175,12 +164,6 @@ Status DiskArray::WriteData(PageId page, const PageImage& image) {
   RDA_RETURN_IF_ERROR(CheckPage(page));
   const PhysicalLocation loc = layout_->DataLocation(page);
   return WriteWithRetry(loc.disk, loc.slot, image);
-}
-
-Status DiskArray::WriteData(PageId page, PageImage&& image) {
-  RDA_RETURN_IF_ERROR(CheckPage(page));
-  const PhysicalLocation loc = layout_->DataLocation(page);
-  return WriteWithRetry(loc.disk, loc.slot, std::move(image));
 }
 
 Status DiskArray::ReadParity(GroupId group, uint32_t twin,
@@ -195,13 +178,6 @@ Status DiskArray::WriteParity(GroupId group, uint32_t twin,
   RDA_RETURN_IF_ERROR(CheckGroup(group, twin));
   const PhysicalLocation loc = layout_->ParityLocation(group, twin);
   return WriteWithRetry(loc.disk, loc.slot, image);
-}
-
-Status DiskArray::WriteParity(GroupId group, uint32_t twin,
-                              PageImage&& image) {
-  RDA_RETURN_IF_ERROR(CheckGroup(group, twin));
-  const PhysicalLocation loc = layout_->ParityLocation(group, twin);
-  return WriteWithRetry(loc.disk, loc.slot, std::move(image));
 }
 
 void DiskArray::SetIoPolicy(const IoPolicy& policy) { policy_ = policy; }

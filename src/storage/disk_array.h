@@ -33,9 +33,10 @@ class DiskArray {
     LayoutKind layout_kind = LayoutKind::kDataStriping;
     // The paper's N: data pages per parity group.
     uint32_t data_pages_per_group = 4;
-    // 2 = twin page scheme (the paper's contribution); 1 = classic RAID
-    // parity, kept for the ablation benchmarks.
-    uint32_t parity_copies = 2;
+    // Parity pages per group. Only kParityTwins is accepted: the twin array
+    // is the only array. The field stays because the rdabench workloads
+    // set it; it goes with their next change.
+    uint32_t parity_copies = kParityTwins;
     // Minimum number of logical data pages (the paper's S). Rounded up to
     // whole groups.
     uint32_t min_data_pages = 64;
@@ -54,16 +55,13 @@ class DiskArray {
   // Raw data-page I/O. Fails with kIoError if the owning disk has failed
   // (degraded-mode reconstruction is the recovery layer's job). Transient
   // I/O errors on a live disk are retried under the IoPolicy before the
-  // error is surfaced; kCorruption is never retried. The rvalue write
-  // overloads hand the image's buffer to the disk instead of copying.
+  // error is surfaced; kCorruption is never retried.
   Status ReadData(PageId page, PageImage* out) const;
   Status WriteData(PageId page, const PageImage& image);
-  Status WriteData(PageId page, PageImage&& image);
 
-  // Raw parity-page I/O. `twin` in [0, parity_copies).
+  // Raw parity-page I/O. `twin` in [0, kParityTwins).
   Status ReadParity(GroupId group, uint32_t twin, PageImage* out) const;
   Status WriteParity(GroupId group, uint32_t twin, const PageImage& image);
-  Status WriteParity(GroupId group, uint32_t twin, PageImage&& image);
 
   // Media-failure injection and repair plumbing. ReplaceDisk also resets
   // the disk's escalation state and error-budget count.
@@ -152,7 +150,6 @@ class DiskArray {
   // read path can account; the actual disk state never changes on retry.
   Status ReadWithRetry(DiskId disk, SlotId slot, PageImage* out) const;
   Status WriteWithRetry(DiskId disk, SlotId slot, const PageImage& image);
-  Status WriteWithRetry(DiskId disk, SlotId slot, PageImage&& image);
   // Bookkeeping shared by the retry loops. NoteAttemptOutcome accounts one
   // finished access: the policy stats, the reclassification of its retries
   // and, on success, the array's read or write counters.

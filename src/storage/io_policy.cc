@@ -8,8 +8,8 @@ bool RetryableIoError(const Status& status, bool disk_failed) {
   return status.IsIoError() && !disk_failed;
 }
 
-double RetryBackoffMs(const IoPolicy& policy, uint32_t attempt) {
-  return policy.retry_backoff_ms * static_cast<double>(attempt);
+double RetryBackoffMs(uint32_t attempt) {
+  return kRetryBackoffMs * static_cast<double>(attempt);
 }
 
 }  // namespace rda

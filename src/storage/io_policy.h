@@ -5,11 +5,16 @@
 
 namespace rda {
 
+// Service-time cost of the k-th retry is k * kRetryBackoffMs, charged to the
+// disk's busy clock (deterministic, so simulations reproduce).
+inline constexpr double kRetryBackoffMs = 0.5;
+
 // How the array reacts to I/O errors (DESIGN.md section 10's retry /
 // escalation state machine):
 //
 //   attempt -> kIoError (disk alive) -> retry up to max_*_retries with a
-//   deterministic linear backoff charged to the disk's service clock ->
+//   deterministic linear backoff (kRetryBackoffMs per attempt) charged to
+//   the disk's service clock ->
 //   still failing (or kCorruption, which is never retried: checksums do
 //   not heal by re-reading) -> persistent sector error, counted against
 //   the disk's error budget -> budget exhausted -> the disk is escalated
@@ -25,9 +30,6 @@ struct IoPolicy {
   // Extra attempts after the first failure. 0 disables retrying.
   uint32_t max_read_retries = 2;
   uint32_t max_write_retries = 2;
-  // Service-time cost of the k-th retry is k * retry_backoff_ms, charged
-  // to the disk's busy clock (deterministic, so simulations reproduce).
-  double retry_backoff_ms = 0.5;
   // Persistent sector errors (exhausted retries or checksum mismatches)
   // tolerated per disk before it is escalated to Fail(). 0 = never
   // escalate.
@@ -56,7 +58,7 @@ class Status;
 bool RetryableIoError(const Status& status, bool disk_failed);
 
 // Deterministic linear backoff of the `attempt`-th retry (1-based).
-double RetryBackoffMs(const IoPolicy& policy, uint32_t attempt);
+double RetryBackoffMs(uint32_t attempt);
 
 }  // namespace rda
 

@@ -7,6 +7,10 @@
 
 namespace rda {
 
+// Parity pages per group: the paper's twin pages. The twin array is the
+// only array this engine builds.
+inline constexpr uint32_t kParityTwins = 2;
+
 // Physical address of one page: which disk, which page-granular slot.
 struct PhysicalLocation {
   DiskId disk = kInvalidDiskId;
@@ -19,7 +23,7 @@ struct PhysicalLocation {
 // parity groups to physical locations. Invariants every layout guarantees
 // (verified by parameterized tests):
 //  * the mapping of data pages is a bijection onto distinct locations;
-//  * all pages of a group (n data + parity copies) live on distinct disks,
+//  * all pages of a group (n data + kParityTwins) live on distinct disks,
 //    so any single-disk failure loses at most one page per group;
 //  * parity locations rotate over the disks so no disk is a parity hotspot
 //    (paper Section 3, Figures 1 and 2).
@@ -29,8 +33,6 @@ class Layout {
 
   // Number of data pages per parity group (the paper's N).
   virtual uint32_t data_pages_per_group() const = 0;
-  // Number of parity copies per group: 1 (classic RAID) or 2 (twin pages).
-  virtual uint32_t parity_copies() const = 0;
   virtual uint32_t num_disks() const = 0;
   virtual SlotId slots_per_disk() const = 0;
   virtual uint32_t num_groups() const = 0;
@@ -39,8 +41,8 @@ class Layout {
   // Physical location of data page `page`. Precondition: page in range.
   virtual PhysicalLocation DataLocation(PageId page) const = 0;
 
-  // Physical location of parity copy `twin` (0-based) of group `group`.
-  // Preconditions: group in range, twin < parity_copies().
+  // Physical location of parity twin `twin` (0-based) of group `group`.
+  // Preconditions: group in range, twin < kParityTwins.
   virtual PhysicalLocation ParityLocation(GroupId group,
                                           uint32_t twin) const = 0;
 

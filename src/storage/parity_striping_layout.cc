@@ -3,35 +3,29 @@
 namespace rda {
 
 Result<std::unique_ptr<ParityStripingLayout>> ParityStripingLayout::Create(
-    uint32_t data_pages_per_group, uint32_t parity_copies,
-    uint32_t min_data_pages) {
+    uint32_t data_pages_per_group, uint32_t min_data_pages) {
   if (data_pages_per_group < 1) {
     return Status::InvalidArgument("data_pages_per_group must be >= 1");
-  }
-  if (parity_copies != 1 && parity_copies != 2) {
-    return Status::InvalidArgument("parity_copies must be 1 or 2");
   }
   if (min_data_pages < 1) {
     return Status::InvalidArgument("min_data_pages must be >= 1");
   }
-  const uint32_t num_disks = data_pages_per_group + parity_copies;
+  const uint32_t num_disks = data_pages_per_group + kParityTwins;
   // Capacity per unit of area_size is num_disks rows * n pages per group.
   const uint32_t per_area_slot = num_disks * data_pages_per_group;
   const SlotId area_size =
       (min_data_pages + per_area_slot - 1) / per_area_slot;
-  return std::unique_ptr<ParityStripingLayout>(new ParityStripingLayout(
-      data_pages_per_group, parity_copies, area_size));
+  return std::unique_ptr<ParityStripingLayout>(
+      new ParityStripingLayout(data_pages_per_group, area_size));
 }
 
-ParityStripingLayout::ParityStripingLayout(uint32_t n, uint32_t parity_copies,
-                                           SlotId area_size)
+ParityStripingLayout::ParityStripingLayout(uint32_t n, SlotId area_size)
     : n_(n),
-      parity_copies_(parity_copies),
-      num_disks_(n + parity_copies),
+      num_disks_(n + kParityTwins),
       area_size_(area_size) {}
 
 bool ParityStripingLayout::IsParityArea(DiskId disk, uint32_t row) const {
-  for (uint32_t t = 0; t < parity_copies_; ++t) {
+  for (uint32_t t = 0; t < kParityTwins; ++t) {
     if (ParityDisk(row, t) == disk) {
       return true;
     }
@@ -93,7 +87,7 @@ uint32_t ParityStripingLayout::RowOfDataOrdinal(DiskId disk,
     }
     ++seen;
   }
-  return num_disks_;  // Unreachable for ordinal < D - p.
+  return num_disks_;  // Unreachable for ordinal < D - 2.
 }
 
 PhysicalLocation ParityStripingLayout::DataLocation(PageId page) const {

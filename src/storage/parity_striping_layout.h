@@ -13,10 +13,10 @@ namespace rda {
 // sequentially within one disk, preserving per-disk sequentiality for OLTP —
 // while parity areas rotate across disks.
 //
-// Construction used here: D = n + p disks, each divided into D equal areas
+// Construction used here: D = n + 2 disks, each divided into D equal areas
 // of `area_size` slots. Consider area-row r = the D areas at area index r,
-// one per disk. In row r, the areas on disks r, (r+1) % D, ... (p of them)
-// hold parity; the other n areas hold data. A parity group is the set of
+// one per disk. In row r, the areas on disks r and (r+1) % D hold the
+// parity twins; the other n areas hold data. A parity group is the set of
 // blocks at the same offset k within the data areas of one row, plus the
 // blocks at offset k of the row's parity areas:
 //   GroupId = r * area_size + k.
@@ -26,13 +26,11 @@ namespace rda {
 class ParityStripingLayout final : public Layout {
  public:
   // Creates a layout with capacity for at least `min_data_pages` data pages.
-  // `parity_copies` must be 1 or 2; `data_pages_per_group` >= 1.
+  // `data_pages_per_group` must be >= 1.
   static Result<std::unique_ptr<ParityStripingLayout>> Create(
-      uint32_t data_pages_per_group, uint32_t parity_copies,
-      uint32_t min_data_pages);
+      uint32_t data_pages_per_group, uint32_t min_data_pages);
 
   uint32_t data_pages_per_group() const override { return n_; }
-  uint32_t parity_copies() const override { return parity_copies_; }
   uint32_t num_disks() const override { return num_disks_; }
   SlotId slots_per_disk() const override { return num_disks_ * area_size_; }
   uint32_t num_groups() const override { return num_disks_ * area_size_; }
@@ -45,7 +43,7 @@ class ParityStripingLayout final : public Layout {
   PageId PageAt(GroupId group, uint32_t index) const override;
 
  private:
-  ParityStripingLayout(uint32_t n, uint32_t parity_copies, SlotId area_size);
+  ParityStripingLayout(uint32_t n, SlotId area_size);
 
   // True iff on disk `disk`, the area at index `row` holds parity.
   bool IsParityArea(DiskId disk, uint32_t row) const;
@@ -61,7 +59,6 @@ class ParityStripingLayout final : public Layout {
   uint32_t RowOfDataOrdinal(DiskId disk, uint32_t ordinal) const;
 
   uint32_t n_;
-  uint32_t parity_copies_;
   uint32_t num_disks_;
   SlotId area_size_;
 };

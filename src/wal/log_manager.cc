@@ -16,7 +16,7 @@ constexpr size_t kFrameHeaderSize = 8;
 }  // namespace
 
 LogManager::LogManager(size_t page_size, const Options& options)
-    : page_size_(page_size), options_(options), stable_(options.copies) {}
+    : page_size_(page_size), options_(options) {}
 
 Result<Lsn> LogManager::Append(LogRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -59,9 +59,9 @@ Status LogManager::FlushLocked() {
   const uint64_t new_total = flushed + chunk.size();
   const uint64_t last_page = (new_total - 1) / page_size_;
   const uint64_t pages = last_page - first_page + 1;
-  counters_.page_writes += pages * options_.copies;
+  counters_.page_writes += pages * kCopies;
   obs::Inc(forces_counter_);
-  obs::Inc(pages_flushed_counter_, pages * options_.copies);
+  obs::Inc(pages_flushed_counter_, pages * kCopies);
 
   for (auto& copy : stable_) {
     copy.insert(copy.end(), chunk.begin(), chunk.end());
@@ -168,7 +168,7 @@ Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
         static_cast<uint32_t>(next - pos - kFrameHeaderSize);
     LogRecord record;
     bool decoded = false;
-    for (uint32_t copy = 0; copy < options_.copies && !decoded; ++copy) {
+    for (uint32_t copy = 0; copy < kCopies && !decoded; ++copy) {
       const std::vector<uint8_t>& data = stable_[copy];
       uint32_t stored_length = 0;
       std::memcpy(&stored_length, data.data() + offset,

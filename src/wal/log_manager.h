@@ -1,6 +1,7 @@
 #ifndef RDA_WAL_LOG_MANAGER_H_
 #define RDA_WAL_LOG_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -45,9 +46,10 @@ namespace rda {
 // checkpoint) cheap and deterministic.
 class LogManager {
  public:
+  // Stable copies of the log: the paper's duplexed log.
+  static constexpr uint32_t kCopies = 2;
+
   struct Options {
-    // Number of stable copies. The paper duplexes the log; 2 is default.
-    uint32_t copies = 2;
     // Simulated device latency of one stable flush, slept with the log
     // mutex released so concurrent appenders proceed. 0 = instantaneous
     // (the single-threaded / deterministic-test default).
@@ -163,7 +165,7 @@ class LogManager {
   // batch's flush_delay_us fully paid. Lags flushed_bytes_ while a leader
   // sleeps. Guarded by mu_.
   uint64_t commit_durable_bytes_ = 0;
-  std::vector<std::vector<uint8_t>> stable_;  // One byte stream per copy.
+  std::array<std::vector<uint8_t>, kCopies> stable_;  // One stream per copy.
   std::vector<uint8_t> buffer_;               // Volatile tail.
   // Atomic so next_lsn()/flushed_lsn() stay lock-free (they are read on
   // every page write to stamp page_lsn).

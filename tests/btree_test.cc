@@ -11,7 +11,6 @@ namespace {
 DatabaseOptions DbOptions(uint32_t pages = 96) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = pages;
   options.array.page_size = 256;
   options.buffer.capacity = 20;

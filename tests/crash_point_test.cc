@@ -96,7 +96,6 @@ class CrashPointTest : public ::testing::TestWithParam<CrashPointCase> {
   std::unique_ptr<Database> OpenDb() {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = 32;
     options.array.page_size = 128;
     options.buffer.capacity = 16;
@@ -289,7 +288,6 @@ class RepairCrashTest : public ::testing::Test {
   void Open() {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = 32;
     options.array.page_size = 128;
     options.buffer.capacity = 16;

@@ -29,7 +29,6 @@ class DatabaseMatrixTest : public ::testing::TestWithParam<ConfigCase> {
   void SetUp() override {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = 64;
     options.array.page_size = 128;
     options.buffer.capacity = 12;
@@ -170,28 +169,18 @@ INSTANTIATE_TEST_SUITE_P(
                       ConfigCase{LoggingMode::kRecordLogging, false, false}),
     CaseName);
 
+// The twin array is the only array: any other parity page count is
+// rejected, with RDA recovery on or off.
 TEST(DatabaseOpenTest, RejectsInconsistentOptions) {
-  DatabaseOptions options;
-  options.txn.rda_undo = true;
-  options.array.parity_copies = 1;
-  EXPECT_TRUE(Database::Open(options).status().IsInvalidArgument());
-}
-
-TEST(DatabaseOpenTest, SinglParityBaselineWorks) {
-  DatabaseOptions options;
-  options.array.parity_copies = 1;
-  options.txn.rda_undo = false;
-  options.array.min_data_pages = 32;
-  options.array.page_size = 128;
-  auto db = Database::Open(options);
-  ASSERT_TRUE(db.ok());
-  auto txn = (*db)->Begin();
-  std::vector<uint8_t> bytes((*db)->user_page_size(), 0x21);
-  ASSERT_TRUE((*db)->WritePage(*txn, 0, bytes).ok());
-  ASSERT_TRUE((*db)->Commit(*txn).ok());
-  auto ok = (*db)->VerifyAllParity();
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(*ok);
+  for (const bool rda_undo : {true, false}) {
+    for (const uint32_t copies : {0u, 1u, 3u}) {
+      DatabaseOptions options;
+      options.txn.rda_undo = rda_undo;
+      options.array.parity_copies = copies;
+      EXPECT_TRUE(Database::Open(options).status().IsInvalidArgument())
+          << "parity_copies " << copies;
+    }
+  }
 }
 
 TEST(DatabaseStatsTest, TransferAccountingMoves) {

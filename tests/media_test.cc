@@ -9,7 +9,6 @@ namespace {
 DatabaseOptions BaseOptions() {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 48;
   options.array.page_size = 128;
   options.buffer.capacity = 12;

@@ -38,7 +38,6 @@ constexpr uint32_t kTxnsPerThread = 30;
 DatabaseOptions MakeOptions(bool force, bool rda) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = kPages;
   options.array.page_size = 128;
   options.buffer.capacity = 24;  // Smaller than kPages: evictions happen.

@@ -425,7 +425,6 @@ TEST(ExportTest, TraceJsonNamesStatesAndCountsDrops) {
 DatabaseOptions SmallDb() {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 32;
   options.array.page_size = 256;
   options.buffer.capacity = 16;

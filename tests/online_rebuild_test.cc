@@ -24,7 +24,6 @@ namespace {
 DatabaseOptions BaseOptions() {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 48;
   options.array.page_size = 128;
   options.buffer.capacity = 12;
@@ -590,17 +589,27 @@ TEST_F(OnlineRebuildTest, SecondSweepOfASessionEndsItWithoutFailingTheFirst) {
 // Two RebuildDisk calls that both find no session race into Begin (say,
 // RepairEscalations and a caller's rebuild thread on one escalated disk).
 // Begin is serialized: exactly one call begins the session, the other
-// resumes it, and both return Ok. The throttle keeps the session open long
-// enough for the second call to arrive while it is active. Run under TSan
-// in CI.
+// resumes it, and both return Ok. Run under TSan in CI.
 TEST_F(OnlineRebuildTest, ConcurrentRebuildsOfOneDiskBeginOneSession) {
   Open();
   Populate();
   const DiskId victim = 1;
   ASSERT_TRUE(db_->FailDisk(victim).ok());
-  exec::TokenBucket throttle(/*tokens_per_sec=*/300);
+  // The paused sweep keeps the first call's session open until the second
+  // call has arrived: a call opens its media-rebuild phase only after its
+  // precondition checks, so two phase-begin events mean both got past them.
+  std::atomic<bool> pause{true};
   OnlineRebuildOptions options;
-  options.throttle = &throttle;
+  options.pause = &pause;
+  const auto phases_begun = [&] {
+    int begun = 0;
+    for (const obs::TraceEvent& event : db_->obs()->trace()->Events()) {
+      begun += event.kind == obs::EventKind::kPhaseBegin &&
+               event.detail ==
+                   static_cast<int64_t>(obs::RecoveryPhase::kMediaRebuild);
+    }
+    return begun;
+  };
   std::atomic<bool> go{false};
   Result<MediaRecoveryReport> reports[2] = {Status::Aborted("not run"),
                                             Status::Aborted("not run")};
@@ -614,9 +623,12 @@ TEST_F(OnlineRebuildTest, ConcurrentRebuildsOfOneDiskBeginOneSession) {
     });
   }
   go.store(true, std::memory_order_release);
+  const bool both_arrived = WaitFor([&] { return phases_begun() == 2; });
+  pause.store(false, std::memory_order_release);
   for (std::thread& caller : callers) {
     caller.join();
   }
+  EXPECT_TRUE(both_arrived);
   int begun = 0;
   for (const auto& report : reports) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();

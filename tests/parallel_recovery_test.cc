@@ -30,7 +30,6 @@ std::string CaseName(const ::testing::TestParamInfo<ConfigCase>& info) {
 DatabaseOptions BaseOptions(uint32_t threads) {
   DatabaseOptions options;
   options.array.data_pages_per_group = 4;
-  options.array.parity_copies = 2;
   options.array.min_data_pages = 64;
   options.array.page_size = 128;
   options.buffer.capacity = 16;

@@ -21,7 +21,6 @@ class TwinParityTest : public ::testing::Test {
   void SetUp() override {
     DiskArray::Options options;
     options.data_pages_per_group = 4;
-    options.parity_copies = 2;
     options.min_data_pages = 32;
     options.page_size = kPageSize;
     auto array = DiskArray::Create(options);
@@ -528,7 +527,6 @@ class TwinParityRandomTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TwinParityRandomTest, InvariantsHoldUnderRandomOperations) {
   DiskArray::Options options;
   options.data_pages_per_group = 4;
-  options.parity_copies = 2;
   options.min_data_pages = 24;
   options.page_size = 96;
   auto array_or = DiskArray::Create(options);

@@ -38,7 +38,6 @@ class RecoveryPropertyTest : public ::testing::TestWithParam<PropertyCase> {
   void SetUp() override {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = kPages;
     options.array.page_size = 128;
     options.buffer.capacity = 10;

@@ -93,7 +93,6 @@ TEST(WorkloadTest, PagesWithinRange) {
 SimOptions SmallSim(bool rda, double c = 0.5) {
   SimOptions options;
   options.db.array.data_pages_per_group = 4;
-  options.db.array.parity_copies = 2;
   options.db.array.min_data_pages = 128;
   options.db.array.page_size = 128;
   options.db.buffer.capacity = 24;

@@ -32,7 +32,6 @@ class SoakTest : public ::testing::TestWithParam<SoakCase> {
   void SetUp() override {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = kPages;
     options.array.page_size = 128;
     options.buffer.capacity = 14;
@@ -171,7 +170,6 @@ class FaultSoakTest : public ::testing::Test {
   void RunWorkload(bool with_faults, FaultSoakOutcome* out) {
     DatabaseOptions options;
     options.array.data_pages_per_group = 4;
-    options.array.parity_copies = 2;
     options.array.min_data_pages = kPages;
     options.array.page_size = 128;
     options.buffer.capacity = 14;

@@ -7,14 +7,12 @@
 #include <utility>
 
 #include "common/random.h"
-#include "common/xor_util.h"
 #include "storage/data_page_meta.h"
 #include "storage/data_striping_layout.h"
 #include "storage/disk_array.h"
 #include "storage/fault_injector.h"
 #include "storage/io_policy.h"
 #include "storage/parity_striping_layout.h"
-#include "storage/scratch_pool.h"
 
 namespace rda {
 namespace {
@@ -88,63 +86,6 @@ TEST(DiskTest, SilentCorruptionDetected) {
   EXPECT_EQ(read.payload[10], 0x77);
 }
 
-TEST(DiskTest, MoveWriteStoresSameContent) {
-  Disk disk(0, 8, 64);
-  PageImage image(64);
-  image.payload[7] = 0x5a;
-  image.header.timestamp = 9;
-  PageImage expected = image;
-  ASSERT_TRUE(disk.Write(4, std::move(image)).ok());
-  PageImage read;
-  ASSERT_TRUE(disk.Read(4, &read).ok());
-  EXPECT_EQ(read, expected);
-  EXPECT_EQ(disk.counters().page_writes, 1u);
-  // Move writes hit the same validation as copy writes.
-  PageImage wrong(32);
-  EXPECT_TRUE(disk.Write(0, std::move(wrong)).IsInvalidArgument());
-}
-
-TEST(ScratchPoolTest, RecyclesBuffersAndZeroes) {
-  ScratchPool pool(64);
-  EXPECT_EQ(pool.free_count(), 0u);
-  {
-    auto a = pool.Acquire();
-    EXPECT_EQ(a->payload.size(), 64u);
-    a->payload[3] = 0xcc;
-    a->header.timestamp = 77;
-  }  // Released back to the pool.
-  EXPECT_EQ(pool.free_count(), 1u);
-  auto b = pool.Acquire();
-  EXPECT_EQ(pool.free_count(), 0u);
-  // The recycled buffer comes back zeroed with a default header.
-  EXPECT_TRUE(AllZero(b->payload.data(), b->payload.size()));
-  EXPECT_EQ(b->header.timestamp, 0u);
-}
-
-TEST(ScratchPoolTest, TakePayloadDoesNotRecycle) {
-  ScratchPool pool(64);
-  {
-    auto a = pool.Acquire();
-    a->payload[0] = 0x1;
-    std::vector<uint8_t> stolen = a.TakePayload();
-    EXPECT_EQ(stolen.size(), 64u);
-    EXPECT_EQ(stolen[0], 0x1);
-  }
-  // The stolen buffer must not return to the free list undersized.
-  EXPECT_EQ(pool.free_count(), 0u);
-}
-
-TEST(ScratchPoolTest, ConcurrentAcquisitions) {
-  ScratchPool pool(32);
-  auto a = pool.Acquire();
-  auto b = pool.Acquire();
-  a->payload[0] = 0xaa;
-  b->payload[0] = 0xbb;
-  EXPECT_NE(a->payload.data(), b->payload.data());
-  EXPECT_EQ(a->payload[0], 0xaa);
-  EXPECT_EQ(b->payload[0], 0xbb);
-}
-
 TEST(DataPageMetaTest, RoundTrip) {
   std::vector<uint8_t> payload(64, 0xee);
   DataPageMeta meta;
@@ -158,13 +99,14 @@ TEST(DataPageMetaTest, RoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Layout properties, swept over group sizes, parity copies and both kinds.
+// Layout properties, swept over group sizes and both kinds.
 // ---------------------------------------------------------------------------
 
 struct LayoutCase {
   LayoutKind kind;
   uint32_t n;
-  uint32_t copies;
+  // Parity pages each group must have: the twins.
+  uint32_t parity_pages;
   uint32_t min_pages;
 };
 
@@ -173,11 +115,11 @@ class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {
   std::unique_ptr<Layout> MakeLayout() {
     const LayoutCase& c = GetParam();
     if (c.kind == LayoutKind::kDataStriping) {
-      auto result = DataStripingLayout::Create(c.n, c.copies, c.min_pages);
+      auto result = DataStripingLayout::Create(c.n, c.min_pages);
       EXPECT_TRUE(result.ok());
       return std::move(result).value();
     }
-    auto result = ParityStripingLayout::Create(c.n, c.copies, c.min_pages);
+    auto result = ParityStripingLayout::Create(c.n, c.min_pages);
     EXPECT_TRUE(result.ok());
     return std::move(result).value();
   }
@@ -186,7 +128,7 @@ class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {
 TEST_P(LayoutPropertyTest, CapacityCoversRequest) {
   auto layout = MakeLayout();
   EXPECT_GE(layout->num_data_pages(), GetParam().min_pages);
-  EXPECT_EQ(layout->num_disks(), GetParam().n + GetParam().copies);
+  EXPECT_EQ(layout->num_disks(), GetParam().n + GetParam().parity_pages);
 }
 
 TEST_P(LayoutPropertyTest, DataMappingIsInjective) {
@@ -208,11 +150,11 @@ TEST_P(LayoutPropertyTest, GroupMembersOnDistinctDisks) {
     for (uint32_t i = 0; i < layout->data_pages_per_group(); ++i) {
       disks.insert(layout->DataLocation(layout->PageAt(group, i)).disk);
     }
-    for (uint32_t t = 0; t < layout->parity_copies(); ++t) {
+    for (uint32_t t = 0; t < GetParam().parity_pages; ++t) {
       disks.insert(layout->ParityLocation(group, t).disk);
     }
     EXPECT_EQ(disks.size(),
-              layout->data_pages_per_group() + layout->parity_copies())
+              layout->data_pages_per_group() + GetParam().parity_pages)
         << "group " << group << " reuses a disk";
   }
 }
@@ -237,7 +179,7 @@ TEST_P(LayoutPropertyTest, ParityAndDataSlotsDisjoint) {
   }
   std::set<std::pair<DiskId, SlotId>> parity_slots;
   for (GroupId group = 0; group < layout->num_groups(); ++group) {
-    for (uint32_t t = 0; t < layout->parity_copies(); ++t) {
+    for (uint32_t t = 0; t < GetParam().parity_pages; ++t) {
       const PhysicalLocation loc = layout->ParityLocation(group, t);
       EXPECT_TRUE(parity_slots.insert({loc.disk, loc.slot}).second)
           << "parity collision in group " << group;
@@ -269,12 +211,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllLayouts, LayoutPropertyTest,
     ::testing::Values(
         LayoutCase{LayoutKind::kDataStriping, 4, 2, 64},
-        LayoutCase{LayoutKind::kDataStriping, 4, 1, 64},
         LayoutCase{LayoutKind::kDataStriping, 10, 2, 500},
         LayoutCase{LayoutKind::kDataStriping, 1, 2, 16},
         LayoutCase{LayoutKind::kDataStriping, 7, 2, 100},
         LayoutCase{LayoutKind::kParityStriping, 4, 2, 64},
-        LayoutCase{LayoutKind::kParityStriping, 4, 1, 64},
         LayoutCase{LayoutKind::kParityStriping, 10, 2, 500},
         LayoutCase{LayoutKind::kParityStriping, 1, 2, 16},
         LayoutCase{LayoutKind::kParityStriping, 7, 2, 100}));
@@ -282,8 +222,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Parity striping keeps consecutive pages on one disk (its design goal);
 // data striping spreads them (Section 3).
 TEST(LayoutContrastTest, SequentialityDiffers) {
-  auto ps = ParityStripingLayout::Create(4, 2, 96);
-  auto ds = DataStripingLayout::Create(4, 2, 96);
+  auto ps = ParityStripingLayout::Create(4, 96);
+  auto ds = DataStripingLayout::Create(4, 96);
   ASSERT_TRUE(ps.ok());
   ASSERT_TRUE(ds.ok());
   int ps_same_disk = 0;
@@ -299,17 +239,15 @@ TEST(LayoutContrastTest, SequentialityDiffers) {
 }
 
 TEST(LayoutTest, InvalidArgumentsRejected) {
-  EXPECT_FALSE(DataStripingLayout::Create(0, 2, 10).ok());
-  EXPECT_FALSE(DataStripingLayout::Create(4, 3, 10).ok());
-  EXPECT_FALSE(DataStripingLayout::Create(4, 2, 0).ok());
-  EXPECT_FALSE(ParityStripingLayout::Create(0, 2, 10).ok());
-  EXPECT_FALSE(ParityStripingLayout::Create(4, 0, 10).ok());
+  EXPECT_FALSE(DataStripingLayout::Create(0, 10).ok());
+  EXPECT_FALSE(DataStripingLayout::Create(4, 0).ok());
+  EXPECT_FALSE(ParityStripingLayout::Create(0, 10).ok());
+  EXPECT_FALSE(ParityStripingLayout::Create(4, 0).ok());
 }
 
 TEST(DiskArrayTest, EndToEndReadWrite) {
   DiskArray::Options options;
   options.data_pages_per_group = 4;
-  options.parity_copies = 2;
   options.min_data_pages = 32;
   options.page_size = 128;
   auto array = DiskArray::Create(options);
@@ -520,15 +458,14 @@ TEST(FaultInjectorTest, SeededRandomFaultsAreReproducibleAndCapped) {
 }
 
 TEST(IoPolicyTest, RetryClassification) {
-  IoPolicy policy;
   EXPECT_TRUE(RetryableIoError(Status::IoError("x"), /*disk_failed=*/false));
   // A failed disk is degraded mode, not a transient.
   EXPECT_FALSE(RetryableIoError(Status::IoError("x"), /*disk_failed=*/true));
   // Checksums do not heal by re-reading.
   EXPECT_FALSE(RetryableIoError(Status::Corruption("x"), false));
   EXPECT_FALSE(RetryableIoError(Status::Ok(), false));
-  EXPECT_DOUBLE_EQ(RetryBackoffMs(policy, 1), policy.retry_backoff_ms);
-  EXPECT_DOUBLE_EQ(RetryBackoffMs(policy, 3), 3 * policy.retry_backoff_ms);
+  EXPECT_DOUBLE_EQ(RetryBackoffMs(1), kRetryBackoffMs);
+  EXPECT_DOUBLE_EQ(RetryBackoffMs(3), 3 * kRetryBackoffMs);
 }
 
 TEST(DiskArrayFaultTest, RetryAbsorbsTransientsAndCounts) {
@@ -644,7 +581,7 @@ TEST(DataPageMetaTest, StoreDoesNotTouchReservedPadding) {
 }
 
 TEST(DataStripingTest, StripeGeometryExact) {
-  auto layout = DataStripingLayout::Create(4, 2, 40);
+  auto layout = DataStripingLayout::Create(4, 40);
   ASSERT_TRUE(layout.ok());
   // 40 pages / 4 per group = 10 stripes; 6 disks.
   EXPECT_EQ((*layout)->num_groups(), 10u);
@@ -661,7 +598,7 @@ TEST(DataStripingTest, StripeGeometryExact) {
 }
 
 TEST(DataStripingTest, TwinParityRotatesTogether) {
-  auto layout = DataStripingLayout::Create(4, 2, 60);
+  auto layout = DataStripingLayout::Create(4, 60);
   ASSERT_TRUE(layout.ok());
   // Across any window of num_disks consecutive stripes, each disk hosts
   // primary parity exactly once (left-symmetric rotation).
@@ -674,7 +611,7 @@ TEST(DataStripingTest, TwinParityRotatesTogether) {
 }
 
 TEST(ParityStripingTest, AreaGeometryExact) {
-  auto layout = ParityStripingLayout::Create(4, 2, 96);
+  auto layout = ParityStripingLayout::Create(4, 96);
   ASSERT_TRUE(layout.ok());
   const uint32_t d = (*layout)->num_disks();  // 6.
   EXPECT_EQ(d, 6u);
@@ -747,7 +684,6 @@ TEST(ServiceTimeTest, ParityStripingWinsForConcurrentSequentialStreams) {
     DiskArray::Options options;
     options.layout_kind = kind;
     options.data_pages_per_group = 4;
-    options.parity_copies = 2;
     options.min_data_pages = 240;
     options.page_size = 64;
     auto array = DiskArray::Create(options);

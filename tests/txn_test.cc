@@ -72,7 +72,6 @@ class TxnManagerTest : public ::testing::Test {
   void Build(const TxnConfig& config, uint32_t buffer_capacity = 16) {
     DiskArray::Options array_options;
     array_options.data_pages_per_group = 4;
-    array_options.parity_copies = 2;
     array_options.min_data_pages = 48;
     array_options.page_size = 128;
     auto array = DiskArray::Create(array_options);

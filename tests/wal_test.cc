@@ -129,9 +129,7 @@ TEST(LogManagerTest, CrashDropsUnflushedTail) {
 }
 
 TEST(LogManagerTest, DuplexSurvivesSingleCopyCorruption) {
-  LogManager::Options options;
-  options.copies = 2;
-  LogManager log(kLogPageSize, options);
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   log.CorruptStableByteForTest(0, 12);  // Damage copy 0's payload.
@@ -142,9 +140,7 @@ TEST(LogManagerTest, DuplexSurvivesSingleCopyCorruption) {
 }
 
 TEST(LogManagerTest, CorruptionOnAllCopiesSurfaces) {
-  LogManager::Options options;
-  options.copies = 2;
-  LogManager log(kLogPageSize, options);
+  LogManager log(kLogPageSize, {});
   ASSERT_TRUE(log.Append(SampleRecord()).ok());
   ASSERT_TRUE(log.Flush().ok());
   log.CorruptStableByteForTest(0, 12);
@@ -154,9 +150,7 @@ TEST(LogManagerTest, CorruptionOnAllCopiesSurfaces) {
 }
 
 TEST(LogManagerTest, FlushCountsPagesTimesCopies) {
-  LogManager::Options options;
-  options.copies = 2;
-  LogManager log(64, options);
+  LogManager log(64, {});
   LogRecord small;
   small.type = LogRecordType::kBot;
   small.txn = 1;
@@ -198,34 +192,6 @@ TEST(LogManagerTest, ManyRecordsRoundTrip) {
     EXPECT_EQ(records[i].txn, i);
     EXPECT_EQ(records[i].after.size(), i % 40);
   }
-}
-
-
-TEST(LogManagerTest, SingleCopyConfigWorks) {
-  LogManager::Options options;
-  options.copies = 1;
-  LogManager log(kLogPageSize, options);
-  ASSERT_TRUE(log.Append(SampleRecord()).ok());
-  ASSERT_TRUE(log.Flush().ok());
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(log.Scan(0, &records).ok());
-  EXPECT_EQ(records.size(), 1u);
-  // With one copy, corruption is fatal.
-  log.CorruptStableByteForTest(0, 12);
-  EXPECT_TRUE(log.Scan(0, &records).IsCorruption());
-}
-
-TEST(LogManagerTest, TripleCopySurvivesTwoCorruptions) {
-  LogManager::Options options;
-  options.copies = 3;
-  LogManager log(kLogPageSize, options);
-  ASSERT_TRUE(log.Append(SampleRecord()).ok());
-  ASSERT_TRUE(log.Flush().ok());
-  log.CorruptStableByteForTest(0, 12);
-  log.CorruptStableByteForTest(1, 12);
-  std::vector<LogRecord> records;
-  ASSERT_TRUE(log.Scan(0, &records).ok());
-  EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(LogRecordTest, CheckpointWithManyActiveTxns) {
