@@ -8,8 +8,6 @@
 #include "common/random.h"
 #include "common/xor_util.h"
 #include "core/database.h"
-#include "kv/btree.h"
-#include "kv/kv_store.h"
 
 namespace {
 
@@ -134,38 +132,10 @@ rda::DatabaseOptions SmallDb() {
   return options;
 }
 
-void BM_TxnCommitForce(benchmark::State& state) {
-  auto db = rda::Database::Open(SmallDb());
-  rda::Random rng(1);
-  std::vector<uint8_t> bytes((*db)->user_page_size());
-  for (auto _ : state) {
-    rng.FillBytes(&bytes);
-    auto txn = (*db)->Begin();
-    for (int i = 0; i < 4; ++i) {
-      const rda::PageId page =
-          static_cast<rda::PageId>(rng.Uniform((*db)->num_pages()));
-      if (!(*db)->WritePage(*txn, page, bytes).ok()) {
-        state.SkipWithError("write failed");
-        return;
-      }
-    }
-    if (!(*db)->Commit(*txn).ok()) {
-      state.SkipWithError("commit failed");
-      return;
-    }
-  }
-  state.counters["page_transfers/txn"] = benchmark::Counter(
-      static_cast<double>((*db)->TotalPageTransfers()) / state.iterations());
-}
-BENCHMARK(BM_TxnCommitForce);
-
-// Same workload with metrics and tracing off: the hub is null and every
-// instrumentation site collapses to a pointer test. Comparing the two
-// checks the observability layer's cost on the commit path.
-void BM_TxnCommitForceObsDisabled(benchmark::State& state) {
-  rda::DatabaseOptions options = SmallDb();
-  options.obs.enable_metrics = false;
-  options.obs.enable_trace = false;
+// The loop both commit benches time: four random page writes per FORCE
+// commit.
+void RunCommitForce(benchmark::State& state,
+                    const rda::DatabaseOptions& options) {
   auto db = rda::Database::Open(options);
   rda::Random rng(1);
   std::vector<uint8_t> bytes((*db)->user_page_size());
@@ -187,6 +157,21 @@ void BM_TxnCommitForceObsDisabled(benchmark::State& state) {
   }
   state.counters["page_transfers/txn"] = benchmark::Counter(
       static_cast<double>((*db)->TotalPageTransfers()) / state.iterations());
+}
+
+void BM_TxnCommitForce(benchmark::State& state) {
+  RunCommitForce(state, SmallDb());
+}
+BENCHMARK(BM_TxnCommitForce);
+
+// Same workload with metrics and tracing off: the hub is null and every
+// instrumentation site collapses to a pointer test. Comparing the two
+// checks the observability layer's cost on the commit path.
+void BM_TxnCommitForceObsDisabled(benchmark::State& state) {
+  rda::DatabaseOptions options = SmallDb();
+  options.obs.enable_metrics = false;
+  options.obs.enable_trace = false;
+  RunCommitForce(state, options);
 }
 BENCHMARK(BM_TxnCommitForceObsDisabled);
 
@@ -206,61 +191,5 @@ void BM_LogAppendFlush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogAppendFlush)->Arg(64)->Arg(512);
-
-rda::DatabaseOptions RecordDb() {
-  rda::DatabaseOptions options;
-  options.array.data_pages_per_group = 8;
-  options.array.min_data_pages = 256;
-  options.array.page_size = 512;
-  options.buffer.capacity = 64;
-  options.txn.logging_mode = rda::LoggingMode::kRecordLogging;
-  options.txn.record_size = 48;
-  options.txn.force = false;
-  options.checkpoint_interval_updates = 256;
-  return options;
-}
-
-void BM_KvPutGet(benchmark::State& state) {
-  auto db = rda::Database::Open(RecordDb());
-  rda::KvStore::Options kv_options;
-  kv_options.num_pages = (*db)->num_pages();
-  auto kv = rda::KvStore::Attach(db->get(), kv_options);
-  rda::Random rng(3);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    const std::string key = "key" + std::to_string(i++ % 200);
-    auto txn = (*db)->Begin();
-    if (!(*kv)->Put(*txn, key, "value-of-some-plausible-size").ok() ||
-        !(*kv)->Get(*txn, key).ok() || !(*db)->Commit(*txn).ok()) {
-      state.SkipWithError("kv op failed");
-      return;
-    }
-  }
-}
-BENCHMARK(BM_KvPutGet);
-
-void BM_BTreeInsert(benchmark::State& state) {
-  rda::DatabaseOptions options = RecordDb();
-  options.txn.logging_mode = rda::LoggingMode::kPageLogging;
-  options.array.min_data_pages = 1024;
-  auto db = rda::Database::Open(options);
-  rda::BTree::Options tree_options;
-  tree_options.num_pages = (*db)->num_pages();
-  auto tree = rda::BTree::Attach(db->get(), tree_options);
-  rda::Random rng(5);
-  for (auto _ : state) {
-    auto txn = (*db)->Begin();
-    // Bounded key space: the tree converges to ~10k entries and later
-    // iterations measure the overwrite path.
-    if (!(*tree)->Insert(*txn, rng.Uniform(10000), 1).ok() ||
-        !(*db)->Commit(*txn).ok()) {
-      state.SkipWithError("btree insert failed");
-      return;
-    }
-  }
-  state.counters["page_transfers/insert"] = benchmark::Counter(
-      static_cast<double>((*db)->TotalPageTransfers()) / state.iterations());
-}
-BENCHMARK(BM_BTreeInsert);
 
 }  // namespace

@@ -21,8 +21,6 @@ const char* CodeName(Status::Code code) {
       return "FAILED_PRECONDITION";
     case Status::Code::kAborted:
       return "ABORTED";
-    case Status::Code::kNotSupported:
-      return "NOT_SUPPORTED";
     case Status::Code::kBusy:
       return "BUSY";
   }

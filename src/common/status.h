@@ -21,7 +21,6 @@ class Status {
     kDataLoss,
     kFailedPrecondition,
     kAborted,
-    kNotSupported,
     kBusy,
   };
 
@@ -54,9 +53,6 @@ class Status {
   static Status Aborted(std::string msg) {
     return Status(Code::kAborted, std::move(msg));
   }
-  static Status NotSupported(std::string msg) {
-    return Status(Code::kNotSupported, std::move(msg));
-  }
   static Status Busy(std::string msg) {
     return Status(Code::kBusy, std::move(msg));
   }
@@ -74,7 +70,6 @@ class Status {
     return code_ == Code::kFailedPrecondition;
   }
   bool IsAborted() const { return code_ == Code::kAborted; }
-  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsBusy() const { return code_ == Code::kBusy; }
 
   // Human-readable "CODE: message" string for logs and test diagnostics.

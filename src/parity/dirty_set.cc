@@ -12,16 +12,6 @@ uint32_t DirtySet::DirtyCount() const {
   return count;
 }
 
-std::vector<GroupId> DirtySet::DirtyGroupsOf(TxnId txn) const {
-  std::vector<GroupId> out;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (groups_[id].dirty && groups_[id].dirty_txn == txn) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 std::vector<GroupId> DirtySet::AllDirtyGroups() const {
   std::vector<GroupId> out;
   for (GroupId id = 0; id < groups_.size(); ++id) {

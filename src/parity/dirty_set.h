@@ -74,11 +74,6 @@ class DirtySet {
   // Number of groups currently dirty.
   uint32_t DirtyCount() const;
 
-  // Groups dirtied by `txn` (linear scan; the transaction manager keeps its
-  // own per-transaction list for the hot path, this is used by tests and
-  // recovery).
-  std::vector<GroupId> DirtyGroupsOf(TxnId txn) const;
-
   // All dirty groups, any owner.
   std::vector<GroupId> AllDirtyGroups() const;
 

@@ -94,10 +94,6 @@ class Disk {
     std::lock_guard<std::mutex> lock(mu_);
     busy_ms_ = 0;
   }
-  void set_service_model(const ServiceTimeModel& model) {
-    std::lock_guard<std::mutex> lock(mu_);
-    model_ = model;
-  }
   // Real (wall-clock) service delay per access, slept while the drive holds
   // its request slot. 0 — the default — keeps accesses instantaneous; the
   // busy-ms accounting model above is unaffected either way. With a nonzero

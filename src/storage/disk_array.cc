@@ -392,10 +392,4 @@ void DiskArray::ResetServiceClocks() {
   }
 }
 
-void DiskArray::SetServiceModel(const ServiceTimeModel& model) {
-  for (Disk& d : disks_) {
-    d.set_service_model(model);
-  }
-}
-
 }  // namespace rda

@@ -136,7 +136,6 @@ class DiskArray {
   double TotalBusyMs() const;
   double MaxBusyMs() const;
   void ResetServiceClocks();
-  void SetServiceModel(const ServiceTimeModel& model);
 
   // Test-only access to the raw disk (corruption injection etc.).
   Disk* disk(DiskId id) { return &disks_[id]; }

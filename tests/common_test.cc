@@ -32,7 +32,6 @@ TEST(StatusTest, AllCodesRoundTrip) {
   EXPECT_TRUE(Status::DataLoss("x").IsDataLoss());
   EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
   EXPECT_TRUE(Status::Aborted("x").IsAborted());
-  EXPECT_TRUE(Status::NotSupported("x").IsNotSupported());
   EXPECT_TRUE(Status::Busy("x").IsBusy());
 }
 

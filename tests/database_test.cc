@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
@@ -154,6 +156,63 @@ TEST_P(DatabaseMatrixTest, SurvivesDiskFailureAfterCommits) {
   for (PageId page = 0; page < 16; ++page) {
     EXPECT_EQ(ReadCommitted(page), page + 1) << "rebuilt read " << page;
   }
+  ExpectParityConsistent();
+}
+
+// One transaction writes 16 pages in several parity groups, more pages than
+// the buffer holds, so it steals mid-flight. Such a transaction is aborted,
+// then another is crashed in flight, then a committed one survives a disk
+// failure and rebuild.
+TEST_P(DatabaseMatrixTest, MultiGroupTransactionAbortCrashAndRebuild) {
+  std::vector<PageId> pages;
+  std::set<GroupId> groups;
+  for (PageId page = 0; page < 48; page += 3) {
+    pages.push_back(page);
+    groups.insert(db_->array()->layout().GroupOf(page));
+  }
+  ASSERT_GT(pages.size(), db_->options().buffer.capacity);
+  ASSERT_GE(groups.size(), 3u);
+  auto write_all = [&](TxnId txn, uint8_t base) {
+    for (size_t i = 0; i < pages.size(); ++i) {
+      ASSERT_TRUE(Write(txn, pages[i], static_cast<uint8_t>(base + i)).ok())
+          << "page " << pages[i];
+    }
+  };
+  auto expect_all = [&](uint8_t base, const char* when) {
+    for (size_t i = 0; i < pages.size(); ++i) {
+      EXPECT_EQ(ReadCommitted(pages[i]), static_cast<uint8_t>(base + i))
+          << when << ", page " << pages[i];
+    }
+  };
+
+  auto setup = db_->Begin();
+  ASSERT_NO_FATAL_FAILURE(write_all(*setup, 0x10));
+  ASSERT_TRUE(db_->Commit(*setup).ok());
+
+  auto aborted = db_->Begin();
+  ASSERT_NO_FATAL_FAILURE(write_all(*aborted, 0x40));
+  ASSERT_TRUE(db_->Abort(*aborted).ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  expect_all(0x10, "after abort");
+  ExpectParityConsistent();
+
+  auto loser = db_->Begin();
+  ASSERT_NO_FATAL_FAILURE(write_all(*loser, 0x80));
+  db_->Crash();
+  ASSERT_TRUE(db_->Recover().ok());
+  expect_all(0x10, "after restart");
+  ExpectParityConsistent();
+
+  auto winner = db_->Begin();
+  ASSERT_NO_FATAL_FAILURE(write_all(*winner, 0xA0));
+  ASSERT_TRUE(db_->Commit(*winner).ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  ASSERT_TRUE(db_->FailDisk(1).ok());
+  expect_all(0xA0, "degraded");
+  auto report = db_->RebuildDisk(1);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->undo_coverage_lost.empty());
+  expect_all(0xA0, "rebuilt");
   ExpectParityConsistent();
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -715,6 +716,18 @@ struct UndoDifferentialParam {
   uint32_t recovery_threads;
 };
 
+std::string UndoDifferentialName(const UndoDifferentialParam& p) {
+  return std::string(p.force ? "Force" : "NoForce") +
+         (p.mode == LoggingMode::kPageLogging ? "Page" : "Record") +
+         "Threads" + std::to_string(p.recovery_threads);
+}
+
+// Without it gtest prints the raw bytes, padding included, into the ctest
+// name.
+void PrintTo(const UndoDifferentialParam& p, std::ostream* os) {
+  *os << UndoDifferentialName(p);
+}
+
 class UndoDifferentialTest
     : public ::testing::TestWithParam<UndoDifferentialParam> {
  protected:
@@ -837,10 +850,7 @@ INSTANTIATE_TEST_SUITE_P(
         UndoDifferentialParam{false, LoggingMode::kRecordLogging, 1},
         UndoDifferentialParam{false, LoggingMode::kRecordLogging, 4}),
     [](const ::testing::TestParamInfo<UndoDifferentialParam>& info) {
-      return std::string(info.param.force ? "Force" : "NoForce") +
-             (info.param.mode == LoggingMode::kPageLogging ? "Page"
-                                                           : "Record") +
-             "Threads" + std::to_string(info.param.recovery_threads);
+      return UndoDifferentialName(info.param);
     });
 
 }  // namespace
