@@ -36,8 +36,10 @@ struct DatabaseOptions {
   BufferPool::Options buffer;
   TxnConfig txn;
   LogManager::Options log;
-  // ACC checkpoint interval, measured in update operations; 0 disables
-  // automatic checkpoints (TOC / FORCE configurations).
+  // ACC checkpoint interval, measured in update operations; 0 (the
+  // TOC / FORCE setting) disables automatic checkpoints. Under notFORCE
+  // each checkpoint is a restart point: restart reads the log from the
+  // last one (DESIGN.md §4.3), so the interval bounds restart work.
   uint64_t checkpoint_interval_updates = 0;
   // Engine-wide metrics + trace + latency spans. Disabling all of them
   // makes the hub null and instrumentation collapses to a pointer test
@@ -107,6 +109,8 @@ class Database {
   Status BulkLoad(const std::vector<std::vector<uint8_t>>& user_pages);
 
   // --- checkpointing ---
+  // Propagates every dirty frame and logs a kCheckpoint record; under
+  // notFORCE the log's master record then names it as the restart point.
   Status Checkpoint() { return checkpointer_->TakeCheckpoint(); }
 
   // --- archive (catastrophic media recovery + log truncation) ---

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -139,8 +140,17 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   // of phase 5: redo_head[page] is the log index of the page's first image,
   // redo_next[index] that of the next one.
   //
-  // It also bounds REDO. Under FORCE every page a transaction changed is on
-  // the array before its commit record, and only two events can take
+  // Under notFORCE the scan starts at the last complete checkpoint the
+  // master record names (DESIGN.md §4.3): at its REDO floor, or lower at
+  // the first record of a transaction its table lists as unfinished, and
+  // only after-images at or above the floor are folded. It starts at the
+  // log base instead when there is no live checkpoint, when a
+  // kArchiveRestore marker follows it (the restore rewrote the array from
+  // the snapshot, so every committed image must be replayed) and under
+  // FORCE, whose TOC discipline takes no checkpoints.
+  //
+  // Analysis also bounds REDO. Under FORCE every page a transaction changed
+  // is on the array before its commit record, and only two events can take
   // committed bytes off the medium again: an undo by a non-winner (a loser,
   // or a runtime abort), and an archive restore. Both leave a durable trace
   // in the log. maybe_stale[page] marks the pages of the first: every page
@@ -165,21 +175,46 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kAnalysis, transfers_now,
                            &report.phases);
-    RDA_RETURN_IF_ERROR(log_->Scan(0, &records));
+    const Lsn base = log_->base_lsn();
+    report.analysis_from = base;
+    // The restart point, if analysis starts at a checkpoint.
+    std::optional<LogRecord> checkpoint;
+    const Lsn master = force ? kInvalidLsn : log_->ReadMaster();
+    if (master != kInvalidLsn) {
+      checkpoint.emplace();
+      RDA_RETURN_IF_ERROR(log_->ReadRecord(master, &*checkpoint));
+      if (checkpoint->type != LogRecordType::kCheckpoint) {
+        return Status::Corruption("master record names no checkpoint");
+      }
+      report.analysis_from = checkpoint->redo_floor;
+      for (const CheckpointTxn& entry : checkpoint->unfinished_txns) {
+        report.analysis_from = std::min(report.analysis_from, entry.first_lsn);
+      }
+      report.analysis_from = std::max(report.analysis_from, base);
+    }
+    RDA_RETURN_IF_ERROR(log_->Scan(report.analysis_from, &records));
+    if (checkpoint.has_value() &&
+        std::any_of(records.begin(), records.end(), [](const LogRecord& r) {
+          return r.type == LogRecordType::kArchiveRestore;
+        })) {
+      checkpoint.reset();
+      report.analysis_from = base;
+      RDA_RETURN_IF_ERROR(log_->Scan(base, &records));
+    }
+    const Lsn redo_floor = checkpoint.has_value() ? checkpoint->redo_floor : 0;
+    if (checkpoint.has_value()) {
+      // Ids below the recorded one may belong to transactions the scan no
+      // longer sees; none is handed out again.
+      max_txn = checkpoint->next_txn - 1;
+    }
     std::unordered_set<TxnId> seen;
     std::unordered_set<TxnId> finished;  // Committed or abort-complete.
-    // Pre-size the transaction sets from the latest checkpoint's active-txn
-    // list plus the rebuilt dirty set, instead of rehashing as the scan
-    // grows them record by record.
-    size_t checkpoint_active = 0;
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      if (it->type == LogRecordType::kCheckpoint) {
-        checkpoint_active = it->active_txns.size();
-        break;
-      }
-    }
+    // Pre-size the transaction sets from the checkpoint's unfinished table
+    // plus the rebuilt dirty set, instead of rehashing as the scan grows
+    // them record by record.
     const size_t txn_hint =
-        checkpoint_active + parity_->directory().DirtyCount() + 16;
+        (checkpoint.has_value() ? checkpoint->unfinished_txns.size() : 0) +
+        parity_->directory().DirtyCount() + 16;
     seen.reserve(txn_hint);
     finished.reserve(txn_hint);
     winners.reserve(txn_hint);
@@ -212,6 +247,9 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
             return Status::Corruption("after-image of page " +
                                       std::to_string(record.page) +
                                       " lies outside the array");
+          }
+          if (record.lsn < redo_floor) {
+            break;  // On the array since the checkpoint's propagation.
           }
           if (redo_tail[record.page] == kNoImage) {
             redo_head[record.page] = index;
@@ -252,14 +290,31 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
                                                             : record.page);
       }
     }
-    // A dirty group whose owner never reached the log (BOT flushed with the
-    // first propagation, so this is defensive) is a loser as well.
+    // A dirty group comes back from its deciding kWorking twin. An owner
+    // the scan does not see may have finished before the checkpoint: if its
+    // id predates the checkpoint and the table does not list it, it
+    // committed, because a runtime abort always leaves its working twin
+    // kInvalid. Any other owner the scan does not see as a winner (one
+    // that never reached the log is defensive: BOT is flushed with the
+    // first propagation) is a loser.
     for (const GroupId group : parity_->directory().AllDirtyGroups()) {
       const GroupState& state = parity_->directory().Get(group);
-      if (!winners.contains(state.dirty_txn)) {
-        losers.insert(state.dirty_txn);
-        mark_stale(state.dirty_page);
+      const TxnId owner = state.dirty_txn;
+      if (winners.contains(owner)) {
+        continue;
       }
+      if (checkpoint.has_value() && owner != kInvalidTxnId &&
+          owner < checkpoint->next_txn && !seen.contains(owner) &&
+          std::none_of(checkpoint->unfinished_txns.begin(),
+                       checkpoint->unfinished_txns.end(),
+                       [owner](const CheckpointTxn& entry) {
+                         return entry.txn == owner;
+                       })) {
+        winners.insert(owner);
+        continue;
+      }
+      losers.insert(owner);
+      mark_stale(state.dirty_page);
     }
 
     report.winners.assign(winners.begin(), winners.end());

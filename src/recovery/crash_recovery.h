@@ -30,6 +30,9 @@ struct CrashRecoveryReport {
   // Parity-undone pages that still carried their loser's stamp: the TWIST
   // chain members (paper Section 4.3) the undo found in place.
   uint64_t chain_pages_walked = 0;
+  // LSN the analysis scan started at: the log base, or below the REDO
+  // floor of the checkpoint the master record names (notFORCE).
+  Lsn analysis_from = 0;
   // Per-phase cost breakdown (page transfers + wall clock), in execution
   // order. Always filled, whether or not observability is attached.
   std::vector<obs::PhaseCost> phases;
@@ -41,6 +44,9 @@ struct CrashRecoveryReport {
 //  1. Rebuild the parity directory from the twin page headers
 //     (Current_Parity, Figure 7; the S/N term of c'_s).
 //  2. Analysis: scan the log; BOT without Commit/AbortComplete = loser.
+//     Under notFORCE the scan starts at the last complete checkpoint the
+//     log's master record names, and REDO folds only after-images at or
+//     above its floor (see Recover).
 //  3. Roll FORWARD: finalize dirty groups owned by winners (crash fell
 //     between the commit record and twin finalization).
 //  4. UNDO losers through TransactionManager::UndoPlan, the executor a

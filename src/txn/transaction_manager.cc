@@ -122,6 +122,35 @@ std::vector<TxnId> TransactionManager::ActiveTxns() const {
   return out;
 }
 
+std::vector<CheckpointTxn> TransactionManager::UnfinishedTxns(
+    Lsn not_logged, TxnId* next_txn) const {
+  std::vector<Transaction*> table;
+  {
+    std::lock_guard<std::mutex> lock(txns_mu_);
+    *next_txn = next_txn_;
+    for (const auto& [id, txn] : txns_) {
+      if (txn->state == TxnState::kActive) {  // Ended ones never return.
+        table.push_back(txn.get());
+      }
+    }
+  }
+  // The BOT LSN is read under the transaction mutex EnsureBot holds, after
+  // the caller read `not_logged` from the log: a BOT appended before that
+  // read is visible here, and any later one lies at or above it.
+  std::vector<CheckpointTxn> out;
+  for (Transaction* txn : table) {
+    std::lock_guard<std::mutex> lock(txn->mu);
+    if (txn->state == TxnState::kActive) {
+      out.push_back({txn->id(), txn->bot_logged ? txn->bot_lsn : not_logged});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CheckpointTxn& a, const CheckpointTxn& b) {
+              return a.txn < b.txn;
+            });
+  return out;
+}
+
 void TransactionManager::BumpNextTxnId(TxnId floor) {
   std::lock_guard<std::mutex> lock(txns_mu_);
   next_txn_ = std::max(next_txn_, floor);
@@ -1074,6 +1103,9 @@ void TransactionManager::LoseVolatileState() {
   locks_->Clear();
   std::lock_guard<std::mutex> lock(txns_mu_);
   txns_.clear();
+  // The id counter is volatile too: restart rebuilds it from the log
+  // (BumpNextTxnId).
+  next_txn_ = 1;
 }
 
 }  // namespace rda

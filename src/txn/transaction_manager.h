@@ -132,6 +132,16 @@ class TransactionManager {
   Transaction* Find(TxnId txn);
   std::vector<TxnId> ActiveTxns() const;
 
+  // The table an ACC checkpoint logs: every transaction not yet committed
+  // or aborted, ascending, with the LSN of its BOT record (`not_logged` if
+  // it has logged nothing yet), and in `*next_txn` the first id not yet
+  // handed out, from one snapshot of the transaction table. A transaction
+  // whose commit or abort-complete record is already appended counts as
+  // unfinished until its EOT returns, so every finished one's EOT record
+  // precedes a checkpoint record appended afterwards.
+  std::vector<CheckpointTxn> UnfinishedTxns(Lsn not_logged,
+                                            TxnId* next_txn) const;
+
   BufferPool* pool() { return &pool_; }
   TwinParityManager* parity() { return parity_; }
   LogManager* log() { return log_; }

@@ -150,6 +150,38 @@ Status LogManager::CommitFlush(Lsn lsn) {
   return status;
 }
 
+Status LogManager::DecodeFrameLocked(Lsn pos, Lsn next,
+                                     LogRecord* out) const {
+  const size_t offset = pos - base_lsn_;
+  const uint32_t frame_length =
+      static_cast<uint32_t>(next - pos - kFrameHeaderSize);
+  for (uint32_t copy = 0; copy < kCopies; ++copy) {
+    const std::vector<uint8_t>& data = stable_[copy];
+    uint32_t stored_length = 0;
+    std::memcpy(&stored_length, data.data() + offset, sizeof(stored_length));
+    if (stored_length != frame_length) {
+      continue;  // Frame header damaged on this copy; the index knows the
+                 // true framing.
+    }
+    uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, data.data() + offset + 4, sizeof(stored_crc));
+    const uint8_t* payload = data.data() + offset + kFrameHeaderSize;
+    if (Crc32c(payload, frame_length) != stored_crc) {
+      continue;  // Corrupted on this copy; try the next one.
+    }
+    Result<LogRecord> result = DecodeLogRecord(payload, frame_length);
+    if (!result.ok()) {
+      continue;
+    }
+    *out = std::move(result).value();
+    // LSNs are positional, not serialized: stamp from the frame offset.
+    out->lsn = pos;
+    return Status::Ok();
+  }
+  return Status::Corruption("log record at " + std::to_string(pos) +
+                            " unreadable on all copies");
+}
+
 Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out->clear();
@@ -161,42 +193,8 @@ Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
   const Lsn start_pos = begin == stable_index_.end() ? flushed : *begin;
   out->reserve(stable_index_.end() - begin);
   for (auto it = begin; it != stable_index_.end(); ++it) {
-    const Lsn pos = *it;
     const Lsn next = (it + 1) == stable_index_.end() ? flushed : *(it + 1);
-    const size_t offset = pos - base_lsn_;
-    const uint32_t frame_length =
-        static_cast<uint32_t>(next - pos - kFrameHeaderSize);
-    LogRecord record;
-    bool decoded = false;
-    for (uint32_t copy = 0; copy < kCopies && !decoded; ++copy) {
-      const std::vector<uint8_t>& data = stable_[copy];
-      uint32_t stored_length = 0;
-      std::memcpy(&stored_length, data.data() + offset,
-                  sizeof(stored_length));
-      if (stored_length != frame_length) {
-        continue;  // Frame header damaged on this copy; the index knows
-                   // the true framing.
-      }
-      uint32_t stored_crc = 0;
-      std::memcpy(&stored_crc, data.data() + offset + 4, sizeof(stored_crc));
-      const uint8_t* payload = data.data() + offset + kFrameHeaderSize;
-      if (Crc32c(payload, frame_length) != stored_crc) {
-        continue;  // Corrupted on this copy; try the next one.
-      }
-      Result<LogRecord> result = DecodeLogRecord(payload, frame_length);
-      if (!result.ok()) {
-        continue;
-      }
-      record = std::move(result).value();
-      decoded = true;
-    }
-    if (!decoded) {
-      return Status::Corruption("log record at " + std::to_string(pos) +
-                                " unreadable on all copies");
-    }
-    // LSNs are positional, not serialized: stamp from the frame offset.
-    record.lsn = pos;
-    out->push_back(std::move(record));
+    RDA_RETURN_IF_ERROR(DecodeFrameLocked(*it, next, &out->emplace_back()));
   }
   // Account the sequential read of the scanned portion, once (a recovery
   // scan reads one copy unless it hits corruption; close enough for the
@@ -204,6 +202,44 @@ Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
   counters_.page_reads +=
       (flushed - start_pos + page_size_ - 1) / page_size_;
   return Status::Ok();
+}
+
+Status LogManager::ReadRecord(Lsn lsn, LogRecord* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it =
+      std::lower_bound(stable_index_.begin(), stable_index_.end(), lsn);
+  if (it == stable_index_.end() || *it != lsn) {
+    return Status::NotFound("no stable log record at " + std::to_string(lsn));
+  }
+  const Lsn next = (it + 1) == stable_index_.end()
+                       ? flushed_bytes_.load(std::memory_order_relaxed)
+                       : *(it + 1);
+  // Charged like Scan: the frame's length in pages, rounded up.
+  counters_.page_reads += (next - lsn + page_size_ - 1) / page_size_;
+  return DecodeFrameLocked(lsn, next, out);
+}
+
+Status LogManager::WriteMaster(Lsn checkpoint_lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (checkpoint_lsn < base_lsn_ ||
+      checkpoint_lsn >= flushed_bytes_.load(std::memory_order_relaxed)) {
+    return Status::InvalidArgument("master record must name a stable record");
+  }
+  if (master_lsn_ == kInvalidLsn || master_lsn_ < checkpoint_lsn) {
+    master_lsn_ = checkpoint_lsn;
+  }
+  master_written_ = true;
+  counters_.page_writes += kCopies;
+  obs::Inc(pages_flushed_counter_, kCopies);
+  return Status::Ok();
+}
+
+Lsn LogManager::ReadMaster() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (master_written_) {
+    ++counters_.page_reads;
+  }
+  return master_lsn_;
 }
 
 Status LogManager::Truncate(Lsn up_to) {
@@ -234,6 +270,9 @@ Status LogManager::Truncate(Lsn up_to) {
   }
   stable_index_.erase(stable_index_.begin(), it);
   base_lsn_ = up_to;
+  if (master_lsn_ != kInvalidLsn && master_lsn_ < up_to) {
+    master_lsn_ = kInvalidLsn;  // Its checkpoint record is gone.
+  }
   return Status::Ok();
 }
 

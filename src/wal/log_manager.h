@@ -96,15 +96,31 @@ class LogManager {
   // copy on corruption (the duplexing pay-off).
   Status Scan(Lsn from, std::vector<LogRecord>* out) const;
 
+  // Decodes the one stable record at `lsn`, charging the pages its frame
+  // covers (restart reads the checkpoint its master record names).
+  Status ReadRecord(Lsn lsn, LogRecord* out) const;
+
+  // The master record: stable state beside the log streams, naming the LSN
+  // of the last complete checkpoint. WriteMaster keeps the newer of the
+  // stored and the given LSN (concurrent checkpoints may finish in either
+  // order) and is charged one log page write per copy. ReadMaster returns
+  // kInvalidLsn if there is no live checkpoint and is charged one page
+  // read once a master page exists (a log that never took a checkpoint has
+  // none). It survives LoseVolatileState and is voided by a Truncate that
+  // passes it.
+  Status WriteMaster(Lsn checkpoint_lsn);
+  Lsn ReadMaster() const;
+
   // Drops the unflushed buffer (system crash).
   void LoseVolatileState();
 
   // Discards all stable records with lsn < up_to (archive truncation).
   // `up_to` must be a record boundary at or below flushed_lsn(); LSNs stay
-  // absolute — Scan afterwards yields records starting at `up_to`. If a
-  // group-commit batch is in flight (published but not yet commit-durable),
-  // Truncate waits for its watermark first: records of a batch whose
-  // CommitFlush callers are still blocked are never erased.
+  // absolute — Scan afterwards yields records starting at `up_to`. A
+  // master record below `up_to` becomes void. If a group-commit batch is in
+  // flight (published but not yet commit-durable), Truncate waits for its
+  // watermark first: records of a batch whose CommitFlush callers are still
+  // blocked are never erased.
   Status Truncate(Lsn up_to);
 
   // High-water mark of commit durability: every commit record below it has
@@ -147,6 +163,10 @@ class LogManager {
   // the caller's business (CommitFlush sleeps AFTER publishing).
   Status FlushLocked();
 
+  // Decodes the stable frame at `pos`, ending at `next` (the caller holds
+  // mu_), from the first copy whose length and CRC check out.
+  Status DecodeFrameLocked(Lsn pos, Lsn next, LogRecord* out) const;
+
   const size_t page_size_;
   Options options_;
   // Serializes all log state. Leaf-ward lock: nothing above the WAL is
@@ -173,6 +193,10 @@ class LogManager {
   std::atomic<uint64_t> flushed_bytes_{0};
   // Absolute LSN of the first byte still stored in stable_ (see Truncate).
   Lsn base_lsn_ = 0;
+  // The master record (stable): the last complete checkpoint's LSN, and
+  // whether a master page was ever written.
+  Lsn master_lsn_ = kInvalidLsn;
+  bool master_written_ = false;
   // LSN -> byte-offset index: the absolute LSN of every STABLE record
   // frame, sorted (appends are monotone). Scan binary-searches it to seek;
   // Truncate uses it to validate boundaries without walking frames. The

@@ -88,9 +88,14 @@ void EncodeLogRecordTo(const LogRecord& record, std::vector<uint8_t>* out) {
   PutHeader(out, record.page_header);
   PutBytes(out, record.before);
   PutBytes(out, record.after);
-  PutFixed(out, static_cast<uint32_t>(record.active_txns.size()));
-  for (const TxnId txn : record.active_txns) {
-    PutFixed(out, txn);
+  PutFixed(out, static_cast<uint32_t>(record.unfinished_txns.size()));
+  for (const CheckpointTxn& entry : record.unfinished_txns) {
+    PutFixed(out, entry.txn);
+    PutFixed(out, entry.first_lsn);
+  }
+  if (record.type == LogRecordType::kCheckpoint) {
+    PutFixed(out, record.redo_floor);
+    PutFixed(out, record.next_txn);
   }
   PutFixed(out, record.chain_head);
 }
@@ -100,13 +105,13 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t size) {
   LogRecord record;
   uint8_t type = 0;
   uint8_t record_granular = 0;
-  uint32_t num_active = 0;
+  uint32_t num_unfinished = 0;
   if (!reader.Get(&type) || !reader.Get(&record.txn) ||
       !reader.Get(&record.page) || !reader.Get(&record.slot) ||
       !reader.Get(&record_granular) ||
       !GetHeader(&reader, &record.page_header) ||
       !reader.GetBytes(&record.before) || !reader.GetBytes(&record.after) ||
-      !reader.Get(&num_active)) {
+      !reader.Get(&num_unfinished)) {
     return Status::Corruption("truncated log record");
   }
   if (type < static_cast<uint8_t>(LogRecordType::kBot) ||
@@ -115,11 +120,15 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t size) {
   }
   record.type = static_cast<LogRecordType>(type);
   record.record_granular = record_granular != 0;
-  record.active_txns.resize(num_active);
-  for (uint32_t i = 0; i < num_active; ++i) {
-    if (!reader.Get(&record.active_txns[i])) {
-      return Status::Corruption("truncated active transaction list");
+  record.unfinished_txns.resize(num_unfinished);
+  for (CheckpointTxn& entry : record.unfinished_txns) {
+    if (!reader.Get(&entry.txn) || !reader.Get(&entry.first_lsn)) {
+      return Status::Corruption("truncated unfinished transaction table");
     }
+  }
+  if (record.type == LogRecordType::kCheckpoint &&
+      (!reader.Get(&record.redo_floor) || !reader.Get(&record.next_txn))) {
+    return Status::Corruption("truncated checkpoint record");
   }
   if (!reader.Get(&record.chain_head) || !reader.Done()) {
     return Status::Corruption("malformed log record tail");

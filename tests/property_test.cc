@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <ostream>
+#include <string>
 
 #include "common/random.h"
 #include "core/database.h"
@@ -22,12 +24,22 @@ struct PropertyCase {
   bool rda;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
-  std::string name = "Seed" + std::to_string(info.param.seed);
-  name += info.param.mode == LoggingMode::kPageLogging ? "Page" : "Record";
-  name += info.param.force ? "Force" : "NoForce";
-  name += info.param.rda ? "Rda" : "NoRda";
+std::string PropertyName(const PropertyCase& c) {
+  std::string name = "Seed" + std::to_string(c.seed);
+  name += c.mode == LoggingMode::kPageLogging ? "Page" : "Record";
+  name += c.force ? "Force" : "NoForce";
+  name += c.rda ? "Rda" : "NoRda";
   return name;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
+  return PropertyName(info.param);
+}
+
+// Without it gtest prints the raw bytes, padding included, into the ctest
+// name.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << PropertyName(c);
 }
 
 class RecoveryPropertyTest : public ::testing::TestWithParam<PropertyCase> {

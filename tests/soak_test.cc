@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "common/random.h"
 #include "core/database.h"
@@ -19,11 +21,18 @@ struct SoakCase {
   bool rda;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<SoakCase>& info) {
-  return "Seed" + std::to_string(info.param.seed) +
-         (info.param.force ? "Force" : "NoForce") +
-         (info.param.rda ? "Rda" : "NoRda");
+std::string SoakName(const SoakCase& c) {
+  return "Seed" + std::to_string(c.seed) + (c.force ? "Force" : "NoForce") +
+         (c.rda ? "Rda" : "NoRda");
 }
+
+std::string CaseName(const ::testing::TestParamInfo<SoakCase>& info) {
+  return SoakName(info.param);
+}
+
+// Without it gtest prints the raw bytes, padding included, into the ctest
+// name.
+void PrintTo(const SoakCase& c, std::ostream* os) { *os << SoakName(c); }
 
 class SoakTest : public ::testing::TestWithParam<SoakCase> {
  protected:

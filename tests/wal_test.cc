@@ -41,12 +41,16 @@ TEST(LogRecordTest, AllTypesRoundTrip) {
     LogRecord record;
     record.type = type;
     record.txn = 5;
-    record.active_txns = {1, 2, 3};
+    record.unfinished_txns = {{1, 10}, {2, 20}, {3, 30}};
+    if (type == LogRecordType::kCheckpoint) {
+      record.redo_floor = 40;
+      record.next_txn = 6;
+    }
     const std::vector<uint8_t> bytes = EncodeLogRecord(record);
     auto decoded = DecodeLogRecord(bytes.data(), bytes.size());
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->type, type);
-    EXPECT_EQ(decoded->active_txns, record.active_txns);
+    EXPECT_TRUE(*decoded == record);
   }
 }
 
@@ -198,13 +202,14 @@ TEST(LogRecordTest, CheckpointWithManyActiveTxns) {
   LogRecord record;
   record.type = LogRecordType::kCheckpoint;
   for (TxnId t = 1; t <= 200; ++t) {
-    record.active_txns.push_back(t * 7);
+    record.unfinished_txns.push_back({t * 7, t * 100});
   }
   const std::vector<uint8_t> bytes = EncodeLogRecord(record);
   auto decoded = DecodeLogRecord(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->active_txns.size(), 200u);
-  EXPECT_EQ(decoded->active_txns[199], 200u * 7);
+  ASSERT_EQ(decoded->unfinished_txns.size(), 200u);
+  EXPECT_EQ(decoded->unfinished_txns[199].txn, 200u * 7);
+  EXPECT_EQ(decoded->unfinished_txns[199].first_lsn, 200u * 100);
 }
 
 TEST(LogRecordTest, EmptyImagesRoundTrip) {
@@ -369,6 +374,69 @@ TEST(LogManagerTest, TruncateBeyondFlushedOrOffBoundaryRejected) {
   EXPECT_TRUE(log.Truncate(*first).IsInvalidArgument());
   // Re-truncating exactly at the base is a no-op, not an error.
   EXPECT_TRUE(log.Truncate(*second).ok());
+}
+
+// --- master record (the notFORCE restart point) ---
+
+TEST(LogManagerTest, MasterRecordIsStableAndCharged) {
+  LogManager log(kLogPageSize, {});
+  // A log that never took a checkpoint has no master page to read.
+  EXPECT_EQ(log.ReadMaster(), kInvalidLsn);
+  EXPECT_EQ(log.counters().page_reads, 0u);
+
+  ASSERT_TRUE(log.Append(SampleRecord()).ok());
+  LogRecord checkpoint;
+  checkpoint.type = LogRecordType::kCheckpoint;
+  checkpoint.redo_floor = 0;
+  checkpoint.next_txn = 9;
+  checkpoint.unfinished_txns = {{4, 0}};
+  auto lsn = log.Append(checkpoint);
+  ASSERT_TRUE(lsn.ok());
+  // Only a stable record can be named.
+  EXPECT_TRUE(log.WriteMaster(*lsn).IsInvalidArgument());
+  ASSERT_TRUE(log.Flush().ok());
+  log.ResetCounters();
+  ASSERT_TRUE(log.WriteMaster(*lsn).ok());
+  EXPECT_EQ(log.counters().page_writes, LogManager::kCopies);
+
+  // It survives a crash; reading it costs one page, the record it names
+  // the pages of its frame.
+  log.LoseVolatileState();
+  log.ResetCounters();
+  EXPECT_EQ(log.ReadMaster(), *lsn);
+  EXPECT_EQ(log.counters().page_reads, 1u);
+  LogRecord read;
+  ASSERT_TRUE(log.ReadRecord(*lsn, &read).ok());
+  EXPECT_EQ(log.counters().page_reads, 2u);
+  checkpoint.lsn = *lsn;
+  EXPECT_TRUE(read == checkpoint);
+  EXPECT_TRUE(log.ReadRecord(*lsn + 1, &read).IsNotFound());
+}
+
+TEST(LogManagerTest, MasterRecordKeepsTheNewerCheckpoint) {
+  LogManager log(kLogPageSize, {});
+  auto first = log.Append(SampleRecord());
+  auto second = log.Append(SampleRecord());
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE(log.Flush().ok());
+  ASSERT_TRUE(log.WriteMaster(*second).ok());
+  ASSERT_TRUE(log.WriteMaster(*first).ok());  // Finished later, older.
+  EXPECT_EQ(log.ReadMaster(), *second);
+}
+
+TEST(LogManagerTest, TruncatePastTheMasterRecordVoidsIt) {
+  LogManager log(kLogPageSize, {});
+  auto first = log.Append(SampleRecord());
+  auto second = log.Append(SampleRecord());
+  auto third = log.Append(SampleRecord());
+  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  ASSERT_TRUE(log.Flush().ok());
+  ASSERT_TRUE(log.WriteMaster(*second).ok());
+  // Up to the record itself: it is still there.
+  ASSERT_TRUE(log.Truncate(*second).ok());
+  EXPECT_EQ(log.ReadMaster(), *second);
+  ASSERT_TRUE(log.Truncate(*third).ok());
+  EXPECT_EQ(log.ReadMaster(), kInvalidLsn);
 }
 
 }  // namespace
